@@ -155,6 +155,92 @@ class _Node:
         return self.down == 0 and self.flaps == 0 and self.job is None
 
 
+#: One queue entry: (arrival, submit seq, job); ``seq`` is unique, so
+#: entries order totally without ever comparing jobs.
+_Entry = Tuple[float, int, ServiceJob]
+
+
+class _JobQueue:
+    """The scheduler's wait queue, indexed so each decision is cheap.
+
+    Entries live in an insertion-ordered dict keyed by ``seq``: O(1)
+    ``len`` and removal, and iteration in submission order (the order the
+    ``max_wait`` guard sums queued work in).  Heads come from heaps keyed
+    ``(arrival, seq)`` -- one global heap under ``fifo``, one per tenant
+    under ``fair``/``wfair`` -- whose removed entries are skipped lazily.
+    The fair tenant is the minimum ``(running slots / weight, tenant)``
+    over tenants with queued entries, an O(tenants) scan.
+    """
+
+    __slots__ = ("_fair", "_weighted", "_entries", "_seq_of", "_heaps",
+                 "_live", "_weights")
+
+    def __init__(self, discipline: str) -> None:
+        self._fair = discipline != "fifo"
+        self._weighted = discipline == "wfair"
+        self._entries: Dict[int, _Entry] = {}
+        self._seq_of: Dict[str, int] = {}        #: job_id -> queued seq
+        self._heaps: Dict[str, List[_Entry]] = {}
+        self._live: Dict[str, int] = {}          #: heap key -> live entries
+        self._weights: Dict[str, float] = {}
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __iter__(self):
+        return iter(self._entries.values())
+
+    def _key(self, job: ServiceJob) -> str:
+        return job.tenant if self._fair else ""
+
+    def push(self, arrival: float, seq: int, job: ServiceJob) -> None:
+        entry = (arrival, seq, job)
+        key = self._key(job)
+        self._entries[seq] = entry
+        self._seq_of[job.job_id] = seq
+        heap = self._heaps.get(key)
+        if heap is None:
+            heap = self._heaps[key] = []
+            self._live[key] = 0
+            self._weights[key] = job.tenant_weight if self._weighted else 1.0
+        heapq.heappush(heap, entry)
+        self._live[key] += 1
+
+    def remove(self, job: ServiceJob) -> bool:
+        """Drop ``job``'s entry; False when it is not queued."""
+        seq = self._seq_of.pop(job.job_id, None)
+        if seq is None:
+            return False
+        del self._entries[seq]
+        self._live[self._key(job)] -= 1
+        return True
+
+    def head(self, usage: Dict[str, int]) -> _Entry:
+        """The entry the discipline considers next (queue must be non-empty).
+
+        ``usage`` maps tenant -> slots held by its running jobs.
+        """
+        key = ""
+        if self._fair:
+            best: Optional[Tuple[float, str]] = None
+            for tenant, live in self._live.items():
+                if live:
+                    share = usage.get(tenant, 0) / self._weights[tenant]
+                    if best is None or (share, tenant) < best:
+                        best = (share, tenant)
+            assert best is not None
+            key = best[1]
+        heap = self._heaps[key]
+        entries = self._entries
+        while heap[0][1] not in entries:
+            heapq.heappop(heap)
+        return heap[0]
+
+    def ordered(self) -> List[_Entry]:
+        """Entries in ``(arrival, seq)`` order."""
+        return sorted(self._entries.values())
+
+
 @dataclass
 class SchedulerState:
     """Read-only view handed to admission and preemption hooks."""
@@ -307,11 +393,26 @@ class ClusterScheduler:
         """Schedule ``jobs`` to completion and return the service result.
 
         Raises :class:`~repro.workloads.arrivals.ArrivalPlanError` when a
-        job demands more slots than the cluster has (it could never run).
+        job demands more slots than the cluster has (it could never run),
+        and :class:`ValueError` for a negative runtime or a tenant weight
+        that is not positive and finite or differs between a tenant's jobs.
         """
         from repro.workloads.arrivals import ArrivalPlanError
 
+        weights: Dict[str, float] = {}
         for job in jobs:
+            weight = job.tenant_weight
+            if not 0.0 < weight < float("inf"):
+                raise ValueError(
+                    f"job {job.job_id} ({job.tenant}): tenant_weight must "
+                    f"be positive and finite, got {weight}"
+                )
+            if weights.setdefault(job.tenant, weight) != weight:
+                raise ValueError(
+                    f"job {job.job_id}: tenant {job.tenant!r} has weight "
+                    f"{weight}, but an earlier job has "
+                    f"{weights[job.tenant]}"
+                )
             if job.slots > self.total_slots:
                 raise ArrivalPlanError(
                     f"job {job.job_id} ({job.tenant}) needs {job.slots} "
@@ -326,8 +427,11 @@ class ClusterScheduler:
         arrivals = sorted(jobs, key=lambda job: (job.arrival, job.job_id))
         # Queue entries keep (arrival, submit_seq) so requeued preempted
         # jobs fall back into arrival order deterministically.
-        queued: List[Tuple[float, int, ServiceJob]] = []
+        queued = _JobQueue(self.discipline)
         running: Dict[str, ServiceJob] = {}
+        #: tenant -> slots its running jobs hold (``job.slots``, not the
+        #: possibly degraded grant: the fair share counts what was asked).
+        usage: Dict[str, int] = {}
         run_start: Dict[str, float] = {}
         completions: List[Tuple[float, int, str, int, str]] = []
         nodes = [_Node() for _ in range(self.total_slots)]
@@ -442,7 +546,7 @@ class ClusterScheduler:
                 running=tuple(
                     running[job_id] for job_id in sorted(running)
                 ),
-                queued=tuple(entry[2] for entry in sorted(queued)),
+                queued=tuple(entry[2] for entry in queued.ordered()),
                 up_slots=up_slots(),
             )
 
@@ -504,7 +608,7 @@ class ClusterScheduler:
                 shed(job, "admission")
                 return False
             seq += 1
-            queued.append((job.arrival, seq, job))
+            queued.push(job.arrival, seq, job)
             if (kind == "arrival" and protection is not None
                     and protection.deadline is not None):
                 push_timed(job.arrival + protection.deadline, "deadline", job)
@@ -530,16 +634,21 @@ class ClusterScheduler:
             if probe_at is not None:
                 push_timed(probe_at, "probe", job.tenant)
 
+        def release(job: ServiceJob) -> None:
+            """Take ``job`` off the running set and free its nodes."""
+            del running[job.job_id]
+            usage[job.tenant] -= job.slots
+            for index in job.node_ids:
+                nodes[index].job = None
+            job.node_ids = ()
+
         def kill_attempt(job: ServiceJob) -> None:
             """Tear down a running attempt without deciding the job's fate."""
             nonlocal wasted_faults
             lost = now - run_start[job.job_id]
             job.served += lost
             wasted_faults += lost * job._attempt_slots
-            for index in job.node_ids:
-                nodes[index].job = None
-            job.node_ids = ()
-            del running[job.job_id]
+            release(job)
             job.start = None
 
         def retry_or_abort(job: ServiceJob, reason: str) -> None:
@@ -590,6 +699,7 @@ class ClusterScheduler:
                 degraded_grants += 1
                 job.degraded += 1
             running[job.job_id] = job
+            usage[job.tenant] = usage.get(job.tenant, 0) + job.slots
             run_start[job.job_id] = now
             for index in node_ids:
                 nodes[index].job = job.job_id
@@ -601,15 +711,17 @@ class ClusterScheduler:
             )
 
         def dispatch() -> None:
+            # Only start_job changes node state in here, and it takes the
+            # lowest free ids, so one scan of the nodes serves the loop.
+            free_ids = available_nodes()
             while queued:
-                entry = self._pick(queued, running)
-                job = entry[2]
+                job = queued.head(usage)[2]
                 granted = grant_slots(job)
-                free_ids = available_nodes()
                 if granted > len(free_ids):
                     break  # head-of-line blocking: never skip ahead
-                queued.remove(entry)
+                queued.remove(job)
                 start_job(job, free_ids[:granted], granted)
+                del free_ids[:granted]
 
         def handle_timed(kind: str, payload: Any) -> None:
             nonlocal pending_retries, node_downtime
@@ -648,9 +760,8 @@ class ClusterScheduler:
                     return
                 if job.job_id in running:
                     kill_attempt(job)
-                elif any(entry[2] is job for entry in queued):
-                    queued[:] = [entry for entry in queued
-                                 if entry[2] is not job]
+                else:
+                    queued.remove(job)
                 breaker_failure(job)
                 abort(job, "deadline")
             elif kind == "probe":
@@ -670,9 +781,9 @@ class ClusterScheduler:
             if not times:
                 if chaos is not None:
                     # Permanent capacity loss: the queue can never drain.
-                    for entry in sorted(queued):
-                        abort(entry[2], "capacity")
-                    queued.clear()
+                    for _arrival, _seq, job in queued.ordered():
+                        queued.remove(job)
+                        abort(job, "capacity")
                     continue
                 # Only queued jobs remain but nothing is running and no
                 # arrivals are due: the head does not fit even in an idle
@@ -692,10 +803,7 @@ class ClusterScheduler:
                     breaker_failure(job)
                     retry_or_abort(job, "poison")
                     continue
-                del running[job_id]
-                for index in job.node_ids:
-                    nodes[index].job = None
-                job.node_ids = ()
+                release(job)
                 job.end = now
                 job.served += job._attempt_runtime
                 completed += 1
@@ -743,10 +851,7 @@ class ClusterScheduler:
                     current = running.get(victim.job_id)
                     if current is not victim:
                         continue  # hook returned a job that is not running
-                    del running[victim.job_id]
-                    for index in victim.node_ids:
-                        nodes[index].job = None
-                    victim.node_ids = ()
+                    release(victim)
                     lost = now - run_start[victim.job_id]
                     victim.served += lost
                     wasted += lost * victim._attempt_slots
@@ -795,35 +900,6 @@ class ClusterScheduler:
                 for tenant, breaker in sorted(breakers.items())
             },
             node_downtime=node_downtime,
-        )
-
-    # -- discipline --------------------------------------------------------
-
-    def _pick(
-        self,
-        queued: List[Tuple[float, int, ServiceJob]],
-        running: Dict[str, ServiceJob],
-    ) -> Tuple[float, int, ServiceJob]:
-        """Choose the next queue entry to consider (head-of-line)."""
-        if self.discipline == "fifo":
-            return min(queued, key=lambda entry: (entry[0], entry[1]))
-        # fair / wfair: tenant with the smallest normalised running-slot
-        # share goes first; ties break by tenant name for determinism.
-        usage: Dict[str, float] = {}
-        for job in running.values():
-            usage[job.tenant] = usage.get(job.tenant, 0.0) + job.slots
-        best: Optional[Tuple[float, str]] = None
-        for _arrival, _seq, job in queued:
-            weight = job.tenant_weight if self.discipline == "wfair" else 1.0
-            share = usage.get(job.tenant, 0.0) / weight
-            key = (share, job.tenant)
-            if best is None or key < best:
-                best = key
-        assert best is not None
-        tenant = best[1]
-        return min(
-            (entry for entry in queued if entry[2].tenant == tenant),
-            key=lambda entry: (entry[0], entry[1]),
         )
 
 

@@ -409,7 +409,10 @@ def bench_serve_chaos(smoke: bool = False) -> Dict[str, Any]:
     synthetic jobs (no inner engine runs), so the measurement isolates the
     outer event loop.  The chaos-off pass is the regression figure of
     merit (``events_per_sec`` = jobs scheduled per wall second): the
-    chaos-free fast path must not pay for the fault machinery.  The
+    chaos-free fast path must not pay for the fault machinery.  A second
+    chaos-off pass at a quarter of the jobs gives ``scaling_ratio``, the
+    full pass's ``us_per_job`` over the quarter pass's: about 1 while the
+    cost per scheduling decision stays flat as the queue grows.  The
     chaos-on pass (node churn + retries + breaker-armed protection over
     the same job stream) is reported as ``chaos_wall_s`` /
     ``overhead_frac`` for tracking, not gating -- chaos work is real work.
@@ -419,8 +422,9 @@ def bench_serve_chaos(smoke: bool = False) -> Dict[str, Any]:
 
     jobs = 2_000 if smoke else 10_000
     slots = 16
+    repeats = 1 if smoke else 3
 
-    def job_stream() -> list:
+    def job_stream(count: int = jobs) -> list:
         return [
             ServiceJob(
                 job_id=f"j{index:05d}",
@@ -430,14 +434,20 @@ def bench_serve_chaos(smoke: bool = False) -> Dict[str, Any]:
                 slots=1 + index % 3,
                 runtime=20.0 + (index * 7) % 40,
             )
-            for index in range(jobs)
+            for index in range(count)
         ]
 
-    def run_plain() -> int:
-        result = ClusterScheduler(slots, "fair").run(job_stream())
+    def run_plain(count: int = jobs) -> int:
+        result = ClusterScheduler(slots, "fair").run(job_stream(count))
         return result.completed
 
-    events, wall = _timed(run_plain, repeats=1 if smoke else 3)
+    quarter = jobs // 4
+    run_plain(quarter)  # warm-up: first-call imports would skew the ratio
+    events, wall = _timed(run_plain, repeats=repeats)
+    _quarter_events, quarter_wall = _timed(lambda: run_plain(quarter),
+                                           repeats=repeats)
+    us_per_job = 1e6 * wall / jobs
+    quarter_us_per_job = 1e6 * quarter_wall / quarter
 
     churn = tuple(
         NodeChurn(node_id=node, down_at=500.0 + 400.0 * node, duration=300.0)
@@ -454,12 +464,15 @@ def bench_serve_chaos(smoke: bool = False) -> Dict[str, Any]:
                                   chaos_seed=42).run(job_stream())
         return result.completed + result.rejected + result.aborted
 
-    _chaos_events, chaos_wall = _timed(run_chaos, repeats=1 if smoke else 3)
+    _chaos_events, chaos_wall = _timed(run_chaos, repeats=repeats)
 
     result = _rate_result(events, wall)
     result.update({
         "jobs": jobs,
         "slots": slots,
+        "us_per_job": us_per_job,
+        "scaling_ratio": (us_per_job / quarter_us_per_job
+                          if quarter_us_per_job > 0 else 0.0),
         "chaos_wall_s": chaos_wall,
         "overhead_frac": (chaos_wall - wall) / wall if wall > 0 else 0.0,
     })

@@ -218,3 +218,22 @@ class TestValidationErrors:
             jobs_from_arrivals(
                 [type("A", (), {"job_id": "j0"})()], {}
             )
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0])
+    def test_non_positive_tenant_weight_rejected(self, weight):
+        # A zero weight used to divide by zero inside the wfair pick.
+        jobs = make_jobs(4, weights={"b": weight})
+        with pytest.raises(ValueError, match="positive and finite"):
+            run(jobs, discipline="wfair")
+
+    @pytest.mark.parametrize("weight", [float("inf"), float("nan")])
+    def test_non_finite_tenant_weight_rejected(self, weight):
+        jobs = make_jobs(4, weights={"a": weight})
+        with pytest.raises(ValueError, match="positive and finite"):
+            run(jobs, discipline="wfair")
+
+    def test_tenant_weight_must_be_uniform_per_tenant(self):
+        jobs = make_jobs(4, weights={"a": 2.0})
+        jobs[2].tenant_weight = 3.0          # a second "a" job, other weight
+        with pytest.raises(ValueError, match="tenant 'a' has weight 3.0"):
+            run(jobs, discipline="wfair")

@@ -130,6 +130,10 @@ class TestSuiteShape:
         if fork_sweep["fork_available"]:
             assert fork_sweep["runs_per_min"] > 0
             assert fork_sweep["speedup"] > 0
+        serve = doc["benchmarks"]["serve_chaos"]
+        assert serve["us_per_job"] == pytest.approx(
+            1e6 * serve["wall_s"] / serve["jobs"])
+        assert serve["scaling_ratio"] > 0
         # The suite gates against itself: a doc never regresses vs itself.
         assert bench.check_regression(doc, doc) == []
 

@@ -510,21 +510,23 @@ class TestCoreFlag:
 
 
 class TestBenchJson:
-    def test_bench_json_emits_doc_with_cores_metadata(self, capsys):
+    def test_bench_json_emits_doc_with_cores_metadata(self, capsys, tmp_path):
+        path = str(tmp_path / "bench.json")
         assert main(["bench", "--smoke", "--only", "kernel_fairshare",
-                     "--core", "python"]) == 0
+                     "--core", "python", "--out", path]) == 0
         capsys.readouterr()
         assert main(["bench", "--smoke", "--only", "kernel_fairshare",
-                     "--core", "python", "--json"]) == 0
+                     "--core", "python", "--json", "--out", path]) == 0
         out = capsys.readouterr().out
         doc = json.loads(out)
         assert "kernel_fairshare" in doc["benchmarks"]
         assert doc["cores"]["active"]["core"] == "python"
         assert "available" in doc["cores"]
 
-    def test_bench_core_flag_pins_backend(self, capsys):
+    def test_bench_core_flag_pins_backend(self, capsys, tmp_path):
         pytest.importorskip("numpy")
         assert main(["bench", "--smoke", "--only", "kernel_fairshare",
-                     "--core", "vector", "--json"]) == 0
+                     "--core", "vector", "--json",
+                     "--out", str(tmp_path / "bench.json")]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["cores"]["active"]["core"] == "vector"
