@@ -56,7 +56,6 @@ from repro.observability.chrome import ChromeTraceSink
 from repro.observability.history import load_events, reconstruct
 from repro.observability.sinks import JsonLinesSink
 from repro.observability.tracer import Tracer
-from repro.simulation.kernel import CORE_NAMES, CoreUnavailableError, resolve_core
 from repro.workloads.arrivals import (
     CANNED_PLANS as CANNED_ARRIVALS,
     ArrivalPlan,
@@ -134,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--json", action="store_true",
                        help="print the results document as JSON to stdout "
                             "(--check output moves to stderr)")
-    _core_arg(bench)
 
     faults = sub.add_parser(
         "faults", help="fault-plan utilities (see FAULTS.md)"
@@ -292,7 +290,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the report JSON to PATH")
     whatif.add_argument("--json", action="store_true",
                         help="print the report as JSON instead of a table")
-    _core_arg(whatif)
 
     serve = sub.add_parser(
         "serve",
@@ -341,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the repro.service/1 report JSON to PATH")
     serve.add_argument("--json", action="store_true",
                        help="print the report as JSON instead of tables")
-    _core_arg(serve)
 
     arrivals = sub.add_parser(
         "arrivals", help="arrival-plan utilities (see SERVICE.md)"
@@ -405,15 +401,6 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
                              "(default 1.0)")
     parser.add_argument("--json", action="store_true",
                         help="emit results as JSON instead of tables")
-    _core_arg(parser)
-
-
-def _core_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--core", choices=CORE_NAMES, default=None,
-        help="simulation kernel backend: 'python' (reference, default) or "
-             "'vector' (numpy-vectorized fair-share engine; byte-identical "
-             "results, exits 2 if numpy is unavailable)")
 
 
 def _parallel_arg(parser: argparse.ArgumentParser) -> None:
@@ -455,24 +442,12 @@ def _run_kwargs(args):
         seed=args.seed,
         workload_kwargs={"scale": args.scale},
     )
-    core = _core_choice(args)
-    if core is not None:
-        kwargs["core"] = core
     if getattr(args, "faults", None):
         try:
             kwargs["fault_plan"] = FaultPlan.load(args.faults)
         except FileNotFoundError:
             raise FaultPlanError(f"no such file: {args.faults}") from None
     return kwargs
-
-
-def _core_choice(args) -> Optional[str]:
-    """The validated --core selection, failing fast (exit 2) up front
-    rather than deep inside a sweep's first worker."""
-    core = getattr(args, "core", None)
-    if core is not None:
-        resolve_core(core)
-    return core
 
 
 def _thread_counts(cores: int) -> tuple:
@@ -1064,12 +1039,11 @@ def cmd_whatif(args) -> int:
 def cmd_bench(args) -> int:
     from repro.harness.bench import check_regression, run_suite
 
-    core = _core_choice(args)
     # With --json the document itself goes to stdout, so the human-facing
     # table/summary chatter moves to stderr and stays pipeline-safe.
     out = sys.stderr if args.json else sys.stdout
     doc = run_suite(smoke=args.smoke, parallel=args.parallel,
-                    only=args.only, core=core)
+                    only=args.only)
     atomic_write_json(args.out, doc)
     rows = []
     for name, result in sorted(doc["benchmarks"].items()):
@@ -1083,18 +1057,6 @@ def cmd_bench(args) -> int:
     print(render_table(["benchmark", "figure of merit", "wall (s)"], rows,
                        title=f"repro bench [{doc['mode']}] -> {args.out}"),
           file=out)
-    active = doc.get("cores", {}).get("active", {})
-    print(f"\nkernel core: {active.get('core', 'python')} "
-          f"(numpy {doc.get('cores', {}).get('numpy') or 'absent'})",
-          file=out)
-    for base_name in ("kernel_terasort", "kernel_fairshare"):
-        base = doc["benchmarks"].get(base_name)
-        vector = doc["benchmarks"].get(f"{base_name}_vector")
-        if (base and vector and base.get("events_per_sec")
-                and vector.get("events_per_sec")):
-            ratio = vector["events_per_sec"] / base["events_per_sec"]
-            print(f"{base_name}: vector core {ratio:.2f}x python",
-                  file=out)
     sweep = doc["benchmarks"].get("sweep")
     if sweep is not None:
         print(f"sweep: {sweep['points']} points, {sweep['workers']} worker(s), "
@@ -1125,7 +1087,7 @@ def cmd_bench(args) -> int:
                   f"{', '.join(failing)}: {'; '.join(failures)}",
                   file=sys.stderr)
             retry = run_suite(smoke=args.smoke, parallel=args.parallel,
-                              only=failing, core=core)
+                              only=failing)
             doc["benchmarks"].update(retry["benchmarks"])
             atomic_write_json(args.out, doc)
             failures = check_regression(doc, baseline,
@@ -1398,7 +1360,6 @@ def cmd_serve(args) -> int:
         profile_path=args.profile,
         profile_interval=args.profile_interval,
         admission=admission,
-        core=_core_choice(args),
         monitor=monitor,
     )
     doc = report.to_dict()
@@ -1566,10 +1527,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ArrivalPlanError as exc:
         # Malformed or unknown-schema arrival plan: same contract as faults.
         print(f"error: invalid arrival plan: {exc}", file=sys.stderr)
-        return 2
-    except CoreUnavailableError as exc:
-        # Explicitly requested kernel core cannot run here: a usage error.
-        print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         # Unwritable --events/--trace path, unreadable log, and friends.

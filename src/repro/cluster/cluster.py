@@ -54,12 +54,9 @@ class Cluster:
         spec: ClusterSpec,
         sim: Optional[Simulator] = None,
         streams: Optional[RandomStreams] = None,
-        core: Optional[str] = None,
     ) -> None:
-        if sim is not None and core is not None:
-            raise ValueError("pass either a prebuilt sim or a kernel core, not both")
         self.spec = spec
-        self.sim = sim if sim is not None else Simulator(core=core)
+        self.sim = sim if sim is not None else Simulator()
         self.streams = streams if streams is not None else RandomStreams(spec.seed)
         self.fabric = NetworkFabric(self.sim, bandwidth=spec.node.nic_bandwidth)
         self.nodes: List[Node] = []

@@ -27,12 +27,6 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.simulation.core import Simulator
-from repro.simulation.kernel import (
-    CORE_NAMES,
-    core_available,
-    resolve_core,
-)
-from repro.simulation.kernel import ENV_VAR as CORE_ENV_VAR
 from repro.simulation.resources import CpuResource, LatencyChannel
 from repro.storage.device import HDD_PROFILE, MiB, StorageDevice
 
@@ -63,24 +57,11 @@ def _rate_result(events: int, wall: float, **extra: Any) -> Dict[str, Any]:
     }
 
 
-def _core_skip(core: str) -> Dict[str, Any]:
-    """Placeholder result for a core-pinned benchmark whose backend is
-    missing (e.g. the ``*_vector`` entries without numpy).  ``events_per_sec``
-    is ``None`` so :func:`check_regression` never gates a skipped entry."""
-    return {
-        "events": None,
-        "wall_s": None,
-        "events_per_sec": None,
-        "core": core,
-        "skipped": f"kernel core {core!r} unavailable (numpy not installed)",
-    }
-
-
 # -- kernel layer ----------------------------------------------------------
 
 
 def _terasort_kernel_run(num_nodes: int, tasks_per_node: int,
-                         waves: int, core: Optional[str] = None) -> int:
+                         waves: int) -> int:
     """A terasort-shaped program against the bare kernel.
 
     Each wave launches one task per virtual thread on every node; a task
@@ -90,9 +71,9 @@ def _terasort_kernel_run(num_nodes: int, tasks_per_node: int,
     inputs have, so completions spread out in time and every advance
     re-prices a deep fair-share queue -- the event mix of terasort's I/O
     stages at the top of the thread ladder, without the engine layers, so
-    it isolates exactly the paths the kernel cores optimise.
+    it isolates exactly the fair-share kernel's paths.
     """
-    sim = Simulator(core=core)
+    sim = Simulator()
     nodes = [
         (CpuResource(sim, f"cpu{i}", cores=tasks_per_node),
          StorageDevice(sim, f"disk{i}", HDD_PROFILE))
@@ -133,11 +114,8 @@ def _terasort_kernel_run(num_nodes: int, tasks_per_node: int,
     return sim.events_scheduled
 
 
-def bench_kernel_terasort(smoke: bool = False,
-                          core: Optional[str] = None) -> Dict[str, Any]:
+def bench_kernel_terasort(smoke: bool = False) -> Dict[str, Any]:
     """The headline microbenchmark: kernel events/sec, terasort-shaped."""
-    if core is not None and not core_available(core):
-        return _core_skip(core)
     # Smoke mode still runs multi-wave programs with best-of-3 walls: a
     # sub-20ms single measurement is a preemption lottery, and the CI gate
     # needs the figure of merit stable to well under the check tolerance.
@@ -148,16 +126,14 @@ def bench_kernel_terasort(smoke: bool = False,
     events, wall = _timed(
         lambda: _terasort_kernel_run(num_nodes=4,
                                      tasks_per_node=tasks_per_node,
-                                     waves=waves, core=core),
+                                     waves=waves),
         repeats=3,
     )
-    extra = {"core": core} if core is not None else {}
     return _rate_result(events, wall, nodes=4, tasks_per_node=tasks_per_node,
-                        waves=waves, **extra)
+                        waves=waves)
 
 
-def _fairshare_churn_run(jobs: int, waves: int,
-                         core: Optional[str] = None) -> int:
+def _fairshare_churn_run(jobs: int, waves: int) -> int:
     """Deep fair-share queues with membership churn, isolated.
 
     ``jobs`` workers pile onto one massively oversubscribed CPU; submits
@@ -165,10 +141,9 @@ def _fairshare_churn_run(jobs: int, waves: int,
     resource repeatedly prices partial advances over a deep queue, and
     each worker re-submits ``waves`` times so completions interleave with
     arrivals.  Distinct per-worker works spread completions out -- the
-    worst case for ``_advance``/``_reschedule``/``_on_wake``, and exactly
-    what the vector core batches.
+    worst case for ``_advance``/``_reschedule``/``_on_wake``.
     """
-    sim = Simulator(core=core)
+    sim = Simulator()
     cpu = CpuResource(sim, "cpu", cores=8)
     completions: List[int] = []
 
@@ -194,19 +169,15 @@ def _fairshare_churn_run(jobs: int, waves: int,
     return sim.events_scheduled
 
 
-def bench_kernel_fairshare(smoke: bool = False,
-                           core: Optional[str] = None) -> Dict[str, Any]:
-    """Fair-share engine throughput: the vector core's target workload."""
-    if core is not None and not core_available(core):
-        return _core_skip(core)
+def bench_kernel_fairshare(smoke: bool = False) -> Dict[str, Any]:
+    """Fair-share kernel throughput on deep, churning queues."""
     jobs = 256 if smoke else 1024
     waves = 2 if smoke else 3
     events, wall = _timed(
-        lambda: _fairshare_churn_run(jobs=jobs, waves=waves, core=core),
+        lambda: _fairshare_churn_run(jobs=jobs, waves=waves),
         repeats=3,
     )
-    extra = {"core": core} if core is not None else {}
-    return _rate_result(events, wall, jobs=jobs, waves=waves, **extra)
+    return _rate_result(events, wall, jobs=jobs, waves=waves)
 
 
 def _storm_run(processes: int, hops: int) -> int:
@@ -487,12 +458,8 @@ def bench_serve_chaos(smoke: bool = False) -> Dict[str, Any]:
 #: runnable in any order.
 BENCHMARKS: Dict[str, Callable[[bool, int], Dict[str, Any]]] = {
     "kernel_terasort": lambda smoke, parallel: bench_kernel_terasort(smoke=smoke),
-    "kernel_terasort_vector": lambda smoke, parallel: bench_kernel_terasort(
-        smoke=smoke, core="vector"),
     "kernel_fairshare": lambda smoke, parallel: bench_kernel_fairshare(
-        smoke=smoke, core="python"),
-    "kernel_fairshare_vector": lambda smoke, parallel: bench_kernel_fairshare(
-        smoke=smoke, core="vector"),
+        smoke=smoke),
     "kernel_storm": lambda smoke, parallel: bench_kernel_storm(smoke=smoke),
     "e2e_terasort": lambda smoke, parallel: bench_end_to_end(
         "terasort", smoke=smoke),
@@ -507,33 +474,12 @@ BENCHMARKS: Dict[str, Callable[[bool, int], Dict[str, Any]]] = {
 }
 
 
-def _cores_metadata(core: Optional[str]) -> Dict[str, Any]:
-    """The ``cores`` block of the bench document: active backend + numpy."""
-    active = resolve_core(core)
-    try:
-        import numpy
-        numpy_version: Optional[str] = numpy.__version__
-    except ImportError:
-        numpy_version = None
-    return {
-        "active": active.metadata(),
-        "available": [name for name in CORE_NAMES if core_available(name)],
-        "numpy": numpy_version,
-    }
-
-
 def run_suite(smoke: bool = False, parallel: int = 0,
-              only: Optional[List[str]] = None,
-              core: Optional[str] = None) -> Dict[str, Any]:
+              only: Optional[List[str]] = None) -> Dict[str, Any]:
     """Run benchmarks and assemble the ``BENCH_kernel.json`` document.
 
     ``only`` restricts the run to the named benchmarks (registry order is
-    preserved); the default runs the full suite.  ``core`` pins the kernel
-    backend for every benchmark that does not already pin its own (the
-    ``*_vector`` entries stay on theirs): it is exported as ``REPRO_CORE``
-    for the duration of the suite so sweep/fork worker processes inherit
-    it too.  The document's ``cores`` block records the active backend and
-    the numpy version (or ``None`` when numpy is absent).
+    preserved); the default runs the full suite.
     """
     if only is not None:
         unknown = sorted(set(only) - set(BENCHMARKS))
@@ -544,20 +490,7 @@ def run_suite(smoke: bool = False, parallel: int = 0,
             )
     selected = [name for name in BENCHMARKS
                 if only is None or name in set(only)]
-    cores_meta = _cores_metadata(core)  # strict: unknown/unavailable raises
-    previous = os.environ.get(CORE_ENV_VAR)
-    if core is not None:
-        os.environ[CORE_ENV_VAR] = core
-    try:
-        benchmarks = {
-            name: BENCHMARKS[name](smoke, parallel) for name in selected
-        }
-    finally:
-        if core is not None:
-            if previous is None:
-                os.environ.pop(CORE_ENV_VAR, None)
-            else:
-                os.environ[CORE_ENV_VAR] = previous
+    benchmarks = {name: BENCHMARKS[name](smoke, parallel) for name in selected}
     return {
         "schema": BENCH_SCHEMA,
         "mode": "smoke" if smoke else "full",
@@ -566,7 +499,6 @@ def run_suite(smoke: bool = False, parallel: int = 0,
             "python": sys.version.split()[0],
             "platform": sys.platform,
         },
-        "cores": cores_meta,
         "benchmarks": benchmarks,
     }
 

@@ -74,11 +74,6 @@ class RunConfig:
     back on the matching :class:`RunSummary`.  ``policy`` uses the harness
     spec vocabulary (string or ``(kind, arg)`` tuple); callable specs cannot
     cross a process boundary and are rejected up front.
-
-    The kernel core selection (``--core``) rides in ``cluster_kwargs`` as
-    ``{"core": name}`` -- it is part of how the cluster's simulator is
-    built, so it crosses worker pools, the fork engine's shared prefix, and
-    journal fingerprints with no extra plumbing.  :attr:`core` exposes it.
     """
 
     workload: str
@@ -99,11 +94,6 @@ class RunConfig:
                 "callable policy specs cannot be executed in a worker "
                 "process; use a string or (kind, arg) spec"
             )
-
-    @property
-    def core(self) -> Optional[str]:
-        """The kernel core this run builds its simulator with (or None)."""
-        return self.cluster_kwargs.get("core")
 
 
 @dataclass

@@ -61,17 +61,8 @@ def build_cluster(
     cpu_sigma: float = 0.0,
     seed: int = 42,
     cores: int = 32,
-    core: Optional[str] = None,
 ) -> Cluster:
-    """A DAS-5-shaped cluster (paper section 6.1 defaults).
-
-    ``core`` selects the simulation kernel backend (``"python"`` /
-    ``"vector"``; see :mod:`repro.simulation.kernel`).  It travels inside
-    ``cluster_kwargs`` everywhere the harness serializes a run -- through
-    :class:`~repro.harness.parallel.RunConfig`, worker pools, and the fork
-    engine's shared prefix -- so a sweep replays on the same backend it was
-    planned with.
-    """
+    """A DAS-5-shaped cluster (paper section 6.1 defaults)."""
     try:
         profile = DEVICE_PROFILES[device]
     except KeyError:
@@ -85,7 +76,7 @@ def build_cluster(
         cpu_sigma=cpu_sigma,
         seed=seed,
     )
-    return Cluster(spec, core=core)
+    return Cluster(spec)
 
 
 def build_context(

@@ -75,7 +75,6 @@ def _job_run_config(
     trace_path: Optional[str] = None,
     profile_path: Optional[str] = None,
     profile_interval: float = 1.0,
-    core: Optional[str] = None,
 ) -> RunConfig:
     """The inner-engine config for one job; mirrors ``repro run`` exactly."""
     template = arrival.template
@@ -85,8 +84,6 @@ def _job_run_config(
         device=device,
         seed=template.seed,
     )
-    if core is not None:
-        cluster_kwargs["core"] = core
     return RunConfig(
         workload=template.workload,
         policy=template.policy,
@@ -120,7 +117,6 @@ def compute_runtimes(
     trace_path: Optional[str] = None,
     profile_path: Optional[str] = None,
     profile_interval: float = 1.0,
-    core: Optional[str] = None,
 ) -> Tuple[Dict[str, float], int]:
     """Runtime oracle: ``(job_id -> service time, distinct engine runs)``.
 
@@ -145,7 +141,6 @@ def compute_runtimes(
                 trace_path=out(trace_path, arrival.job_id),
                 profile_path=out(profile_path, arrival.job_id),
                 profile_interval=profile_interval,
-                core=core,
             )
             for arrival in arrivals
         ]
@@ -159,8 +154,7 @@ def compute_runtimes(
                           arrival)
     keys = sorted(by_key, key=repr)
     configs = [
-        _job_run_config(by_key[key], index, cores, device, fault_plan_doc,
-                        core=core)
+        _job_run_config(by_key[key], index, cores, device, fault_plan_doc)
         for index, key in enumerate(keys)
     ]
     by_index = {
@@ -203,7 +197,6 @@ def run_service(
     profile_interval: float = 1.0,
     admission: Optional[AdmissionHook] = None,
     preemption: Optional[PreemptionHook] = None,
-    core: Optional[str] = None,
     monitor: Optional[Any] = None,
 ) -> ServiceReport:
     """Run one full service scenario and assemble its SLO report.
@@ -215,8 +208,7 @@ def run_service(
     ``repro.faults/2``) drives the outer scheduler instead and never
     reaches the oracle, so a cluster-only plan leaves the inner runs --
     and their event logs -- byte-identical to a faultless serve.
-    ``core`` selects the kernel backend for every inner engine run; the
-    report is byte-identical across backends.  ``monitor`` (a
+    ``monitor`` (a
     :class:`~repro.validation.cluster.ClusterInvariantMonitor`) checks
     cluster invariants live without perturbing the schedule.
     """
@@ -250,7 +242,6 @@ def run_service(
         trace_path=trace_path,
         profile_path=profile_path,
         profile_interval=profile_interval,
-        core=core,
     )
 
     # Graceful degradation needs the oracle to price the shrunken grant
@@ -266,7 +257,7 @@ def run_service(
         if shrunk:
             extra, extra_runs = compute_runtimes(
                 shrunk, cores=cores, device=device,
-                fault_plan_doc=engine_plan_doc, parallel=parallel, core=core,
+                fault_plan_doc=engine_plan_doc, parallel=parallel,
             )
             distinct_runs += extra_runs
             degraded_runtimes = {

@@ -9,21 +9,14 @@ This package provides the substrate on which the Spark-like engine runs:
   disks, and network links.
 * :mod:`repro.simulation.randomness` -- named, seeded random streams so that
   every experiment is reproducible.
-* :mod:`repro.simulation.kernel` -- pluggable kernel cores: the pure-Python
-  reference (default) and a numpy-vectorized fair-share engine, selected
-  via ``Simulator(core=...)`` / ``--core`` / ``REPRO_CORE``.
 
-The kernel is intentionally small and dependency-free (numpy is optional,
-used only by the ``vector`` core); it is a purpose-built replacement for
-the real cluster the paper ran on (see DESIGN.md section 2).
+The kernel is intentionally small and dependency-free: one pure-Python
+implementation whose fair-share loops make a single pass over a
+resource's jobs per membership change (see PERFORMANCE.md, "Fair-share
+kernel").  It is a purpose-built replacement for the real cluster the
+paper ran on (see DESIGN.md section 2).
 """
 
-from repro.simulation.kernel import (
-    CoreUnavailableError,
-    KernelCore,
-    core_available,
-    resolve_core,
-)
 from repro.simulation.core import (
     AllOf,
     AnyOf,
@@ -45,19 +38,15 @@ from repro.simulation.resources import (
 __all__ = [
     "AllOf",
     "AnyOf",
-    "CoreUnavailableError",
     "CpuResource",
     "Event",
     "FairShareResource",
     "Interrupt",
     "Job",
-    "KernelCore",
     "Process",
     "RandomStreams",
     "ResourceStats",
     "SimulationError",
     "Simulator",
     "Timeout",
-    "core_available",
-    "resolve_core",
 ]

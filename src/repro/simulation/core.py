@@ -12,10 +12,7 @@ ties in the event queue are broken by insertion order.
 from __future__ import annotations
 
 import heapq
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, List, Optional, Union
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.simulation.kernel.base import KernelCore
+from typing import Any, Callable, Generator, Iterable, List, Optional
 
 
 class SimulationError(RuntimeError):
@@ -107,23 +104,6 @@ class Event:
             self.sim._schedule(stub, delay=0.0)
         else:
             self.callbacks.append(callback)
-
-
-class _DeferredCall:
-    """A bare scheduled callback: the queue entry for :meth:`Simulator.call_in`.
-
-    Hot paths (channel latency hops, fair-share wake-ups) schedule tens of
-    thousands of fire-once callbacks per run; routing them through a full
-    :class:`Event` costs an object, a callbacks list, and a closure apiece.
-    A deferred call is two slots and is dispatched inline by :meth:`step`.
-    Nothing can wait on it, which is exactly why it is cheap.
-    """
-
-    __slots__ = ("fn", "args")
-
-    def __init__(self, fn: Callable[..., None], args: tuple) -> None:
-        self.fn = fn
-        self.args = args
 
 
 class Timeout(Event):
@@ -341,21 +321,18 @@ class Simulator:
         sim.run()
         assert sim.now == 3.0 and proc.value == "done"
 
-    ``core`` selects the kernel backend (see :mod:`repro.simulation.kernel`):
-    a backend name (``"python"``, ``"vector"``), a :class:`KernelCore`
-    instance, or ``None`` for the ``REPRO_CORE`` env var / python default.
-    The queue itself -- a heap of ``(when, sequence, payload)`` tuples with
-    insertion-order tie-breaks -- is the contract every backend shares; the
-    push/pop sites below stay inlined so the reference core pays no
-    indirection per event.
+    The queue is a heap of ``(when, sequence, target, args)`` tuples.
+    ``sequence`` is one insertion counter shared by every push, so ties at
+    the same instant break in scheduling order and nothing past it is ever
+    compared.  An event is queued as ``(when, seq, event, None)``; a
+    :meth:`call_in` callback as ``(when, seq, fn, args)`` with ``args`` a
+    tuple, so dispatch tells them apart by ``args is None`` and a deferred
+    call allocates nothing beyond its tuple.
     """
 
-    def __init__(self, core: Union[str, "KernelCore", None] = None) -> None:
-        from repro.simulation.kernel import resolve_core
-
-        self.core = resolve_core(core)
+    def __init__(self) -> None:
         self._now = 0.0
-        self._queue: List[tuple] = self.core.create_queue()
+        self._queue: List[tuple] = []
         self._sequence = 0
         self._fork_hooks: List[Callable[[str], None]] = []
         #: Divergence key set by :meth:`after_fork`; ``None`` in a simulator
@@ -369,11 +346,11 @@ class Simulator:
         #: is wired; embedders must not toggle ``tracer.enabled`` afterwards.
         self.trace_enabled = False
         #: Set by :class:`repro.validation.InvariantMonitor`: re-verify on
-        #: every :meth:`step` that the popped event does not move the clock
-        #: backwards (the heap ordering normally guarantees this; the guard
-        #: catches a corrupted queue or a mutated ``_now``).
+        #: every dispatch (:meth:`run` and :meth:`step`) that the popped
+        #: event does not move the clock backwards (the heap ordering
+        #: normally guarantees this; the guard catches a corrupted queue or
+        #: a mutated ``_now``).
         self.monotonic_guard = False
-        self.core.bind(self)
 
     @property
     def now(self) -> float:
@@ -397,8 +374,8 @@ class Simulator:
         :meth:`_schedule` and :meth:`call_in` are the only two queue-push
         sites, and each increments the same sequence counter exactly once
         per push -- deferred calls are counted consistently with events,
-        so per-backend counts are directly comparable and deltas give the
-        kernel throughput that ``repro bench`` reports as events/second.
+        so deltas give the kernel throughput that ``repro bench`` reports
+        as events/second.
         """
         return self._sequence
 
@@ -406,7 +383,7 @@ class Simulator:
 
     def _schedule(self, event: Event, delay: float) -> None:
         self._sequence += 1
-        heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
+        heapq.heappush(self._queue, (self._now + delay, self._sequence, event, None))
 
     def event(self) -> Event:
         return Event(self)
@@ -444,34 +421,35 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"negative call_in delay: {delay!r}")
         self._sequence += 1
-        heapq.heappush(
-            self._queue, (self._now + delay, self._sequence, _DeferredCall(fn, args))
-        )
+        heapq.heappush(self._queue, (self._now + delay, self._sequence, fn, args))
 
     # -- execution --------------------------------------------------------
 
+    def _backwards(self, when: float) -> SimulationError:
+        return SimulationError(
+            f"simulated clock ran backwards: popped event at {when} "
+            f"with the clock already at {self._now}"
+        )
+
     def step(self) -> None:
         """Process the next scheduled event (or deferred call)."""
-        when, _seq, event = heapq.heappop(self._queue)
+        when, _seq, target, args = heapq.heappop(self._queue)
         if self.monotonic_guard and when < self._now:
-            raise SimulationError(
-                f"simulated clock ran backwards: popped event at {when} "
-                f"with the clock already at {self._now}"
-            )
+            raise self._backwards(when)
         self._now = when
-        if type(event) is _DeferredCall:
-            event.fn(*event.args)
+        if args is not None:
+            target(*args)
             return
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
+        callbacks = target.callbacks
+        target.callbacks = None
+        target._processed = True
         if callbacks:
             for callback in callbacks:
-                callback(event)
-        elif not event.ok:
+                callback(target)
+        elif not target._ok:
             # A failed event nobody waited on would silently swallow the
             # error; surface it instead ("errors should never pass silently").
-            raise event.value
+            raise target._value
 
     # -- snapshot/fork support --------------------------------------------
 
@@ -538,14 +516,33 @@ class Simulator:
             self.step()
 
     def run(self, until: Optional[float] = None) -> None:
-        """Run until the queue drains or simulated time passes ``until``."""
+        """Run until the queue drains or simulated time passes ``until``.
+
+        The loop body is :meth:`step` inlined: one pop and one dispatch per
+        entry, with no method call in between.
+        """
         if until is not None and until < self._now:
             raise SimulationError("`until` lies in the past")
-        while self._queue:
-            when = self._queue[0][0]
-            if until is not None and when > until:
+        queue = self._queue
+        pop = heapq.heappop
+        while queue:
+            if until is not None and queue[0][0] > until:
                 self._now = until
                 return
-            self.step()
+            when, _seq, target, args = pop(queue)
+            if self.monotonic_guard and when < self._now:
+                raise self._backwards(when)
+            self._now = when
+            if args is not None:
+                target(*args)
+                continue
+            callbacks = target.callbacks
+            target.callbacks = None
+            target._processed = True
+            if callbacks:
+                for callback in callbacks:
+                    callback(target)
+            elif not target._ok:
+                raise target._value
         if until is not None:
             self._now = until

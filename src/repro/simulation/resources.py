@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.simulation.core import Event, SimulationError, Simulator
 
@@ -63,7 +63,10 @@ class ResourceStats:
 class Job:
     """One unit of service demand submitted to a fair-share resource."""
 
-    __slots__ = ("resource", "work", "remaining", "tag", "attrs", "event", "submitted_at")
+    __slots__ = (
+        "resource", "work", "remaining", "tag", "attrs", "event",
+        "submitted_at", "done_below",
+    )
 
     def __init__(
         self,
@@ -72,13 +75,18 @@ class Job:
         tag: str,
         attrs: Dict[str, Any],
     ) -> None:
+        sim = resource.sim
         self.resource = resource
         self.work = work
         self.remaining = work
         self.tag = tag
         self.attrs = attrs
-        self.event: Event = resource.sim.event()
-        self.submitted_at = resource.sim.now
+        self.event = Event(sim)
+        self.submitted_at = sim._now
+        #: The rate-independent part of the completion threshold: residual
+        #: work this small counts as done whatever the job's rate.  Fixed by
+        #: the job's size, so it is computed once here rather than per wake.
+        self.done_below = max(_ABSOLUTE_EPS, work * _RELATIVE_EPS)
 
     @property
     def elapsed(self) -> float:
@@ -97,15 +105,6 @@ class FairShareResource:
     Subclasses override :meth:`rates` to define the sharing policy.  The
     default splits a fixed aggregate ``capacity`` equally among active jobs.
     """
-
-    #: Declares that :meth:`rates` is *group-structured*: every active job
-    #: whose ``attrs[key]`` equals the same value gets the same rate, and
-    #: :meth:`group_rate` computes it.  A ``(key, default)`` tuple, or
-    #: ``None`` when rates have no structure the kernel can exploit.  Like
-    #: the uniform fast path, this is a bit-identity contract: a subclass
-    #: that overrides :meth:`rates` with a non-group curve MUST reset this
-    #: to ``None``.
-    _rate_groups: ClassVar[Optional[Tuple[str, str]]] = None
 
     def __init__(self, sim: Simulator, name: str, capacity: float = 1.0) -> None:
         if capacity <= 0:
@@ -127,12 +126,6 @@ class FairShareResource:
             cls.rates is FairShareResource.rates
             or cls.uniform_rate is not FairShareResource.uniform_rate
         )
-        # Let the simulator's kernel core install an accelerated engine on
-        # this instance (a no-op for the reference python core).  Guarded so
-        # bare test doubles without a core still work.
-        core = getattr(sim, "core", None)
-        if core is not None:
-            core.attach_resource(self)
 
     # -- rate policy -------------------------------------------------------
 
@@ -154,20 +147,6 @@ class FairShareResource:
         """
         return self.capacity / n
 
-    def group_rate(self, value: str, n: int) -> float:
-        """Per-job rate for a job whose ``attrs[key]`` is ``value`` when
-        ``n`` jobs are active, for resources that declare ``_rate_groups``.
-
-        Only called when ``_rate_groups`` is not ``None``.  Overrides MUST
-        compute the exact same float :meth:`rates` would assign such a job
-        (same expression, same operation order) -- event logs are
-        bit-compared across kernel cores.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} declares _rate_groups but does not "
-            "implement group_rate()"
-        )
-
     # -- public API --------------------------------------------------------
 
     @property
@@ -181,22 +160,22 @@ class FairShareResource:
             raise SimulationError(f"negative work: {work}")
         if not math.isfinite(work):
             raise SimulationError(f"work must be finite, got {work}")
-        job = self._new_job(float(work), tag, attrs)
+        job = Job(self, float(work), tag, attrs)
         if work == 0:
             job.event.succeed(job)
             return job
-        self._advance()
+        least = self._advance()
         self._admit(job)
-        self._reschedule()
+        self._reschedule(least if least < job.work else job.work)
         return job
 
-    def _new_job(self, work: float, tag: str, attrs: Dict[str, Any]) -> Job:
-        """Job factory hook; the vector core swaps in its array-backed job."""
-        return Job(self, work, tag, attrs)
-
     def _admit(self, job: Job) -> None:
-        """Add a job to the active set; the vector core also fills a slot."""
+        """Add a job to the active set (subclasses keep per-set counts)."""
         self._jobs.append(job)
+
+    def _retire(self, finished: List[Job]) -> None:
+        """Hook: ``finished`` just left the active set, before the
+        completion horizon is re-planned.  The default keeps no state."""
 
     def sync(self) -> None:
         """Bring cumulative counters up to the current instant.
@@ -205,7 +184,8 @@ class FairShareResource:
         samplers must call this before reading ``stats`` or long-running
         transfers would appear as bursts at their completion events.
         """
-        self._advance()
+        if self.sim._now > self._last_update:
+            self._advance()
 
     def notify_rates_changed(self) -> None:
         """Re-plan in-flight jobs after an external rate change.
@@ -218,8 +198,7 @@ class FairShareResource:
         interval at the current rate function, so mutating first would
         retroactively apply the new rate to work already performed.
         """
-        self._advance()
-        self._reschedule()
+        self._reschedule(self._advance())
 
     @property
     def queue_depth(self) -> int:
@@ -250,7 +229,7 @@ class FairShareResource:
             "work_by_tag": dict(stats.work_by_tag),
         }
         jobs = self._jobs
-        dt = self.sim.now - self._last_update
+        dt = self.sim._now - self._last_update
         if dt <= 0 or not jobs:
             return counters
         uniform = self.uniform_rate(len(jobs)) if self._uniform_hook else None
@@ -277,49 +256,72 @@ class FairShareResource:
         return max(0.0, min(1.0, (self.stats.busy_time - busy_before) / elapsed))
 
     # -- mechanics ---------------------------------------------------------
+    #
+    # Every membership change is one pass over the active set.  Bit identity
+    # with the three-loop reference (advance, completion test, horizon scan;
+    # tests/simulation/reference_kernel.py) rests on three facts: per-job
+    # float expressions and the order of the accumulations are unchanged;
+    # the horizon minimum is the least remaining work divided by the shared
+    # rate, and correctly rounded division by a positive constant is
+    # monotone; sub-threshold residuals are credited after the advance
+    # totals, in list order, as the separate completion loop did.
 
-    def _advance(self) -> None:
-        now = self.sim.now
+    def _advance(self) -> float:
+        """Price the time since the last update into every active job.
+
+        Returns the least remaining work over the active set (``inf`` when
+        idle): :meth:`submit` and :meth:`notify_rates_changed` hand it to
+        :meth:`_reschedule` so the horizon needs no second scan.
+        """
+        now = self.sim._now
         dt = now - self._last_update
-        if dt <= 0:
-            self._last_update = now
-            return
-        jobs = self._jobs
-        if jobs:
-            uniform = self.uniform_rate(len(jobs)) if self._uniform_hook else None
-            rates = None if uniform is not None else self.rates(jobs)
-            base_step = None if uniform is None else uniform * dt
-            stats = self.stats
-            work_by_tag = stats.work_by_tag
-            moved = 0.0
-            # Tag accounting is batched per *run* of equal tags: the dict is
-            # read once when the tag changes and written once when it changes
-            # back (or at the end), instead of a get+set per job.  The
-            # accumulation order is unchanged, so every float -- and thus
-            # every bit of the event log -- matches the per-job version.
-            run_tag = ""
-            run_total = 0.0
-            for job in jobs:
-                step = base_step if rates is None else rates[job] * dt
-                if step > job.remaining:
-                    step = job.remaining
-                job.remaining -= step
-                moved += step
-                tag = job.tag
-                if tag:
-                    if tag != run_tag:
-                        if run_tag:
-                            work_by_tag[run_tag] = run_total
-                        run_tag = tag
-                        run_total = work_by_tag.get(tag, 0.0)
-                    run_total += step
-            if run_tag:
-                work_by_tag[run_tag] = run_total
-            stats.busy_time += dt
-            stats.work_done += moved
-            stats.concurrency_integral += len(jobs) * dt
-            stats.occupancy_integral += self._occupied(len(jobs)) * dt
         self._last_update = now
+        jobs = self._jobs
+        if not jobs:
+            return math.inf
+        if dt <= 0:
+            # Same instant as the last pass: nothing moved since then.
+            return min([job.remaining for job in jobs])
+        n = len(jobs)
+        uniform = self.uniform_rate(n) if self._uniform_hook else None
+        rates = None if uniform is not None else self.rates(jobs)
+        step = 0.0 if uniform is None else uniform * dt
+        stats = self.stats
+        work_by_tag = stats.work_by_tag
+        moved = 0.0
+        least = math.inf
+        # Tag accounting is batched per *run* of equal tags: the dict is
+        # read once when the tag changes and written once when it changes
+        # back (or at the end), instead of a get+set per job.  The
+        # accumulation order is unchanged, so every float -- and thus
+        # every bit of the event log -- matches the per-job version.
+        run_tag = ""
+        run_total = 0.0
+        for job in jobs:
+            if rates is not None:
+                step = rates[job] * dt
+            remaining = job.remaining
+            done = step if step <= remaining else remaining
+            remaining -= done
+            job.remaining = remaining
+            moved += done
+            if remaining < least:
+                least = remaining
+            tag = job.tag
+            if tag:
+                if tag != run_tag:
+                    if run_tag:
+                        work_by_tag[run_tag] = run_total
+                    run_tag = tag
+                    run_total = work_by_tag.get(tag, 0.0)
+                run_total += done
+        if run_tag:
+            work_by_tag[run_tag] = run_total
+        stats.busy_time += dt
+        stats.work_done += moved
+        stats.concurrency_integral += n * dt
+        stats.occupancy_integral += self._occupied(n) * dt
+        return least
 
     def _occupied(self, active: int) -> float:
         """Capacity units in use while ``active`` jobs are served.
@@ -330,20 +332,18 @@ class FairShareResource:
         """
         return 1.0 if active else 0.0
 
-    def _reschedule(self) -> None:
+    def _reschedule(self, least: float) -> None:
+        """Schedule the next wake-up; ``least`` is the least remaining work
+        over the active set (the uniform-rate horizon numerator)."""
         self._wake_generation += 1
         jobs = self._jobs
         if not jobs:
             return
-        generation = self._wake_generation
         uniform = self.uniform_rate(len(jobs)) if self._uniform_hook else None
         horizon = math.inf
         if uniform is not None:
-            # One shared rate: the soonest completion belongs to the job with
-            # the least remaining work (division by a positive constant is
-            # monotone, so this is bit-identical to the per-job minimum).
             if uniform > 0:
-                horizon = min(job.remaining for job in jobs) / uniform
+                horizon = least / uniform
         else:
             rates = self.rates(jobs)
             for job in jobs:
@@ -358,51 +358,89 @@ class FairShareResource:
         # Floor the horizon above the float resolution of the clock: a job
         # with a sliver of residual work must not schedule a wake-up that
         # fails to advance `now`, or the loop would spin forever.
-        floor = max(1e-9, self.sim.now * 1e-11)
-        self.sim.call_in(max(horizon, floor), self._on_wake, generation)
+        floor = self.sim._now * 1e-11
+        if floor < 1e-9:
+            floor = 1e-9
+        self.sim.call_in(horizon if horizon > floor else floor,
+                         self._on_wake, self._wake_generation)
 
     def _on_wake(self, generation: int) -> None:
+        """Advance, retire finished jobs and re-plan, in one pass."""
         if generation != self._wake_generation:
             return  # superseded by a later membership change
-        self._advance()
         jobs = self._jobs
+        now = self.sim._now
+        dt = now - self._last_update
+        self._last_update = now
+        advancing = dt > 0
+        n = len(jobs)
+        uniform = self.uniform_rate(n) if self._uniform_hook else None
+        rates = None if uniform is not None else self.rates(jobs)
+        step = 0.0 if uniform is None else uniform * dt
+        eps = 0.0 if uniform is None else uniform * 1e-6
+        stats = self.stats
+        work_by_tag = stats.work_by_tag
+        moved = 0.0
+        least = math.inf
+        run_tag = ""
+        run_total = 0.0
         finished: List[Job] = []
         survivors: List[Job] = []
-        if jobs:
-            uniform = self.uniform_rate(len(jobs)) if self._uniform_hook else None
-            rates = None if uniform is not None else self.rates(jobs)
-            uniform_eps = 0.0 if uniform is None else uniform * 1e-6
-            for job in jobs:
-                # A job is done when its residual work is negligible either
-                # relative to its size or in time-to-finish terms (< 1 us).
-                threshold = max(
-                    _ABSOLUTE_EPS,
-                    job.work * _RELATIVE_EPS,
-                    uniform_eps if rates is None else rates[job] * 1e-6,
-                )
-                if job.remaining <= threshold:
-                    # Credit the sub-threshold residual before zeroing it:
-                    # force-finishing must not leak work out of the
-                    # conservation counters (bytes through a device must sum
-                    # to the bytes requested).  Scheduling is untouched --
-                    # stats never feed back into rates or horizons.
-                    residual = job.remaining
-                    if residual > 0.0:
-                        stats = self.stats
-                        stats.work_done += residual
-                        if job.tag:
-                            stats.work_by_tag[job.tag] = (
-                                stats.work_by_tag.get(job.tag, 0.0) + residual
-                            )
-                    job.remaining = 0.0
-                    finished.append(job)
-                else:
-                    survivors.append(job)
-        self._jobs = survivors
-        for job in finished:
-            self.stats.jobs_completed += 1
-            job.event.succeed(job)
-        self._reschedule()
+        for job in jobs:
+            remaining = job.remaining
+            if rates is not None:
+                rate = rates[job]
+                step = rate * dt
+                eps = rate * 1e-6
+            if advancing:
+                done = step if step <= remaining else remaining
+                remaining -= done
+                job.remaining = remaining
+                moved += done
+                tag = job.tag
+                if tag:
+                    if tag != run_tag:
+                        if run_tag:
+                            work_by_tag[run_tag] = run_total
+                        run_tag = tag
+                        run_total = work_by_tag.get(tag, 0.0)
+                    run_total += done
+            # A job is done when its residual work is negligible either
+            # relative to its size or in time-to-finish terms (< 1 us).
+            below = job.done_below
+            if remaining <= (below if below >= eps else eps):
+                finished.append(job)
+            else:
+                survivors.append(job)
+                if remaining < least:
+                    least = remaining
+        if advancing:
+            if run_tag:
+                work_by_tag[run_tag] = run_total
+            stats.busy_time += dt
+            stats.work_done += moved
+            stats.concurrency_integral += n * dt
+            stats.occupancy_integral += self._occupied(n) * dt
+        if finished:
+            for job in finished:
+                # Credit the sub-threshold residual before zeroing it:
+                # force-finishing must not leak work out of the
+                # conservation counters (bytes through a device must sum
+                # to the bytes requested).  Scheduling is untouched --
+                # stats never feed back into rates or horizons.
+                residual = job.remaining
+                if residual > 0.0:
+                    stats.work_done += residual
+                    tag = job.tag
+                    if tag:
+                        work_by_tag[tag] = work_by_tag.get(tag, 0.0) + residual
+                job.remaining = 0.0
+            self._jobs = survivors
+            stats.jobs_completed += len(finished)
+            self._retire(finished)
+            for job in finished:
+                job.event.succeed(job)
+        self._reschedule(least)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, active={len(self._jobs)})"

@@ -108,6 +108,10 @@ SSD_PROFILE = DeviceProfile(
 )
 
 
+#: The operations a device serves; anything else is rejected on submit.
+OPS = ("read", "write")
+
+
 class StorageDevice(FairShareResource):
     """One node-local drive.
 
@@ -116,12 +120,6 @@ class StorageDevice(FairShareResource):
     bytes; job attributes carry the operation so reads and writes can be
     accounted separately.
     """
-
-    #: Rates are op-structured: every job doing the same operation gets the
-    #: same share (see :meth:`group_rate`), which lets the vector kernel
-    #: batch mixed read/write phases instead of falling back to per-job
-    #: dicts.
-    _rate_groups = ("op", "read")
 
     def __init__(
         self,
@@ -134,52 +132,65 @@ class StorageDevice(FairShareResource):
             raise ValueError(f"speed_factor must be positive, got {speed_factor}")
         super().__init__(sim, name, capacity=profile.read_rate)
         self.profile = profile
+        #: :meth:`group_rate` per op, keyed by stream count.  A device sees
+        #: a handful of distinct depths, so after warm-up every rate is one
+        #: dict lookup; setting ``speed_factor`` clears it.
+        self._rate_memo: Dict[str, Dict[int, float]] = {op: {} for op in OPS}
         self.speed_factor = speed_factor
-        #: In-flight jobs per op.  Incremented before service starts and
-        #: decremented on the completion callback, so each count is always
-        #: >= the number of live jobs with that op: a zero count proves the
-        #: op absent, which is all :meth:`uniform_rate` needs.  Transient
-        #: over-counts (a completion's callback not yet run) only send the
-        #: kernel down the per-job :meth:`rates` path, which computes the
-        #: exact same floats.
-        self._op_counts: Dict[str, int] = {"read": 0, "write": 0}
+        #: In-flight jobs per op, exact at every instant: :meth:`_admit`
+        #: counts a job in and :meth:`_retire` counts it out when the kernel
+        #: retires it, so a zero count proves the op absent.
+        self._op_counts: Dict[str, int] = {op: 0 for op in OPS}
         #: Optional span tracer, wired by the owning context; every hook
         #: guards on it so untraced runs pay one attribute read per request.
         self.tracer = None
 
+    @property
+    def speed_factor(self) -> float:
+        return self._speed_factor
+
+    @speed_factor.setter
+    def speed_factor(self, value: float) -> None:
+        # The memoised rates are priced at the old factor (fault-injection
+        # disk-degrade episodes rescale it mid-run).
+        self._speed_factor = value
+        for memo in self._rate_memo.values():
+            memo.clear()
+
     def submit(self, work: float, tag: str = "", **attrs: Any) -> Job:
         op = attrs.get("op", "read")
-        counts = self._op_counts
-        counts[op] = counts.get(op, 0) + 1
-        job = super().submit(work, tag, **attrs)
-        if job.event.triggered:
-            counts[op] -= 1  # zero-work job: never entered service
-        else:
-            # The callback list keeps relative event order intact: nothing
-            # new is scheduled, so sequence numbers are unchanged.
-            job.event.add_callback(lambda _event: self._release_op(op))
-        return job
+        if op not in OPS:
+            raise ValueError(f"unknown op {op!r} (expected 'read' or 'write')")
+        return super().submit(work, tag, **attrs)
 
-    def _release_op(self, op: str) -> None:
-        self._op_counts[op] -= 1
+    def _admit(self, job: Job) -> None:
+        self._jobs.append(job)
+        self._op_counts[job.attrs.get("op", "read")] += 1
+
+    def _retire(self, finished: List[Job]) -> None:
+        counts = self._op_counts
+        for job in finished:
+            counts[job.attrs.get("op", "read")] -= 1
 
     def group_rate(self, op: str, n: int) -> float:
         """Per-stream rate when ``n`` streams are active and this one does
         ``op``; the single expression behind :meth:`rates` and
-        :meth:`uniform_rate` (bit-identity across the three entry points)."""
-        return (
-            self.profile.rate(op)
-            * self.profile.efficiency(op, n)
-            * self.speed_factor
-            / n
-        )
+        :meth:`uniform_rate` (bit-identity across the entry points)."""
+        memo = self._rate_memo[op]
+        rate = memo.get(n)
+        if rate is None:
+            rate = memo[n] = (
+                self.profile.rate(op)
+                * self.profile.efficiency(op, n)
+                * self._speed_factor
+                / n
+            )
+        return rate
 
     def rates(self, jobs: List[Job]) -> Dict[Job, float]:
         k = len(jobs)
-        return {
-            job: self.group_rate(job.attrs.get("op", "read"), k)
-            for job in jobs
-        }
+        by_op = {op: self.group_rate(op, k) for op in OPS}
+        return {job: by_op[job.attrs.get("op", "read")] for job in jobs}
 
     def uniform_rate(self, n: int) -> Optional[float]:
         """Scalar rate when every active stream performs the same operation.
@@ -190,20 +201,11 @@ class StorageDevice(FairShareResource):
         :meth:`rates`.
         """
         counts = self._op_counts
-        if counts["read"]:
-            if counts["write"]:
-                # Possibly mixed; scan the live set to be sure (a pending
-                # completion callback can leave a stale count behind).
-                jobs = self._jobs
-                op = jobs[0].attrs.get("op", "read")
-                for job in jobs:
-                    if job.attrs.get("op", "read") != op:
-                        return None
-            else:
-                op = "read"
-        else:
-            op = "write"
-        return self.group_rate(op, n)
+        if not counts["write"]:
+            return self.group_rate("read", n)
+        if not counts["read"]:
+            return self.group_rate("write", n)
+        return None
 
     def request(self, size: float, op: str) -> Event:
         """Issue one I/O request: access latency, then bandwidth service.
@@ -213,7 +215,7 @@ class StorageDevice(FairShareResource):
         controller setup concurrent with other streams' transfers), which is
         the standard fluid approximation.
         """
-        if op not in ("read", "write"):
+        if op not in OPS:
             raise ValueError(f"unknown op {op!r}")
         if size < 0:
             raise ValueError(f"negative request size: {size}")

@@ -1,4 +1,6 @@
-"""Suite-wide guard: the tests must leave the checkout's tracked files alone.
+"""Suite-wide settings: a hypothesis profile and a clean-checkout guard.
+
+The guard: the tests must leave the checkout's tracked files alone.
 
 Tests write their outputs under ``tmp_path``.  A test that writes into the
 repository instead (for example ``repro bench`` without ``--out``, which
@@ -11,6 +13,11 @@ import os
 import subprocess
 
 import pytest
+from hypothesis import settings
+
+#: A larger budget for the kernel differential storms, selected with
+#: ``--hypothesis-profile=kernel-ci`` (see .github/workflows/ci.yml).
+settings.register_profile("kernel-ci", max_examples=2000, deadline=None)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

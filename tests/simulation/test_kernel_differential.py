@@ -1,0 +1,415 @@
+"""Differential tests: the single-pass fair-share kernel vs the reference.
+
+``reference_kernel.py`` keeps the three-loop kernel (advance, completion
+test, horizon scan), per-event ``step`` dispatch and the unmemoised storage
+device.  The production kernel must reproduce it *bit for bit*: every float
+is compared through ``float.hex``, ``work_by_tag`` by its key order as well
+as its values, and the event order and ``events_scheduled`` exactly.
+
+Storms mix every path the fused loops touch: uniform and per-job rates
+(CPU, equal split, mixed read/write devices, an unstructured ``rates()``
+subclass), zero-work jobs, zero-delay bursts, interrupts mid-service,
+``call_in`` ties against kernel wake-ups, ``sync()`` mid-service, and
+``speed_factor`` changes followed by ``notify_rates_changed``.
+
+The hypothesis storms take their budget from the active profile (100
+examples by default); ``tests/conftest.py`` registers ``kernel-ci`` with
+2000 for longer runs::
+
+    python -m pytest tests/simulation/test_kernel_differential.py \\
+        --hypothesis-profile=kernel-ci
+"""
+
+import random
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cli import main
+from repro.simulation.core import Interrupt, Simulator
+from repro.simulation.resources import CpuResource, FairShareResource
+from repro.storage.device import HDD_PROFILE, SSD_PROFILE, MiB, StorageDevice
+from tests.simulation.reference_kernel import (
+    ReferenceCpuResource,
+    ReferenceFairShareResource,
+    ReferenceSimulator,
+    ReferenceStorageDevice,
+    install,
+)
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+
+class _SkewRates:
+    """Unstructured rates: neither uniform nor op-shaped, so both kernels
+    take the per-job ``rates()`` path."""
+
+    def rates(self, jobs):
+        k = len(jobs)
+        return {
+            job: self.capacity * (1.0 + 0.25 * (job.attrs.get("w", 0) % 3)) / k
+            for job in jobs
+        }
+
+
+class Skew(_SkewRates, FairShareResource):
+    pass
+
+
+class ReferenceSkew(_SkewRates, ReferenceFairShareResource):
+    pass
+
+
+KERNELS = {
+    "fused": (Simulator, FairShareResource, CpuResource, StorageDevice, Skew),
+    "reference": (ReferenceSimulator, ReferenceFairShareResource,
+                  ReferenceCpuResource, ReferenceStorageDevice, ReferenceSkew),
+}
+
+RESOURCES = ("fair", "cpu", "hdd", "ssd", "skew")
+
+
+def _hex(value):
+    """Floats as exact hex strings, recursively; everything else as is."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (list, tuple)):
+        return [_hex(item) for item in value]
+    if isinstance(value, dict):
+        return [(key, _hex(item)) for key, item in value.items()]
+    return value
+
+
+def run_storm(kernel, plan, split_at=None):
+    """Replay ``plan`` on one kernel; returns everything observable."""
+    sim_cls, fair_cls, cpu_cls, disk_cls, skew_cls = KERNELS[kernel]
+    sim = sim_cls()
+    resources = {
+        "fair": fair_cls(sim, "fair", capacity=8.0),
+        "cpu": cpu_cls(sim, "cpu", cores=4, speed_factor=0.9),
+        "hdd": disk_cls(sim, "hdd", HDD_PROFILE),
+        "ssd": disk_cls(sim, "ssd", SSD_PROFILE, speed_factor=1.3),
+        "skew": skew_cls(sim, "skew", capacity=4.0),
+    }
+    trace = []
+
+    def note(label, idx):
+        return lambda _e: trace.append((sim.now, label, idx))
+
+    def submit(where, work, tag, label):
+        """``label`` is the op on a device, the weight on ``skew``."""
+        if where in ("hdd", "ssd"):
+            return resources[where].submit(work, tag=tag, op=label)
+        if where == "skew":
+            return resources[where].submit(work, tag=tag, w=label)
+        return resources[where].submit(work, tag=tag)
+
+    def waiter(idx, job):
+        try:
+            yield job.event
+            trace.append((sim.now, "wait-done", idx))
+        except Interrupt as exc:
+            trace.append((sim.now, "wait-intr", idx, exc.cause))
+
+    def driver():
+        for idx, action in enumerate(plan):
+            kind = action[0]
+            if kind == "submit":
+                _, where, work, label = action
+                tag = "skew" if where == "skew" else label
+                submit(where, work, tag, label).event.add_callback(
+                    note(where, idx))
+            elif kind == "pair":
+                # Two jobs whose sizes differ by ``delta``: when the first
+                # finishes, the second's residual lands near the completion
+                # threshold (size-relative, absolute, or rate-relative).
+                _, where, work, delta, label = action
+                for size in (work, work + delta):
+                    submit(where, size, "pair", label).event.add_callback(
+                        note("pair", idx))
+            elif kind == "request":
+                _, where, size, op = action
+                resources[where].request(size, op).add_callback(
+                    note("request", idx))
+            elif kind == "wait":
+                yield sim.timeout(action[1])
+            elif kind == "interrupt":
+                job = resources["cpu"].submit(5.0, tag="doomed")
+                proc = sim.process(waiter(idx, job))
+                sim.call_in(action[1], proc.interrupt, "storm")
+                # A deferred call landing at the same instant as kernel
+                # wake-ups must order identically on both kernels.
+                sim.call_in(action[1], trace.append, (idx, "tick"))
+            elif kind == "sync":
+                resources[action[1]].sync()
+                trace.append((sim.now, "sync", idx,
+                              resources[action[1]].stats.work_done))
+            elif kind == "speed":
+                _, where, factor = action
+                resource = resources[where]
+                resource.sync()
+                resource.speed_factor *= factor
+                resource.notify_rates_changed()
+            elif kind == "sample":
+                counters = resources[action[1]].sample_counters()
+                trace.append((sim.now, "sample", idx, counters))
+
+    sim.process(driver())
+    if split_at is not None:
+        sim.run(until=split_at)
+        trace.append((sim.now, "split"))
+    sim.run()
+    return {
+        "trace": _hex(trace),
+        "now": _hex(sim.now),
+        "events": sim.events_scheduled,
+        "stats": {
+            name: {
+                "busy_time": _hex(r.stats.busy_time),
+                "work_done": _hex(r.stats.work_done),
+                "concurrency_integral": _hex(r.stats.concurrency_integral),
+                "occupancy_integral": _hex(r.stats.occupancy_integral),
+                "jobs_completed": r.stats.jobs_completed,
+                # Key order too: it survives into metrics snapshots.
+                "work_by_tag": _hex(r.stats.work_by_tag),
+                "active": r.active_jobs,
+            }
+            for name, r in resources.items()
+        },
+    }
+
+
+def assert_kernels_agree(plan, split_at=None):
+    fused = run_storm("fused", plan, split_at)
+    reference = run_storm("reference", plan, split_at)
+    assert fused["trace"] == reference["trace"]
+    assert fused["stats"] == reference["stats"]
+    assert fused["now"] == reference["now"]
+    # One sequence number per push on both kernels: equal totals.
+    assert fused["events"] == reference["events"]
+    return fused
+
+
+# -- hypothesis storms -------------------------------------------------------
+
+_work = st.floats(min_value=1e-7, max_value=64.0, allow_nan=False)
+_delay = st.one_of(st.just(0.0),
+                   st.floats(min_value=1e-9, max_value=2.0, allow_nan=False))
+
+#: Size gaps straddling every term of the completion threshold: the 1e-6
+#: absolute floor, 1e-9 of a 1e4-unit job, and 1e-6 s at a device's rate.
+_delta = st.sampled_from([5e-7, 2e-6, 5e-6, 2e-5, 1.0, 20.0, 200.0])
+
+_actions = st.one_of(
+    st.tuples(st.just("submit"), st.sampled_from(["fair", "cpu"]), _work,
+              st.sampled_from(["", "map", "reduce", "spill"])),
+    st.tuples(st.just("submit"), st.sampled_from(["hdd", "ssd"]),
+              _work.map(lambda w: w * MiB), st.sampled_from(["read", "write"])),
+    st.tuples(st.just("submit"), st.just("skew"), _work, st.integers(0, 5)),
+    st.sampled_from([("submit", "fair", 0.0, "zero"),
+                     ("submit", "cpu", 0.0, "zero"),
+                     ("submit", "hdd", 0.0, "read"),
+                     ("submit", "ssd", 0.0, "write"),
+                     ("submit", "skew", 0.0, 1)]),
+    st.tuples(st.just("pair"), st.sampled_from(["fair", "cpu"]),
+              st.sampled_from([0.5, 2.0, 1e4, 3e4]), _delta, st.just("")),
+    st.tuples(st.just("pair"), st.sampled_from(["hdd", "ssd"]),
+              st.sampled_from([1.0 * MiB, 48.0 * MiB]), _delta,
+              st.sampled_from(["read", "write"])),
+    st.tuples(st.just("pair"), st.just("skew"),
+              st.sampled_from([0.5, 2.0, 1e4]), _delta, st.integers(0, 2)),
+    st.tuples(st.just("request"), st.sampled_from(["hdd", "ssd"]),
+              _work.map(lambda w: w * MiB), st.sampled_from(["read", "write"])),
+    st.tuples(st.just("wait"), _delay),
+    st.tuples(st.just("interrupt"), _delay),
+    st.tuples(st.just("sync"), st.sampled_from(RESOURCES)),
+    st.tuples(st.just("speed"), st.sampled_from(["cpu", "hdd", "ssd"]),
+              st.sampled_from([0.25, 0.5, 2.0, 4.0, 1.0 / 3.0])),
+    st.tuples(st.just("sample"), st.sampled_from(RESOURCES)),
+)
+
+
+class TestHypothesisStorms:
+    @settings(deadline=None)
+    @given(plan=st.lists(_actions, max_size=60))
+    def test_fused_kernel_matches_reference(self, plan):
+        assert_kernels_agree(plan)
+
+    @settings(deadline=None)
+    @given(plan=st.lists(_actions, min_size=1, max_size=60),
+           split_at=st.floats(min_value=0.0, max_value=5.0))
+    def test_run_until_then_drain_matches_reference(self, plan, split_at):
+        assert_kernels_agree(plan, split_at=split_at)
+
+
+# -- seeded storms -----------------------------------------------------------
+
+
+def _make_plan(seed, actions=240):
+    """A deterministic op plan; both kernels replay the same plan object."""
+    rng = random.Random(seed)
+    plan = []
+    for _ in range(actions):
+        roll = rng.random()
+        if roll < 0.25:
+            plan.append(("submit", rng.choice(["fair", "cpu"]),
+                         rng.uniform(0.1, 4.0),
+                         rng.choice(["map", "reduce", ""])))
+        elif roll < 0.50:
+            plan.append(("submit", rng.choice(["hdd", "ssd"]),
+                         rng.uniform(1.0, 64.0) * MiB,
+                         rng.choice(["read", "read", "write"])))
+        elif roll < 0.58:
+            plan.append(("submit", "skew", rng.uniform(0.1, 2.0),
+                         rng.randrange(3)))
+        elif roll < 0.62:
+            plan.append(("submit", rng.choice(["fair", "cpu"]), 0.0, "zero"))
+        elif roll < 0.72:
+            plan.append(("wait", 0.0))
+        elif roll < 0.82:
+            plan.append(("wait", rng.uniform(0.001, 0.5)))
+        elif roll < 0.87:
+            plan.append(("interrupt", rng.uniform(0.01, 0.3)))
+        elif roll < 0.91:
+            plan.append(("sync", rng.choice(RESOURCES)))
+        elif roll < 0.95:
+            plan.append(("speed", rng.choice(["cpu", "hdd", "ssd"]),
+                         rng.choice([0.5, 2.0])))
+        else:
+            plan.append(("request", rng.choice(["hdd", "ssd"]),
+                         rng.uniform(1.0, 16.0) * MiB,
+                         rng.choice(["read", "write"])))
+    return plan
+
+
+class TestSeededStorms:
+    @pytest.mark.parametrize("seed", [1, 7, 42, 1337])
+    def test_storm_matches_reference(self, seed):
+        assert_kernels_agree(_make_plan(seed))
+
+    def test_storm_completes_all_jobs(self):
+        # Agreement proves nothing unless the storms really run their work.
+        stats = run_storm("fused", _make_plan(3))["stats"]
+        for name in ("fair", "cpu", "hdd", "ssd"):
+            assert stats[name]["jobs_completed"] > 10
+        assert stats["skew"]["jobs_completed"] > 0
+        assert all(entry["active"] == 0 for entry in stats.values())
+
+
+class TestDeepChurn:
+    def test_wide_churn_matches_reference(self):
+        """Hundreds of concurrent jobs on one resource, staggered arrivals
+        and distinct sizes: deep queues, frequent partial advances."""
+
+        def run(kernel):
+            sim_cls, fair_cls = KERNELS[kernel][:2]
+            sim = sim_cls()
+            cpu = fair_cls(sim, "cpu", capacity=64.0)
+            done = []
+
+            def driver():
+                for _wave in range(3):
+                    for i in range(200):
+                        work = 1.0 + 0.01 * ((i * 7919) % 97)
+                        tag = "spill" if i % 2 else "shuffle"
+                        job = cpu.submit(work, tag=tag)
+                        job.event.add_callback(
+                            lambda _e, i=i: done.append((sim.now, i)))
+                        if i % 16 == 0:
+                            yield sim.timeout(0.0005)
+                    yield sim.timeout(50.0)
+
+            sim.process(driver())
+            sim.run()
+            return _hex([done, sim.now, sim.events_scheduled,
+                         cpu.stats.work_done, cpu.stats.work_by_tag,
+                         cpu.stats.jobs_completed])
+
+        assert run("fused") == run("reference")
+
+    def test_remaining_reads_work_then_zero(self):
+        sim = Simulator()
+        cpu = FairShareResource(sim, "cpu", capacity=2.0)
+        jobs = [cpu.submit(4.0) for _ in range(40)]
+        assert all(job.remaining == 4.0 for job in jobs)
+        sim.run()
+        assert all(job.remaining == 0.0 for job in jobs)
+
+
+class TestStorageDeviceState:
+    def test_op_counts_exact_at_every_completion(self):
+        """The kernel retires a job and its op count together, so the
+        counts always equal the live set -- no callback lag."""
+        sim = Simulator()
+        disk = StorageDevice(sim, "disk", HDD_PROFILE)
+        seen = []
+
+        def check(_event):
+            live = [job.attrs["op"] for job in disk._jobs]
+            counts = {op: live.count(op) for op in ("read", "write")}
+            seen.append(counts == disk._op_counts)
+
+        for index in range(24):
+            op = "read" if index % 3 else "write"
+            disk.submit((index + 1) * MiB, tag=op, op=op).event.add_callback(
+                check)
+        sim.run()
+        assert len(seen) == 24 and all(seen)
+        assert disk._op_counts == {"read": 0, "write": 0}
+
+    def test_speed_factor_change_clears_rate_memo(self):
+        sim = Simulator()
+        disk = StorageDevice(sim, "disk", HDD_PROFILE)
+        before = disk.group_rate("read", 4)
+        disk.speed_factor = 0.5
+        after = disk.group_rate("read", 4)
+        assert after == (HDD_PROFILE.rate("read")
+                         * HDD_PROFILE.efficiency("read", 4) * 0.5 / 4)
+        assert after != before
+
+
+class TestEndToEnd:
+    """Whole engine runs with the reference kernel swapped in."""
+
+    def _events(self, tmp_path, extra):
+        out = tmp_path / "events.jsonl"
+        assert main(["run", "terasort", "--scale", "0.05", "--seed", "42",
+                     "--events", str(out)] + extra) == 0
+        return out.read_bytes()
+
+    def test_reference_event_log_bit_identical(self, tmp_path, capsys,
+                                               monkeypatch):
+        # Pins the reference itself to the committed golden log, so the
+        # differential storms compare against the kernel the goldens saw.
+        install(monkeypatch)
+        golden = REPO_ROOT / "tests" / "golden" / "terasort_s005_seed42.jsonl"
+        assert self._events(tmp_path, []) == golden.read_bytes()
+
+    def test_reference_node_loss_bit_identical(self, tmp_path, capsys,
+                                               monkeypatch):
+        install(monkeypatch)
+        plan = REPO_ROOT / "examples" / "faults" / "node-loss.json"
+        golden = (REPO_ROOT / "tests" / "golden"
+                  / "terasort_s005_seed42_nodeloss.jsonl")
+        assert (self._events(tmp_path, ["--faults", str(plan)])
+                == golden.read_bytes())
+
+    def test_run_results_identical_to_reference(self, capsys, monkeypatch):
+        argv = ["run", "pagerank", "--scale", "0.02", "--nodes", "2",
+                "--cores", "4", "--policy", "dynamic", "--json"]
+        assert main(argv) == 0
+        fused = capsys.readouterr().out
+        install(monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == fused
+
+    def test_sweep_reports_equal_to_reference(self, capsys, monkeypatch):
+        """Every pool size of the sweep ladder, so both shallow and deep
+        fair-share queues."""
+        argv = ["sweep", "terasort", "--scale", "0.02", "--seed", "7",
+                "--json"]
+        assert main(argv) == 0
+        fused = capsys.readouterr().out
+        install(monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == fused

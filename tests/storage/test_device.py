@@ -108,6 +108,34 @@ class TestStorageDevice:
         with pytest.raises(ValueError):
             disk.request(1.0, "scan")
 
+    def test_submit_rejects_unknown_op_alone(self):
+        # Regression: a lone "trim" job used to be served at the write rate.
+        sim = Simulator()
+        disk = StorageDevice(sim, "d", HDD_PROFILE)
+        with pytest.raises(ValueError, match="unknown op 'trim'"):
+            disk.submit(4 * MiB, tag="trim", op="trim")
+        with pytest.raises(ValueError, match="unknown op 'trim'"):
+            disk.submit(0.0, op="trim")
+        assert disk.active_jobs == 0
+        assert disk._op_counts == {"read": 0, "write": 0}
+
+    def test_submit_rejects_unknown_op_next_to_a_read(self):
+        # Regression: next to a read, a "trim" job used to be served at the
+        # read rate.  The read must be served exactly as if alone.
+        def finish_time(extra_op):
+            sim = Simulator()
+            disk = StorageDevice(sim, "d", HDD_PROFILE)
+            job = disk.submit(8 * MiB, tag="read", op="read")
+            if extra_op is not None:
+                with pytest.raises(ValueError, match="unknown op"):
+                    disk.submit(8 * MiB, tag=extra_op, op=extra_op)
+            sim.run()
+            assert job.event.triggered
+            assert disk.bytes_read == 8 * MiB
+            return sim.now
+
+        assert finish_time("trim") == finish_time(None)
+
     def test_negative_size_rejected(self):
         sim = Simulator()
         disk = StorageDevice(sim, "d", HDD_PROFILE)

@@ -3,7 +3,7 @@ logs *byte for byte*.
 
 The files under ``tests/golden/`` were generated before the kernel fast
 paths landed (scalar ``uniform_rate``, ``call_in`` deferred callbacks,
-batched tag accounting).  Any optimisation that changes a float expression,
+batched tag accounting, the single-pass fair-share loops).  Any optimisation that changes a float expression,
 an accumulation order, or a queue tie-break shows up here as a diff --
 which is exactly the regression this suite exists to catch.
 
@@ -21,7 +21,6 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.simulation.kernel import core_available
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 REPO_ROOT = Path(__file__).parent.parent
@@ -76,43 +75,3 @@ class TestForkedGoldenLogs:
         fresh = _run_and_read(tmp_path, ["--fork", "--faults", str(plan)])
         assert fresh == _golden_bytes("terasort_s005_seed42_nodeloss.jsonl")
 
-
-needs_vector = pytest.mark.skipif(
-    not core_available("vector"), reason="numpy not available"
-)
-
-
-@needs_vector
-class TestVectorCoreGoldenLogs:
-    """The vector core's correctness contract: ``--core vector`` must write
-    the SAME BYTES as the committed goldens -- both kernels are held to one
-    reference log, so any float-expression or ordering drift in the
-    vectorized engine fails here."""
-
-    def test_vector_event_log_bit_identical(self, tmp_path, capsys):
-        fresh = _run_and_read(tmp_path, ["--core", "vector"])
-        assert fresh == _golden_bytes("terasort_s005_seed42.jsonl")
-
-    def test_vector_node_loss_bit_identical(self, tmp_path, capsys):
-        plan = REPO_ROOT / "examples" / "faults" / "node-loss.json"
-        if not plan.exists():
-            pytest.skip("node-loss example plan not present")
-        fresh = _run_and_read(tmp_path, ["--core", "vector", "--faults", str(plan)])
-        assert fresh == _golden_bytes("terasort_s005_seed42_nodeloss.jsonl")
-
-
-@needs_vector
-class TestCrossCoreSweep:
-    def test_sweep_reports_equal_across_cores(self, tmp_path, capsys):
-        """A fixed-seed sweep must produce byte-equal JSON reports under
-        both kernel cores (the sweep ladder exercises every pool size, so
-        this covers small scalar-path sets and large vector-path sets)."""
-        outputs = {}
-        for core in ("python", "vector"):
-            code = main(
-                ["sweep", "terasort", "--scale", "0.02", "--seed", "7",
-                 "--core", core, "--json"]
-            )
-            assert code == 0
-            outputs[core] = capsys.readouterr().out
-        assert outputs["python"] == outputs["vector"]

@@ -220,10 +220,21 @@ class TestMonotonicGuard:
         sim.call_in(5.0, lambda: None)
         sim.run()
         # Corrupt the queue directly: an event in the past.
-        heapq.heappush(sim._queue, (1.0, 10_000, None))
+        heapq.heappush(sim._queue, (1.0, 10_000, None, None))
         with pytest.raises(SimulationError) as info:
             sim.step()
         assert "backwards" in str(info.value)
+
+    def test_backwards_event_caught_by_run(self):
+        # run() dispatches inline rather than through step(); the guard
+        # must hold there too.
+        sim = Simulator()
+        sim.monotonic_guard = True
+        sim.call_in(5.0, lambda: None)
+        sim.run()
+        heapq.heappush(sim._queue, (1.0, 10_000, None, None))
+        with pytest.raises(SimulationError, match="backwards"):
+            sim.run()
 
     def test_guard_off_by_default(self):
         sim = Simulator()
