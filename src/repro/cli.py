@@ -42,7 +42,6 @@ from repro.harness.parallel import (
     RunConfig,
     SweepInterrupted,
     map_runs,
-    map_runs_durable,
     resolve_parallel,
 )
 from repro.harness.report import render_table
@@ -50,7 +49,6 @@ from repro.harness.runner import (
     derive_bestfit,
     finish_trace,
     run_workload,
-    static_sweep,
 )
 from repro.observability.chrome import ChromeTraceSink
 from repro.observability.history import load_events, reconstruct
@@ -104,11 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
                             "(crash-safe; see --resume)")
     sweep.add_argument("--resume", action="store_true",
                        help="skip points already journaled under --journal")
-    sweep.add_argument("--run-timeout", type=float, default=None,
+    sweep.add_argument("--run-timeout", type=_positive_float, default=None,
                        metavar="SECS",
                        help="watchdog: kill and retry a point that runs "
                             "longer than SECS wall-clock seconds")
-    sweep.add_argument("--max-attempts", type=int, default=3, metavar="N",
+    sweep.add_argument("--max-attempts", type=_positive_int, default=3,
+                       metavar="N",
                        help="attempts per point before quarantine "
                             "(default 3; needs --journal to persist)")
     sweep.add_argument("--stop-after", type=int, default=None, metavar="N",
@@ -426,6 +425,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    return value
+
+
 def _policy_spec(args):
     if args.policy == "static":
         return ("static", args.threads)
@@ -468,21 +474,18 @@ def _suffix_path(path: str, suffix: str) -> str:
     return f"{root}.{suffix}{ext}" if ext else f"{path}.{suffix}"
 
 
-def _build_tracer(args, suffix: Optional[str] = None) -> Optional[Tracer]:
+def _build_tracer(args) -> Optional[Tracer]:
     """A tracer for one run, or None when no output was requested."""
     sinks = []
     if args.events:
-        path = args.events if suffix is None else _suffix_path(args.events, suffix)
-        sinks.append(JsonLinesSink(path))
+        sinks.append(JsonLinesSink(args.events))
     if args.trace:
-        path = args.trace if suffix is None else _suffix_path(args.trace, suffix)
-        sinks.append(ChromeTraceSink(path))
-    if getattr(args, "profile", None):
+        sinks.append(ChromeTraceSink(args.trace))
+    if args.profile:
         from repro.observability.profiler import ProfilerSink
 
-        path = (args.profile if suffix is None
-                else _suffix_path(args.profile, suffix))
-        sinks.append(ProfilerSink(interval=args.profile_interval, out=path))
+        sinks.append(ProfilerSink(interval=args.profile_interval,
+                                  out=args.profile))
     if not sinks:
         return None
     return Tracer(sinks=sinks)
@@ -526,32 +529,7 @@ def cmd_run(args) -> int:
         print(f"invariants: {report.summary()}", file=sys.stderr)
         if not report.ok:
             return 1
-    if args.json:
-        payload = {
-            "command": "run",
-            "workload": args.workload,
-            "policy": args.policy,
-            **run.ctx.recorder.summary_dict(),
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(f"{args.workload} [{args.policy}] finished in "
-          f"{run.runtime:.1f} simulated seconds\n")
-    rows = []
-    for stage in run.stages:
-        sizes = stage.final_pool_sizes()
-        rows.append(
-            (
-                stage.stage_id,
-                "I/O" if stage.is_io_marked else "shuffle",
-                stage.num_tasks,
-                f"{stage.duration:.1f}",
-                " ".join(str(sizes[e]) for e in sorted(sizes)),
-            )
-        )
-    print(render_table(
-        ["stage", "kind", "tasks", "duration (s)", "threads/executor"], rows
-    ))
+    _print_run(args, run)
     return 0
 
 
@@ -568,31 +546,22 @@ def _cmd_run_forked(args) -> int:
     if args.validate:
         raise ValueError("--validate requires an in-process run; "
                          "drop --fork")
-    kwargs = _run_kwargs(args)
-    fault_plan = kwargs.pop("fault_plan", None)
-    workload_kwargs = kwargs.pop("workload_kwargs", {})
-    config = RunConfig(
-        workload=args.workload,
-        policy=_policy_spec(args),
-        key=args.workload,
-        workload_kwargs=workload_kwargs,
-        cluster_kwargs=kwargs,
-        fault_plan_doc=fault_plan.to_dict() if fault_plan else None,
-        events_path=args.events,
-        trace_path=args.trace,
-        profile_path=args.profile,
-        profile_interval=args.profile_interval,
-    )
-    run = fork_map_runs([config])[0]
+    [config] = _run_configs(args, [(args.workload, None, _policy_spec(args))])
+    _print_run(args, fork_map_runs([config])[0])
+    return 0
+
+
+def _print_run(args, run) -> None:
+    """``repro run``'s report for a live run or a forked run's summary."""
     if args.json:
         payload = {
             "command": "run",
             "workload": args.workload,
             "policy": args.policy,
-            **run.recorder.summary_dict(),
+            **run.ctx.recorder.summary_dict(),
         }
         print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
+        return
     print(f"{args.workload} [{args.policy}] finished in "
           f"{run.runtime:.1f} simulated seconds\n")
     rows = []
@@ -610,92 +579,69 @@ def _cmd_run_forked(args) -> int:
     print(render_table(
         ["stage", "kind", "tasks", "duration (s)", "threads/executor"], rows
     ))
-    return 0
 
 
-def _run_sweep_durable(args, thread_counts) -> dict:
-    """A journaled (crash-safe, resumable) sweep; see ``map_runs_durable``."""
-    from repro.harness.journal import SweepJournal
-
+def _run_configs(args, points) -> List[RunConfig]:
+    """One :class:`RunConfig` per ``(key, suffix, policy)`` point; output
+    paths get ``suffix`` before their extension (none when it is None)."""
     kwargs = _run_kwargs(args)
     fault_plan = kwargs.pop("fault_plan", None)
     workload_kwargs = kwargs.pop("workload_kwargs", {})
-    configs = [
+
+    def out(path: Optional[str], suffix: Optional[str]) -> Optional[str]:
+        if path is None or suffix is None:
+            return path
+        return _suffix_path(path, suffix)
+
+    return [
         RunConfig(
             workload=args.workload,
-            policy=("static", threads),
-            key=threads,
+            policy=policy,
+            key=key,
             workload_kwargs=workload_kwargs,
             cluster_kwargs=kwargs,
             fault_plan_doc=fault_plan.to_dict() if fault_plan else None,
-            events_path=(
-                _suffix_path(args.events, f"t{threads}")
-                if args.events else None
-            ),
-            trace_path=(
-                _suffix_path(args.trace, f"t{threads}")
-                if args.trace else None
-            ),
-            profile_path=(
-                _suffix_path(args.profile, f"t{threads}")
-                if args.profile else None
-            ),
+            events_path=out(args.events, suffix),
+            trace_path=out(args.trace, suffix),
+            profile_path=out(args.profile, suffix),
             profile_interval=args.profile_interval,
         )
-        for threads in thread_counts
+        for key, suffix, policy in points
     ]
-    journal = SweepJournal(args.journal) if args.journal else None
-    summaries = map_runs_durable(
-        configs,
-        parallel=resolve_parallel(args.parallel),
-        journal=journal,
-        resume=args.resume,
-        timeout=args.run_timeout,
-        max_attempts=args.max_attempts,
-        stop_after=args.stop_after,
-    )
-    return {summary.key: summary for summary in summaries
-            if summary is not None}
+
+
+def _map_runs(args, configs, **options) -> list:
+    """Run a multi-run subcommand's configs, forked when ``--fork``."""
+    parallel = resolve_parallel(args.parallel)
+    if args.fork:
+        from repro.harness.fork import fork_map_runs
+
+        return fork_map_runs(configs, parallel, **options)
+    return map_runs(configs, parallel, **options)
 
 
 def _run_sweep(args, thread_counts) -> dict:
-    """Dispatch a static sweep sequentially, over workers, or forked."""
-    fork = getattr(args, "fork", False)
-    if (getattr(args, "journal", None) or getattr(args, "resume", False)
-            or getattr(args, "run_timeout", None) is not None
-            or getattr(args, "stop_after", None) is not None):
-        if fork:
-            raise ValueError(
-                "--fork does not combine with the durable-sweep options "
-                "(--journal/--resume/--run-timeout/--stop-after); forked "
-                "children are not journaled"
-            )
-        return _run_sweep_durable(args, thread_counts)
-    parallel = resolve_parallel(args.parallel)
-    if parallel > 1 or fork:
-        return static_sweep(
-            args.workload, thread_counts=thread_counts, parallel=parallel,
-            fork=fork,
-            events_path_factory=(
-                (lambda t: _suffix_path(args.events, f"t{t}"))
-                if args.events else None
-            ),
-            trace_path_factory=(
-                (lambda t: _suffix_path(args.trace, f"t{t}"))
-                if args.trace else None
-            ),
-            profile_path_factory=(
-                (lambda t: _suffix_path(args.profile, f"t{t}"))
-                if args.profile else None
-            ),
-            profile_interval=args.profile_interval,
-            **_run_kwargs(args),
+    """The static sweep behind ``sweep`` and ``compare``, keyed by threads.
+
+    ``sweep`` adds its journal, watchdog and retry flags; with
+    ``--journal`` a killed sweep resumes where it stopped.
+    """
+    configs = _run_configs(
+        args, [(threads, f"t{threads}", ("static", threads))
+               for threads in thread_counts])
+    options = {}
+    if args.command == "sweep":
+        from repro.harness.journal import SweepJournal
+
+        options = dict(
+            journal=SweepJournal(args.journal) if args.journal else None,
+            resume=args.resume,
+            timeout=args.run_timeout,
+            max_attempts=args.max_attempts,
+            stop_after=args.stop_after,
         )
-    tracer_factory = None
-    if args.events or args.trace or args.profile:
-        tracer_factory = lambda threads: _build_tracer(args, f"t{threads}")
-    return static_sweep(args.workload, thread_counts=thread_counts,
-                        tracer_factory=tracer_factory, **_run_kwargs(args))
+    summaries = _map_runs(args, configs, **options)
+    return {summary.key: summary for summary in summaries}
 
 
 def cmd_sweep(args) -> int:
@@ -737,7 +683,6 @@ def cmd_sweep(args) -> int:
 
 def cmd_compare(args) -> int:
     thread_counts = _thread_counts(args.cores)
-    parallel = resolve_parallel(args.parallel)
     sweep = _run_sweep(args, thread_counts)
     default_threads = max(sweep)
     bestfit_sizes = derive_bestfit(sweep, default_threads=default_threads)
@@ -745,49 +690,10 @@ def cmd_compare(args) -> int:
     # run doubles as the "Default Spark" baseline (no hardcoded 32).
     default = sweep[default_threads]
 
-    if parallel > 1 or args.fork:
-        kwargs = _run_kwargs(args)
-        fault_plan = kwargs.pop("fault_plan", None)
-        workload_kwargs = kwargs.pop("workload_kwargs", {})
-        configs = [
-            RunConfig(
-                workload=args.workload, policy=policy, key=label,
-                workload_kwargs=workload_kwargs, cluster_kwargs=kwargs,
-                fault_plan_doc=fault_plan.to_dict() if fault_plan else None,
-                events_path=(
-                    _suffix_path(args.events, label) if args.events else None
-                ),
-                trace_path=(
-                    _suffix_path(args.trace, label) if args.trace else None
-                ),
-                profile_path=(
-                    _suffix_path(args.profile, label) if args.profile else None
-                ),
-                profile_interval=args.profile_interval,
-            )
-            for label, policy in (
-                ("bestfit", ("bestfit", bestfit_sizes)),
-                ("dynamic", "dynamic"),
-            )
-        ]
-        if args.fork:
-            from repro.harness.fork import fork_map_runs
-
-            bestfit, dynamic = fork_map_runs(configs, parallel=parallel)
-        else:
-            bestfit, dynamic = map_runs(configs, parallel)
-    else:
-        kwargs = _run_kwargs(args)
-        tracer = _build_tracer(args, "bestfit")
-        bestfit = run_workload(args.workload, policy=("bestfit", bestfit_sizes),
-                               tracer=tracer, **kwargs)
-        if tracer is not None:
-            finish_trace(bestfit)
-        tracer = _build_tracer(args, "dynamic")
-        dynamic = run_workload(args.workload, policy="dynamic",
-                               tracer=tracer, **kwargs)
-        if tracer is not None:
-            finish_trace(dynamic)
+    bestfit, dynamic = _map_runs(args, _run_configs(args, [
+        ("bestfit", "bestfit", ("bestfit", bestfit_sizes)),
+        ("dynamic", "dynamic", "dynamic"),
+    ]))
 
     systems = (("default", default), ("static bestfit", bestfit),
                ("self-adaptive", dynamic))

@@ -33,6 +33,7 @@ from repro.faults.plan import (
     DemandSurge,
     ProtectionConfig,
     TenantPoison,
+    exponential_backoff,
 )
 from repro.simulation.randomness import RandomStreams
 
@@ -50,8 +51,8 @@ def backoff_delay(protection: ProtectionConfig, streams: RandomStreams,
     """Seeded exponential backoff for retry ``attempt`` (1-based) of a job."""
     if attempt < 1:
         raise ValueError(f"attempt must be >= 1, got {attempt}")
-    base = min(protection.backoff_cap,
-               protection.backoff_base * (2.0 ** (attempt - 1)))
+    base = exponential_backoff(protection.backoff_base, attempt,
+                               protection.backoff_cap)
     u = streams.stream(f"chaos.backoff.{job_id}.{attempt}").random()
     return base * (1.0 + protection.backoff_jitter * u)
 

@@ -45,6 +45,7 @@ from repro.engine.task import (
     TaskFailed,
     TaskFinished,
 )
+from repro.faults.plan import exponential_backoff
 from repro.simulation.core import Event
 from repro.simulation.resources import LatencyChannel
 
@@ -444,7 +445,7 @@ class TaskScheduler:
     def _retry_delay(self, failures: int) -> float:
         base = float(self.ctx.conf.get("repro.faults.retry.backoff"))
         cap = float(self.ctx.conf.get("repro.faults.retry.backoff.max"))
-        return min(base * (2.0 ** (failures - 1)), cap)
+        return exponential_backoff(base, failures, cap)
 
     def _retry_due(self, run: _StageRun, partition: int) -> None:
         if self._run is not run or run.aborted:

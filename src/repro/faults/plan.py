@@ -41,6 +41,16 @@ class FaultPlanError(ValueError):
     """A fault plan failed validation or could not be parsed."""
 
 
+def exponential_backoff(base: float, attempt: int, cap: float) -> float:
+    """``min(base * 2**(attempt-1), cap)``: the wait before retry ``attempt``.
+
+    ``attempt`` is 1-based.  The one backoff formula of every retry loop:
+    engine task retries, cluster job requeues (before their jitter) and
+    the harness re-running a failed child.
+    """
+    return min(base * (2.0 ** (attempt - 1)), cap)
+
+
 @dataclass
 class TaskCrash:
     """Crash one specific task attempt partway through its run.

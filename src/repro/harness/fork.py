@@ -1,29 +1,25 @@
-"""Copy-on-write snapshot/fork execution engine.
+"""Copy-on-write prefix sharing: forked sweeps and what-if planning.
 
 Sweeps and fault experiments re-simulate identical warm-up prefixes dozens
 of times: a Fig. 2 sweep rebuilds the same cluster, dataset and DAG once
 per point, and every fault-plan ablation replays the fault-free prefix
 before the first injection.  This module runs the shared prefix **once**
-and then continues each experiment point in an OS-level copy-on-write
-child (``os.fork()``), which sidesteps the impossibility of pickling the
-kernel's generator-based :class:`~repro.simulation.core.Process` objects:
-the child inherits the entire live simulator -- heap, event queue,
-suspended generators -- for the cost of a page-table copy.
+and then continues each experiment point in a child forked by the
+supervised-child executor (:func:`~repro.harness.supervise.supervise`),
+which sidesteps the impossibility of pickling the kernel's generator-based
+:class:`~repro.simulation.core.Process` objects: the child inherits the
+entire live simulator -- heap, event queue, suspended generators -- for
+the cost of a page-table copy.  Children are babysat, retried and
+quarantined exactly like any other supervised child.
 
-Three layers:
-
-* **Fork server** (:func:`fork_map`): forks one child per divergence,
-  streams a picklable result back over a pipe (length-prefixed pickle),
-  and babysits children with the same watchdog/retry/quarantine contract
-  as the durable runner (:func:`~repro.harness.parallel.map_runs_durable`):
-  a child that crashes or exceeds ``timeout`` is retried with exponential
-  backoff and quarantined after ``max_attempts``.
 * **Sweep divergences** (:func:`fork_map_runs`): a family of
   :class:`~repro.harness.parallel.RunConfig` points sharing one setup
   prefix (cluster + context + dataset/DAG preparation) and diverging in
   policy and/or fault plan.  Each child attaches its own tracer at the
   barrier; the resulting event log is **byte-identical** to a from-scratch
-  run of the same configuration (golden-log tests enforce this).
+  run of the same configuration (golden-log tests enforce this).  The
+  sweep journal, ``resume`` and ``stop_after`` work as in
+  :func:`~repro.harness.parallel.map_runs`.
 * **What-if planning** (:func:`run_whatif`): run one workload to a chosen
   simulated time ``t=T`` once, then fork N children that each apply a
   different :class:`Alternative` (pool size, policy, conf override, fault
@@ -35,332 +31,32 @@ entry point falls back to sequential re-simulation with identical results.
 
 from __future__ import annotations
 
-import os
-import pickle
-import selectors
-import signal
-import struct
-import sys
-import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.harness.parallel import (
-    QuarantinedConfigError,
     RunConfig,
     RunSummary,
     build_run_tracer,
-    execute_run_config,
-    resolve_parallel,
+    map_runs,
     summarize_run,
+    supervise_runs,
 )
-
-#: Sentinel a ``child_fn`` returns to say "my result is not ready yet --
-#: I will keep executing after :func:`fork_map` returns and report through
-#: :func:`child_finish`".  This is how the what-if barrier resumes the
-#: suspended simulation inside the child.
-CONTINUE = object()
-
-#: Marker :func:`fork_map` returns *in a forked child* whose ``child_fn``
-#: returned :data:`CONTINUE`; callers using that protocol must detect it
-#: and simply keep going (they are the child now).
-CHILD_CONTINUES = object()
-
-_HEADER = struct.Struct(">cI")  # status byte + payload length
-_CHUNK = 1 << 16
-
-
-class ForkUnavailableError(RuntimeError):
-    """``os.fork`` does not exist on this platform."""
+from repro.harness.supervise import (
+    CHILD_CONTINUES,
+    CONTINUE,
+    ForkUnavailableError,
+    child_abort,
+    child_finish,
+    current_child_key,
+    fork_available,
+    in_forked_child,
+    supervise,
+)
 
 
 class ForkBarrierNotReached(RuntimeError):
     """The what-if barrier time lies beyond the end of the run."""
-
-
-@dataclass
-class _ChildTicket:
-    """Per-process marker: set only in a forked child, holds its pipe."""
-
-    fd: int
-    key: Any
-
-
-#: Non-None exactly while this process is a forked child of the engine.
-_ACTIVE_CHILD: Optional[_ChildTicket] = None
-
-
-def fork_available() -> bool:
-    """True when OS-level copy-on-write forking is usable here."""
-    return hasattr(os, "fork") and sys.platform not in ("win32", "emscripten")
-
-
-def in_forked_child() -> bool:
-    """True inside a child spawned by :func:`fork_map`."""
-    return _ACTIVE_CHILD is not None
-
-
-def current_child_key() -> Any:
-    """The divergence key this forked child is executing."""
-    if _ACTIVE_CHILD is None:
-        raise RuntimeError("not inside a forked child")
-    return _ACTIVE_CHILD.key
-
-
-# -- pipe protocol -----------------------------------------------------------
-
-
-def _send(fd: int, status: bytes, payload: Any) -> None:
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    os.write(fd, _HEADER.pack(status, len(blob)))
-    view = memoryview(blob)
-    while view:
-        written = os.write(fd, view[:_CHUNK])
-        view = view[written:]
-
-
-def _parse(buf: bytes):
-    """``(ok, payload)`` from a child's complete pipe output, or None."""
-    if len(buf) < _HEADER.size:
-        return None
-    status, length = _HEADER.unpack_from(buf)
-    if len(buf) < _HEADER.size + length:
-        return None
-    payload = pickle.loads(buf[_HEADER.size:_HEADER.size + length])
-    return status == b"R", payload
-
-
-def child_finish(result: Any) -> "NoReturn":  # noqa: F821 - py3.11 typing
-    """Report this forked child's result and exit the process.
-
-    Used by the :data:`CONTINUE` protocol: the child resumed a suspended
-    simulation after :func:`fork_map` returned, and calls this once the
-    run completes.  Never returns.
-    """
-    if _ACTIVE_CHILD is None:
-        raise RuntimeError("child_finish() outside a forked child")
-    try:
-        _send(_ACTIVE_CHILD.fd, b"R", result)
-    except BaseException:  # noqa: BLE001 - the child must never unwind out
-        os._exit(1)
-    os._exit(0)
-
-
-def child_abort(exc: BaseException) -> "NoReturn":  # noqa: F821
-    """Report a failure from a :data:`CONTINUE`-mode child and exit."""
-    if _ACTIVE_CHILD is None:
-        raise RuntimeError("child_abort() outside a forked child")
-    try:
-        _send(_ACTIVE_CHILD.fd, b"E", f"{type(exc).__name__}: {exc}")
-    except BaseException:  # noqa: BLE001
-        pass
-    os._exit(1)
-
-
-# -- fork server -------------------------------------------------------------
-
-
-@dataclass
-class _Child:
-    """One live forked child from the parent's point of view."""
-
-    pid: int
-    fd: int
-    index: int
-    item: Any
-    deadline: Optional[float]
-    buf: bytearray = field(default_factory=bytearray)
-
-
-class _Pending:
-    """One divergence's position in the retry state machine."""
-
-    def __init__(self, index: int, item: Any) -> None:
-        self.index = index
-        self.item = item
-        self.failures = 0
-        self.ready_at = 0.0
-
-
-def _spawn(child_fn: Callable[[Any], Any], item: Any, key: Any):
-    """Fork one child.  Parent: ``(pid, read_fd)``.  Child that got
-    :data:`CONTINUE` back from ``child_fn``: ``None`` (caller continues
-    executing *as the child*); any other child never returns."""
-    global _ACTIVE_CHILD
-    # Flush inherited stdio buffers so the child cannot replay pending
-    # parent output on exit.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid == 0:  # -- child ------------------------------------------------
-        os.close(read_fd)
-        _ACTIVE_CHILD = _ChildTicket(write_fd, key)
-        try:
-            result = child_fn(item)
-        except BaseException as exc:  # noqa: BLE001 - report, never unwind
-            child_abort(exc)
-        if result is CONTINUE:
-            return None
-        child_finish(result)
-    # -- parent --------------------------------------------------------------
-    os.close(write_fd)
-    os.set_blocking(read_fd, False)
-    return pid, read_fd
-
-
-def fork_map(
-    child_fn: Callable[[Any], Any],
-    items: Sequence[Any],
-    parallel: int = 1,
-    timeout: Optional[float] = None,
-    max_attempts: int = 3,
-    backoff: float = 0.5,
-    allow_quarantine: bool = False,
-):
-    """Run ``child_fn(item)`` in one copy-on-write child per item.
-
-    Results come back in item order.  Each ``item`` should carry a ``key``
-    attribute for error reporting (``RunConfig`` and :class:`Alternative`
-    both do).  At most ``parallel`` children run at once (``0`` = one per
-    core).  A child that crashes, dies, or outlives ``timeout`` wall-clock
-    seconds is killed and retried with bounded exponential backoff; after
-    ``max_attempts`` failures the item is quarantined --
-    :class:`~repro.harness.parallel.QuarantinedConfigError` unless
-    ``allow_quarantine``, in which case its slot is ``None``.
-
-    In a child whose ``child_fn`` returned :data:`CONTINUE`, this returns
-    :data:`CHILD_CONTINUES` instead of a result list -- the caller is now
-    the child and must finish via :func:`child_finish`.
-    """
-    if not fork_available():
-        raise ForkUnavailableError("os.fork is unavailable on this platform")
-    if in_forked_child():
-        raise RuntimeError("nested fork_map inside a forked child")
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    items = list(items)
-    parallel = resolve_parallel(parallel)
-    results: List[Optional[Any]] = [None] * len(items)
-    waiting = [_Pending(index, item) for index, item in enumerate(items)]
-    running: Dict[int, _Child] = {}
-    sel = selectors.DefaultSelector()
-
-    def _key(item: Any, index: int) -> Any:
-        return getattr(item, "key", index)
-
-    def _reap(child: _Child) -> int:
-        sel.unregister(child.fd)
-        os.close(child.fd)
-        _pid, status = os.waitpid(child.pid, 0)
-        return os.waitstatus_to_exitcode(status)
-
-    def _failed(pending: _Pending, reason: str) -> None:
-        pending.failures += 1
-        if pending.failures >= max_attempts:
-            if not allow_quarantine:
-                _kill_all()
-                raise QuarantinedConfigError(
-                    pending.item, pending.failures, reason
-                )
-            return
-        delay = min(backoff * (2.0 ** (pending.failures - 1)), 30.0)
-        pending.ready_at = time.monotonic() + delay
-        waiting.append(pending)
-
-    def _kill_all() -> None:
-        for child in running.values():
-            try:
-                os.kill(child.pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            _reap(child)
-        running.clear()
-
-    pendings: Dict[int, _Pending] = {p.index: p for p in waiting}
-
-    try:
-        while waiting or running:
-            now = time.monotonic()
-            launched = False
-            for _ in range(len(waiting)):
-                if len(running) >= parallel:
-                    break
-                pending = waiting.pop(0)
-                if pending.ready_at > now:
-                    waiting.append(pending)  # still backing off; rotate
-                    continue
-                spawned = _spawn(child_fn, pending.item,
-                                 _key(pending.item, pending.index))
-                if spawned is None:
-                    # We are a forked child on the CONTINUE protocol: hand
-                    # control back so the caller resumes the simulation.
-                    return CHILD_CONTINUES
-                pid, fd = spawned
-                child = _Child(
-                    pid=pid, fd=fd, index=pending.index, item=pending.item,
-                    deadline=(now + timeout) if timeout is not None else None,
-                )
-                sel.register(fd, selectors.EVENT_READ, child)
-                running[pid] = child
-                launched = True
-            for key_event, _mask in sel.select(timeout=0.05):
-                child = key_event.data
-                if child.pid not in running:
-                    continue
-                while True:
-                    try:
-                        data = os.read(child.fd, _CHUNK)
-                    except BlockingIOError:
-                        break
-                    if data:
-                        child.buf.extend(data)
-                        continue
-                    # EOF: the child exited (or crashed); settle it.
-                    running.pop(child.pid, None)
-                    exitcode = _reap(child)
-                    parsed = _parse(bytes(child.buf))
-                    if parsed is None:
-                        _failed(
-                            pendings[child.index],
-                            f"child died with exit code {exitcode} before "
-                            f"reporting a result",
-                        )
-                    else:
-                        ok, payload = parsed
-                        if ok:
-                            results[child.index] = payload
-                        else:
-                            _failed(pendings[child.index], str(payload))
-                    break
-            if timeout is not None:
-                now = time.monotonic()
-                for pid, child in list(running.items()):
-                    if child.deadline is not None and now >= child.deadline:
-                        running.pop(pid, None)
-                        try:
-                            os.kill(pid, signal.SIGKILL)
-                        except ProcessLookupError:
-                            pass
-                        _reap(child)
-                        _failed(pendings[child.index],
-                                f"timed out after {timeout:.1f}s")
-            if not launched and not running and waiting:
-                # Everything left is backing off; sleep to the nearest
-                # ready time instead of spinning.
-                delay = min(p.ready_at for p in waiting) - time.monotonic()
-                if delay > 0:
-                    time.sleep(min(delay, 0.5))
-    finally:
-        # A CONTINUE-protocol child unwinds through here too (it returned
-        # CHILD_CONTINUES inside the try): it must NOT run the parent's
-        # cleanup -- the inherited ``running`` map holds its *siblings*,
-        # which only the parent may kill and reap.
-        if not in_forked_child():
-            sel.close()
-            if running:
-                _kill_all()
-    return results
 
 
 # -- sweep divergences -------------------------------------------------------
@@ -396,9 +92,13 @@ def _execute_divergence(workload, ctx, config: RunConfig) -> RunSummary:
 def fork_map_runs(
     configs: Sequence[RunConfig],
     parallel: int = 1,
+    *,
+    journal=None,
+    resume: bool = False,
     timeout: Optional[float] = None,
     max_attempts: int = 3,
     backoff: float = 0.5,
+    stop_after: Optional[int] = None,
     allow_quarantine: bool = False,
 ) -> List[Optional[RunSummary]]:
     """:func:`~repro.harness.parallel.map_runs` over one shared prefix.
@@ -410,14 +110,17 @@ def fork_map_runs(
     child.  Event logs written by children are byte-identical to
     from-scratch runs of the same configuration.
 
-    Falls back to sequential re-simulation (identical results, no
-    copy-on-write) where :func:`fork_available` is False.
+    Falls back to :func:`~repro.harness.parallel.map_runs` (identical
+    results, no copy-on-write) where :func:`fork_available` is False.
     """
     configs = list(configs)
+    durable = dict(journal=journal, resume=resume, timeout=timeout,
+                   max_attempts=max_attempts, backoff=backoff,
+                   stop_after=stop_after, allow_quarantine=allow_quarantine)
     if not configs:
         return []
     if not fork_available():
-        return [execute_run_config(config) for config in configs]
+        return map_runs(configs, parallel, **durable)
     ref = configs[0]
     for config in configs[1:]:
         for field_name in _SHARED_PREFIX_FIELDS:
@@ -438,17 +141,10 @@ def fork_map_runs(
         **dict(ref.cluster_kwargs),
     )
     workload.prepare(ctx)
-    results = fork_map(
-        lambda config: _execute_divergence(workload, ctx, config),
-        configs,
-        parallel=parallel,
-        timeout=timeout,
-        max_attempts=max_attempts,
-        backoff=backoff,
-        allow_quarantine=allow_quarantine,
+    return supervise_runs(
+        configs, lambda config: _execute_divergence(workload, ctx, config),
+        in_process=False, parallel=parallel, **durable,
     )
-    assert results is not CHILD_CONTINUES  # sweep children never CONTINUE
-    return results
 
 
 # -- what-if planning --------------------------------------------------------
@@ -715,9 +411,9 @@ def run_whatif(
 
     def hook(ctx):
         _live_ctx[0] = ctx
-        outcome = fork_map(
-            _diverge,
+        outcome = supervise(
             alternatives,
+            _diverge,
             parallel=parallel,
             timeout=timeout,
             max_attempts=max_attempts,

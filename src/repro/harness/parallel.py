@@ -1,69 +1,38 @@
-"""Parallel execution of independent simulation runs.
+"""Independent simulation runs: their picklable description and fan-out.
 
 A sweep or comparison replays dozens of fully independent deterministic
-runs; on a multi-core host there is no reason to run them one after the
-other.  This module fans runs out over a :class:`~concurrent.futures.
-ProcessPoolExecutor` while keeping two properties the harness relies on:
+runs.  :func:`map_runs` hands them to the supervised-child executor
+(:func:`~repro.harness.supervise.supervise`), one forked child per run,
+and keeps three properties the harness relies on:
 
-* **Determinism.**  Each run is seeded and self-contained, and results are
-  returned in the order their configs were submitted (``Executor.map``
-  semantics), so a parallel sweep produces byte-for-byte the same report as
-  a sequential one.
+* **Determinism.**  Each run is seeded and self-contained, and results
+  come back in config order, so a parallel sweep produces byte-for-byte
+  the same report as a sequential one.
 * **Picklability.**  A :class:`RunConfig` is plain data (names, numbers,
   dicts) and a :class:`RunSummary` carries the full
   :class:`~repro.engine.metrics.RunRecorder` -- everything the figure
   pipeline reads -- but not the live simulator, whose generator-based
   processes cannot cross a process boundary.
+* **Durability.**  With a :class:`~repro.harness.journal.SweepJournal`
+  every finished run is journaled before the next one starts, ``resume``
+  skips journaled runs, and ``stop_after`` stops the sweep early.
 
-``parallel <= 1`` runs everything in-process (no pool, no pickling), which
-is also the fallback for the interactive default.
+Runs execute in-process (no fork, no pickling) exactly when
+``parallel <= 1`` and there is no ``timeout``; the retry and quarantine
+rules are the same either way.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time
-import warnings
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.engine.metrics import RunRecorder, StageRecord
-
-
-def resolve_parallel(parallel: Optional[int]) -> int:
-    """Normalise a ``--parallel`` value: ``0``/``None`` means all cores."""
-    if not parallel:
-        return os.cpu_count() or 1
-    if parallel < 0:
-        raise ValueError(f"parallel must be >= 0, got {parallel}")
-    return parallel
-
-
-def pool_context() -> multiprocessing.context.BaseContext:
-    """The multiprocessing context every harness pool uses: ``fork``.
-
-    Pinned explicitly rather than trusting the platform default: ``fork``
-    workers start in milliseconds from the parent's warm interpreter (no
-    re-import, no re-pickle of module state), which keeps parallel-sweep
-    startup consistent with the copy-on-write fork engine
-    (:mod:`repro.harness.fork`).  On platforms without the ``fork`` start
-    method (Windows; macOS deprecations notwithstanding, ``fork`` is still
-    registered there) we fall back to ``spawn`` with a warning -- runs stay
-    correct, worker startup just costs a fresh interpreter each.
-    """
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:
-        warnings.warn(
-            "multiprocessing 'fork' start method unavailable on this "
-            "platform; falling back to 'spawn' (slower worker startup)",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return multiprocessing.get_context("spawn")
+from repro.harness.supervise import (  # noqa: F401 - re-exported
+    QuarantinedConfigError,
+    resolve_parallel,
+    supervise,
+)
 
 
 @dataclass(frozen=True)
@@ -141,9 +110,9 @@ class _RecorderView:
 def build_run_tracer(config: RunConfig):
     """``(tracer, profiler)`` for one config's requested outputs (or Nones).
 
-    Shared by the pool worker entry point below and the fork engine's
-    children (:mod:`repro.harness.fork`), so a forked run writes exactly
-    the files a pooled run with the same config would.
+    Shared by :func:`execute_run_config` and the prefix-sharing children
+    of :mod:`repro.harness.fork`, so both write exactly the same files for
+    the same config.
     """
     from repro.observability.chrome import ChromeTraceSink
     from repro.observability.profiler import ProfilerSink
@@ -164,7 +133,7 @@ def build_run_tracer(config: RunConfig):
 
 
 def summarize_run(run, key: Any, profiler=None) -> RunSummary:
-    """The picklable summary of a finished run (pool and fork paths)."""
+    """The picklable summary of a finished run."""
     return RunSummary(
         workload=run.workload,
         key=key,
@@ -178,11 +147,10 @@ def summarize_run(run, key: Any, profiler=None) -> RunSummary:
 
 
 def execute_run_config(config: RunConfig) -> RunSummary:
-    """Run one config to completion; the pool's worker entry point.
+    """Run one config to completion; the child body of :func:`map_runs`.
 
-    Imports stay inside the function so a worker only pays for what the
-    run actually uses (and so this module stays import-light for the
-    parent process).
+    Imports stay inside the function so this module stays import-light;
+    before the first fork the parent imports them once for all children.
     """
     from repro.faults.plan import FaultPlan
     from repro.harness.runner import finish_trace, run_workload
@@ -205,23 +173,6 @@ def execute_run_config(config: RunConfig) -> RunSummary:
     if tracer is not None:
         finish_trace(run)
     return summarize_run(run, config.key, profiler)
-
-
-def map_runs(configs: List[RunConfig], parallel: int = 1) -> List[RunSummary]:
-    """Execute every config; results come back in submission order.
-
-    With ``parallel > 1`` the configs are spread over a process pool (capped
-    at the number of configs -- idle workers are pure fork overhead); with
-    ``parallel <= 1`` they run sequentially in-process, bit-identically to
-    the pool path because each run owns a private simulator either way.
-    """
-    configs = list(configs)
-    if parallel <= 1 or len(configs) <= 1:
-        return [execute_run_config(config) for config in configs]
-    workers = min(parallel, len(configs))
-    with ProcessPoolExecutor(max_workers=workers,
-                             mp_context=pool_context()) as pool:
-        return list(pool.map(execute_run_config, configs))
 
 
 # -- crash-safe execution ---------------------------------------------------------
@@ -267,42 +218,25 @@ class SweepInterrupted(RuntimeError):
         self.total = total
 
 
-class QuarantinedConfigError(RuntimeError):
-    """A config exhausted its retry budget (or was already quarantined)."""
+def _import_run_modules() -> None:
+    """Import what a run's child imports, once, in the parent.
 
-    def __init__(self, config: RunConfig, attempts: int, reason: str) -> None:
-        super().__init__(
-            f"config key={config.key!r} quarantined after {attempts} "
-            f"failed attempt(s): {reason}"
-        )
-        self.config = config
-        self.attempts = attempts
-        self.reason = reason
-
-
-def _durable_worker(index: int, config: RunConfig, queue) -> None:
-    """Worker entry point: always report back, success or failure."""
-    try:
-        summary = execute_run_config(config)
-    except BaseException as exc:  # a worker must never die silently
-        queue.put((index, False, f"{type(exc).__name__}: {exc}"))
-    else:
-        queue.put((index, True, summary))
+    Every forked child then shares those modules copy-on-write instead of
+    importing them again on its own.
+    """
+    import repro.faults.plan  # noqa: F401
+    import repro.harness.runner  # noqa: F401
+    import repro.observability.chrome  # noqa: F401
+    import repro.observability.profiler  # noqa: F401
+    import repro.observability.sinks  # noqa: F401
 
 
-class _Attempt:
-    """One config's position in the retry state machine."""
-
-    def __init__(self, index: int) -> None:
-        self.index = index
-        self.failures = 0
-        self.ready_at = 0.0  # wall-clock time the next attempt may start
-        self.last_reason = ""
-
-
-def map_runs_durable(
+def supervise_runs(
     configs: List[RunConfig],
-    parallel: int = 1,
+    child_fn: Callable[[RunConfig], RunSummary],
+    *,
+    in_process: bool,
+    parallel: int,
     journal=None,
     resume: bool = False,
     timeout: Optional[float] = None,
@@ -311,188 +245,102 @@ def map_runs_durable(
     stop_after: Optional[int] = None,
     allow_quarantine: bool = False,
 ) -> List[Optional[RunSummary]]:
-    """:func:`map_runs` with a crash-safe journal around every point.
-
-    * Each finished run is journaled atomically before the next one starts,
-      so a killed sweep loses at most the points in flight.
-    * With ``resume=True``, configs whose fingerprint is already journaled
-      are **not** re-run; their summaries are rebuilt from the journal and
-      the aggregate output is byte-identical to an uninterrupted run.
-    * ``timeout`` arms a per-run watchdog: a worker that exceeds it is
-      killed and counted as a failure.
-    * Failures (crash or timeout) are retried with bounded exponential
-      backoff (``backoff * 2**(failures-1)`` seconds, up to
-      ``max_attempts`` attempts); a config that keeps failing is
-      quarantined in the journal and raises :class:`QuarantinedConfigError`
-      unless ``allow_quarantine`` is set, in which case its slot in the
-      result list is ``None``.
-    * ``stop_after`` ends the sweep after that many *new* completions by
-      raising :class:`SweepInterrupted` (the CI resume smoke test's hook
-      for "kill the sweep mid-flight").
-
-    Results come back in config order.  The watchdog needs real worker
-    processes, so ``timeout`` requires ``parallel >= 1`` workers even for a
-    sequential sweep; without a timeout and with ``parallel <= 1``
-    everything runs in-process exactly like :func:`map_runs`.
-    """
-    from repro.harness.journal import config_fingerprint
-
-    configs = list(configs)
-    if max_attempts < 1:
-        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    fingerprints = [config_fingerprint(config) for config in configs]
+    """Run ``child_fn`` over ``configs`` under :func:`supervise`, with a
+    crash-safe journal around every run; see :func:`map_runs`.  Shared with
+    the prefix-sharing sweeps of :mod:`repro.harness.fork`."""
     results: List[Optional[RunSummary]] = [None] * len(configs)
-    pending: List[int] = []
-    for index, fingerprint in enumerate(fingerprints):
-        # Explicit None checks: the journal's __len__ counts successful
-        # runs, so an empty-but-present journal is falsy.
-        journaled = (journal.get_run(fingerprint)
-                     if journal is not None else None)
-        if resume and journaled is not None:
-            results[index] = summary_from_doc(journaled)
-            continue
-        quarantined = (journal.get_quarantine(fingerprint)
-                       if journal is not None else None)
-        if resume and quarantined is not None:
-            if not allow_quarantine:
-                raise QuarantinedConfigError(
-                    configs[index], quarantined.get("attempts", 0),
-                    quarantined.get("reason", "quarantined"),
-                )
-            continue
-        pending.append(index)
+    pending = list(range(len(configs)))
+    fingerprints: List[str] = []
+    if journal is not None:
+        from repro.harness.journal import config_fingerprint
+
+        fingerprints = [config_fingerprint(config) for config in configs]
+        pending = []
+        for index, fingerprint in enumerate(fingerprints):
+            journaled = journal.get_run(fingerprint)
+            if resume and journaled is not None:
+                results[index] = summary_from_doc(journaled)
+                continue
+            quarantined = journal.get_quarantine(fingerprint)
+            if resume and quarantined is not None:
+                if not allow_quarantine:
+                    raise QuarantinedConfigError(
+                        configs[index], quarantined.get("attempts", 0),
+                        quarantined.get("reason", "quarantined"),
+                    )
+                continue
+            pending.append(index)
 
     completed_new = 0
 
-    def _record(index: int, summary: RunSummary) -> None:
+    def on_result(slot: int, summary: RunSummary) -> None:
         nonlocal completed_new
-        results[index] = summary
         if journal is not None:
-            journal.record_run(fingerprints[index], summary_to_doc(summary))
+            journal.record_run(fingerprints[pending[slot]],
+                               summary_to_doc(summary))
         completed_new += 1
         if stop_after is not None and completed_new >= stop_after:
             raise SweepInterrupted(completed_new, len(configs))
 
-    def _quarantine(index: int, attempts: int, reason: str) -> None:
-        if journal is not None:
-            journal.record_quarantine(fingerprints[index], attempts, reason)
-        if not allow_quarantine:
-            raise QuarantinedConfigError(configs[index], attempts, reason)
+    def on_quarantine(slot: int, attempts: int, reason: str) -> None:
+        journal.record_quarantine(fingerprints[pending[slot]], attempts,
+                                  reason)
 
-    if timeout is None and parallel <= 1:
-        # In-process fast path: same execution as map_runs/sequential
-        # sweeps, so resumed aggregates can be compared byte for byte.
-        for index in pending:
-            failures = 0
-            while True:
-                try:
-                    summary = execute_run_config(configs[index])
-                except SweepInterrupted:
-                    raise
-                except Exception as exc:
-                    failures += 1
-                    reason = f"{type(exc).__name__}: {exc}"
-                    if failures >= max_attempts:
-                        _quarantine(index, failures, reason)
-                        break
-                    time.sleep(min(backoff * (2.0 ** (failures - 1)), 30.0))
-                else:
-                    _record(index, summary)
-                    break
-        return results
-
-    _run_worker_pool(
-        configs, pending, max(1, parallel), timeout, max_attempts, backoff,
-        _record, _quarantine,
+    if not in_process:
+        _import_run_modules()
+    summaries = supervise(
+        [configs[index] for index in pending],
+        child_fn,
+        parallel=parallel,
+        timeout=timeout,
+        max_attempts=max_attempts,
+        backoff=backoff,
+        allow_quarantine=allow_quarantine,
+        on_result=on_result,
+        on_quarantine=on_quarantine if journal is not None else None,
+        in_process=in_process,
     )
+    for index, summary in zip(pending, summaries):
+        results[index] = summary
     return results
 
 
-def _run_worker_pool(configs, pending, parallel, timeout, max_attempts,
-                     backoff, record, quarantine) -> None:
-    """Watchdogged worker-process pool with retry/backoff scheduling."""
-    mp = pool_context()
-    queue: Any = mp.Queue()
-    waiting = deque(_Attempt(index) for index in pending)
-    running: Dict[int, tuple] = {}  # index -> (process, deadline, attempt)
-    resolved: set = set()
+def map_runs(
+    configs: List[RunConfig],
+    parallel: int = 1,
+    *,
+    journal=None,
+    resume: bool = False,
+    timeout: Optional[float] = None,
+    max_attempts: int = 3,
+    backoff: float = 0.5,
+    stop_after: Optional[int] = None,
+    allow_quarantine: bool = False,
+) -> List[Optional[RunSummary]]:
+    """Execute every config; results come back in config order.
 
-    def _drain() -> List[tuple]:
-        messages = []
-        while True:
-            try:
-                messages.append(queue.get_nowait())
-            except Exception:
-                return messages
-
-    def _handle(messages: List[tuple]) -> None:
-        for index, ok, payload in messages:
-            entry = running.pop(index, None)
-            if entry is None or index in resolved:
-                continue  # stale result from a worker we already killed
-            process, _deadline, attempt = entry
-            process.join()
-            if ok:
-                resolved.add(index)
-                record(index, payload)
-            else:
-                _failed(attempt, str(payload))
-
-    def _failed(attempt: _Attempt, reason: str) -> None:
-        attempt.failures += 1
-        attempt.last_reason = reason
-        if attempt.failures >= max_attempts:
-            resolved.add(attempt.index)
-            quarantine(attempt.index, attempt.failures, reason)
-            return
-        delay = min(backoff * (2.0 ** (attempt.failures - 1)), 30.0)
-        attempt.ready_at = time.monotonic() + delay
-        waiting.append(attempt)
-
-    try:
-        while waiting or running:
-            _handle(_drain())
-            now = time.monotonic()
-            for index, (process, deadline, attempt) in list(running.items()):
-                if index in resolved or index not in running:
-                    continue
-                if deadline is not None and now >= deadline:
-                    process.kill()
-                    process.join()
-                    running.pop(index, None)
-                    _failed(attempt, f"timed out after {timeout:.1f}s")
-                elif process.exitcode is not None:
-                    # Dead without (yet) a result: give the queue's feeder
-                    # thread one more chance to deliver before declaring a
-                    # crash.
-                    _handle(_drain())
-                    if index in running and index not in resolved:
-                        running.pop(index, None)
-                        _failed(
-                            attempt,
-                            f"worker died with exit code {process.exitcode}",
-                        )
-            now = time.monotonic()
-            launched = False
-            for _ in range(len(waiting)):
-                if len(running) >= parallel:
-                    break
-                attempt = waiting.popleft()
-                if attempt.ready_at > now:
-                    waiting.append(attempt)  # still backing off; rotate
-                    continue
-                process = mp.Process(
-                    target=_durable_worker,
-                    args=(attempt.index, configs[attempt.index], queue),
-                )
-                process.start()
-                deadline = now + timeout if timeout is not None else None
-                running[attempt.index] = (process, deadline, attempt)
-                launched = True
-            if (waiting or running) and not launched:
-                time.sleep(0.01)
-    finally:
-        for process, _deadline, _attempt in running.values():
-            if process.is_alive():
-                process.kill()
-            process.join()
+    * With ``parallel > 1`` or a ``timeout`` each run gets its own forked
+      child, at most ``parallel`` at once; otherwise runs execute
+      in-process, bit-identically, because each run owns a private
+      simulator either way.
+    * A run that fails (raises, dies, or outlives ``timeout``) is retried
+      with exponential backoff from ``backoff`` seconds, up to
+      ``max_attempts`` attempts; then it is quarantined in the journal and
+      raises :class:`QuarantinedConfigError`, or, with
+      ``allow_quarantine``, leaves ``None`` in its slot.
+    * With a ``journal`` each finished run is journaled atomically, so a
+      killed sweep loses at most the runs in flight; ``resume=True``
+      rebuilds journaled runs instead of re-running them, and the
+      aggregate is byte-identical to an uninterrupted sweep.
+    * ``stop_after`` raises :class:`SweepInterrupted` after that many
+      *new* completions (the CI resume smoke test's "kill the sweep
+      mid-flight").
+    """
+    configs = list(configs)
+    return supervise_runs(
+        configs, execute_run_config,
+        in_process=parallel <= 1 and timeout is None,
+        parallel=parallel, journal=journal, resume=resume, timeout=timeout,
+        max_attempts=max_attempts, backoff=backoff, stop_after=stop_after,
+        allow_quarantine=allow_quarantine,
+    )

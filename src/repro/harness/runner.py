@@ -176,20 +176,21 @@ def static_sweep(
     ``tracer_factory(threads)`` may supply a fresh tracer per run; each one
     is finalised (metrics event + close) before the next run starts.
 
-    With ``parallel > 1`` the (independent, seeded) points run in worker
-    processes and the mapping's values are picklable
-    :class:`~repro.harness.parallel.RunSummary` objects instead of live
-    :class:`~repro.workloads.WorkloadRun`\\ s -- same runtimes, same stage
-    records, no simulator.  Event/trace outputs then come from
-    ``events_path_factory(threads)`` / ``trace_path_factory(threads)``
-    (in-process ``tracer_factory`` objects cannot cross the pool boundary).
+    With ``parallel > 1`` the (independent, seeded) points run in forked
+    children (:func:`repro.harness.parallel.map_runs`) and the mapping's
+    values are picklable :class:`~repro.harness.parallel.RunSummary`
+    objects instead of live :class:`~repro.workloads.WorkloadRun`\\ s --
+    same runtimes, same stage records, no simulator.  Event/trace outputs
+    then come from ``events_path_factory(threads)`` /
+    ``trace_path_factory(threads)`` (in-process ``tracer_factory`` objects
+    cannot cross the process boundary).
 
     With ``fork=True`` the sweep instead runs on the copy-on-write fork
     engine (:func:`repro.harness.fork.fork_map_runs`): the shared prefix
     -- cluster build, context wiring, dataset registration -- is simulated
     once and each thread count continues in a forked child, at most
-    ``parallel`` at a time.  Results are the same picklable summaries the
-    pool path returns, byte-identical to from-scratch runs.  Falls back to
+    ``parallel`` at a time.  Results are the same picklable summaries,
+    byte-identical to from-scratch runs.  Falls back to
     sequential re-simulation where ``os.fork`` is unavailable.
     """
     if parallel > 1 or fork:

@@ -14,7 +14,7 @@ from repro.harness.parallel import (
     RunConfig,
     RunSummary,
     SweepInterrupted,
-    map_runs_durable,
+    map_runs,
     summary_to_doc,
 )
 
@@ -44,7 +44,7 @@ class TestInProcessPath:
         monkeypatch.setattr(parallel_mod, "execute_run_config",
                             _fake_summary)
         configs = _configs()
-        durable = map_runs_durable(configs)
+        durable = map_runs(configs)
         assert [summary_to_doc(s) for s in durable] == [
             summary_to_doc(_fake_summary(c)) for c in configs
         ]
@@ -56,7 +56,7 @@ class TestInProcessPath:
         configs = _configs()
         journal = SweepJournal(str(tmp_path / "sweep.journal"))
         with pytest.raises(SweepInterrupted) as info:
-            map_runs_durable(configs, journal=journal, stop_after=2)
+            map_runs(configs, journal=journal, stop_after=2)
         assert info.value.completed == 2
         assert "--resume" in str(info.value)
         assert len(SweepJournal(journal.path)) == 2
@@ -73,12 +73,12 @@ class TestInProcessPath:
         configs = _configs()
         path = str(tmp_path / "sweep.journal")
         with pytest.raises(SweepInterrupted):
-            map_runs_durable(configs, journal=SweepJournal(path),
-                             stop_after=2)
+            map_runs(configs, journal=SweepJournal(path),
+                     stop_after=2)
         assert calls == [configs[0].key, configs[1].key]
 
-        resumed = map_runs_durable(configs, journal=SweepJournal(path),
-                                   resume=True)
+        resumed = map_runs(configs, journal=SweepJournal(path),
+                           resume=True)
         assert calls[2:] == [configs[2].key]  # only the missing point ran
         uninterrupted = [_fake_summary(c) for c in configs]
         assert ([summary_to_doc(s) for s in resumed]
@@ -94,7 +94,7 @@ class TestInProcessPath:
             return _fake_summary(config)
 
         monkeypatch.setattr(parallel_mod, "execute_run_config", flaky)
-        [summary] = map_runs_durable(_configs(1), backoff=0.0)
+        [summary] = map_runs(_configs(1), backoff=0.0)
         assert summary.key == 1
         assert len(attempts) == 2
 
@@ -105,8 +105,8 @@ class TestInProcessPath:
         monkeypatch.setattr(parallel_mod, "execute_run_config", broken)
         journal = SweepJournal(str(tmp_path / "sweep.journal"))
         with pytest.raises(QuarantinedConfigError) as info:
-            map_runs_durable(_configs(1), journal=journal, max_attempts=2,
-                             backoff=0.0)
+            map_runs(_configs(1), journal=journal, max_attempts=2,
+                     backoff=0.0)
         assert info.value.attempts == 2
         assert "always broken" in info.value.reason
         entry = journal.get_quarantine(config_fingerprint(_configs(1)[0]))
@@ -117,8 +117,8 @@ class TestInProcessPath:
             raise RuntimeError("nope")
 
         monkeypatch.setattr(parallel_mod, "execute_run_config", broken)
-        results = map_runs_durable(_configs(2), max_attempts=1, backoff=0.0,
-                                   allow_quarantine=True)
+        results = map_runs(_configs(2), max_attempts=1, backoff=0.0,
+                           allow_quarantine=True)
         assert results == [None, None]
 
     def test_resume_refuses_quarantined_config(self, tmp_path):
@@ -127,14 +127,14 @@ class TestInProcessPath:
         journal.record_quarantine(config_fingerprint(configs[0]),
                                   attempts=3, reason="kept hanging")
         with pytest.raises(QuarantinedConfigError):
-            map_runs_durable(configs, journal=journal, resume=True)
-        results = map_runs_durable(configs, journal=journal, resume=True,
-                                   allow_quarantine=True)
+            map_runs(configs, journal=journal, resume=True)
+        results = map_runs(configs, journal=journal, resume=True,
+                           allow_quarantine=True)
         assert results == [None]
 
     def test_max_attempts_must_be_positive(self):
         with pytest.raises(ValueError):
-            map_runs_durable(_configs(1), max_attempts=0)
+            map_runs(_configs(1), max_attempts=0)
 
 
 @fork_only
@@ -152,7 +152,7 @@ class TestWorkerPool:
             return _fake_summary(config)
 
         monkeypatch.setattr(parallel_mod, "execute_run_config", crash_once)
-        [summary] = map_runs_durable(_configs(1), parallel=2, backoff=0.0)
+        [summary] = map_runs(_configs(1), parallel=2, backoff=0.0)
         assert summary.key == 1
         assert flag.exists()
 
@@ -167,8 +167,8 @@ class TestWorkerPool:
 
         monkeypatch.setattr(parallel_mod, "execute_run_config", hang_once)
         start = time.monotonic()
-        [summary] = map_runs_durable(_configs(1), parallel=1, timeout=1.0,
-                                     backoff=0.0)
+        [summary] = map_runs(_configs(1), parallel=1, timeout=1.0,
+                             backoff=0.0)
         assert summary.key == 1
         assert time.monotonic() - start < 30.0  # watchdog fired, not sleep
 
@@ -180,13 +180,13 @@ class TestWorkerPool:
                             always_crash)
         journal = SweepJournal(str(tmp_path / "sweep.journal"))
         with pytest.raises(QuarantinedConfigError) as info:
-            map_runs_durable(_configs(1), parallel=2, journal=journal,
-                             max_attempts=2, backoff=0.0)
+            map_runs(_configs(1), parallel=2, journal=journal,
+                     max_attempts=2, backoff=0.0)
         assert "exit code 7" in info.value.reason
 
     def test_pool_results_identical_to_in_process(self):
         configs = _configs(2)
-        pooled = map_runs_durable(configs, parallel=2)
-        sequential = map_runs_durable(configs)
+        pooled = map_runs(configs, parallel=2)
+        sequential = map_runs(configs)
         assert ([summary_to_doc(s) for s in pooled]
                 == [summary_to_doc(s) for s in sequential])

@@ -19,7 +19,6 @@ from repro.harness.fork import (
     AlternativeError,
     ForkBarrierNotReached,
     fork_available,
-    fork_map,
     fork_map_runs,
     parse_alternative,
     run_whatif,
@@ -29,6 +28,7 @@ from repro.harness.parallel import (
     RunConfig,
     map_runs,
 )
+from repro.harness.supervise import supervise
 from repro.simulation.randomness import RandomStreams
 
 needs_fork = pytest.mark.skipif(not fork_available(),
@@ -47,19 +47,19 @@ class _Item:
 class TestForkMap:
     def test_results_in_item_order(self):
         items = [_Item(i) for i in range(5)]
-        results = fork_map(lambda item: item.key * 10, items)
+        results = supervise(items, lambda item: item.key * 10)
         assert results == [0, 10, 20, 30, 40]
 
     def test_parallel_children(self):
         items = [_Item(i) for i in range(4)]
-        results = fork_map(lambda item: item.key + 1, items, parallel=4)
+        results = supervise(items, lambda item: item.key + 1, parallel=4)
         assert results == [1, 2, 3, 4]
 
     def test_large_payload_crosses_pipe(self):
         # Bigger than any pipe buffer: exercises the concurrent-drain
         # parent loop (a naive read-after-wait would deadlock here).
         blob = "x" * (4 << 20)
-        [result] = fork_map(lambda item: blob, [_Item("big")])
+        [result] = supervise([_Item("big")], lambda item: blob)
         assert result == blob
 
     def test_crashing_child_quarantined(self):
@@ -67,7 +67,7 @@ class TestForkMap:
             raise RuntimeError("boom")
 
         with pytest.raises(QuarantinedConfigError, match="boom"):
-            fork_map(child, [_Item("bad")], max_attempts=2, backoff=0.01)
+            supervise([_Item("bad")], child, max_attempts=2, backoff=0.01)
 
     def test_allow_quarantine_yields_none_slot(self):
         def child(item):
@@ -75,9 +75,9 @@ class TestForkMap:
                 raise RuntimeError("boom")
             return item.key
 
-        results = fork_map(child, [_Item(0), _Item(1), _Item(2)],
-                           max_attempts=2, backoff=0.01,
-                           allow_quarantine=True)
+        results = supervise([_Item(0), _Item(1), _Item(2)], child,
+                            max_attempts=2, backoff=0.01,
+                            allow_quarantine=True)
         assert results == [0, None, 2]
 
     def test_silent_death_counts_as_failure(self):
@@ -85,7 +85,7 @@ class TestForkMap:
             os._exit(3)  # dies without reporting a result
 
         with pytest.raises(QuarantinedConfigError, match="exit code 3"):
-            fork_map(child, [_Item("dead")], max_attempts=2, backoff=0.01)
+            supervise([_Item("dead")], child, max_attempts=2, backoff=0.01)
 
     def test_hung_child_killed_by_watchdog(self):
         import time
@@ -93,8 +93,8 @@ class TestForkMap:
         def child(item):
             time.sleep(60)
 
-        [result] = fork_map(child, [_Item("hung")], timeout=0.2,
-                            max_attempts=1, allow_quarantine=True)
+        [result] = supervise([_Item("hung")], child, timeout=0.2,
+                             max_attempts=1, allow_quarantine=True)
         assert result is None
 
     def test_retry_succeeds_after_transient_crash(self, tmp_path):
@@ -108,8 +108,8 @@ class TestForkMap:
                 raise RuntimeError("transient")
             return "recovered"
 
-        [result] = fork_map(child, [_Item("flaky")], max_attempts=3,
-                            backoff=0.01)
+        [result] = supervise([_Item("flaky")], child, max_attempts=3,
+                             backoff=0.01)
         assert result == "recovered"
 
 

@@ -171,32 +171,3 @@ class TestStaticSweepParallel:
                 parallel=2,
             )
 
-
-class TestPoolContext:
-    def test_fork_pinned_where_available(self):
-        import multiprocessing
-
-        from repro.harness.parallel import pool_context
-
-        context = pool_context()
-        if "fork" in multiprocessing.get_all_start_methods():
-            assert context.get_start_method() == "fork"
-        else:
-            assert context.get_start_method() == "spawn"
-
-    def test_spawn_fallback_warns(self, monkeypatch):
-        import multiprocessing
-
-        from repro.harness import parallel
-
-        real_get_context = multiprocessing.get_context
-
-        def no_fork(method=None):
-            if method == "fork":
-                raise ValueError("cannot find context for 'fork'")
-            return real_get_context(method)
-
-        monkeypatch.setattr(parallel.multiprocessing, "get_context", no_fork)
-        with pytest.warns(RuntimeWarning, match="falling back to 'spawn'"):
-            context = parallel.pool_context()
-        assert context.get_start_method() == "spawn"

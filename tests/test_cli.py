@@ -118,6 +118,14 @@ class TestJsonMode:
         # Round trip: serialising again yields the same document.
         assert json.loads(json.dumps(doc)) == doc
 
+    def test_run_fork_json_matches_in_process(self, capsys):
+        argv = ["run", "wordcount", "--scale", "0.02", "--nodes", "2",
+                "--json"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--fork"]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_sweep_json(self, capsys):
         code = main(["sweep", "wordcount", "--scale", "0.02", "--nodes", "2",
                      "--cores", "4", "--json"])
@@ -281,6 +289,17 @@ class TestBadInputs:
     def test_cores_zero_rejected_by_parser(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sweep", "wordcount", "--cores", "0"])
+
+    @pytest.mark.parametrize("flag", [
+        ["--max-attempts", "0"], ["--max-attempts", "-1"],
+        ["--run-timeout", "0"], ["--run-timeout", "-1"],
+    ])
+    def test_sweep_retry_flags_rejected_by_parser(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "wordcount", "--scale", "0.02", "--nodes", "2",
+                  *flag])
+        assert info.value.code == 2
+        assert f"argument {flag[0]}: must be" in capsys.readouterr().err
 
     def test_unwritable_events_path_errors_cleanly(self, capsys):
         code = main(["run", "wordcount", "--scale", "0.02", "--nodes", "2",
