@@ -13,37 +13,38 @@ structure):
   stage's choice) is what addresses limitation L1.
 """
 
+from repro.harness.experiments import fig2_static_sweep, run_configs
+from repro.harness.parallel import RunConfig
 from repro.harness.report import render_table, write_result
-from repro.harness.runner import run_workload
 
 from conftest import BENCH_SCALE
 
-WORKLOAD_KW = {"scale": BENCH_SCALE}
+
+def dynamic_runs(option, values):
+    """Terasort under the dynamic policy at each value of one option."""
+    runs = run_configs([
+        RunConfig("terasort", policy=("dynamic", {option: value}),
+                  workload_kwargs={"scale": BENCH_SCALE})
+        for value in values
+    ])
+    return dict(zip(values, runs))
 
 
-def test_ablation_tolerance(benchmark, sweep_cache):
+def default_total():
+    return fig2_static_sweep("terasort", scale=BENCH_SCALE)["runs"][32]["total"]
+
+
+def test_ablation_tolerance():
     """Strict rollback (tol=1.0) under-provisions; huge tolerance ignores
     contention; the shipped 2.0 recovers the stage optima."""
-
-    def build():
-        results = {}
-        for tolerance in (1.0, 2.0, 8.0):
-            run = run_workload(
-                "terasort",
-                policy=("dynamic", {"tolerance": tolerance}),
-                workload_kwargs=WORKLOAD_KW,
-            )
-            results[tolerance] = run
-        return results
-
-    results = benchmark.pedantic(build, rounds=1, iterations=1)
-    default_total = sweep_cache("terasort")["runs"][32]["total"]
+    results = dynamic_runs("tolerance", (1.0, 2.0, 8.0))
+    default = default_total()
     rows = []
     for tolerance, run in sorted(results.items()):
         sizes = [sorted(s.final_pool_sizes().values()) for s in run.stages]
         rows.append(
             (tolerance, run.runtime,
-             f"-{(1 - run.runtime / default_total) * 100:.1f}%", str(sizes))
+             f"-{(1 - run.runtime / default) * 100:.1f}%", str(sizes))
         )
     write_result(
         "ablation_tolerance",
@@ -70,24 +71,13 @@ def test_ablation_tolerance(benchmark, sweep_cache):
     assert loose_stage1 == 32
 
 
-def test_ablation_cmin(benchmark, sweep_cache):
+def test_ablation_cmin():
     """Starting the climb higher skips exploration but risks starting past
     the optimum; cmin=2 (the paper's choice) stays near the best."""
-
-    def build():
-        return {
-            cmin: run_workload(
-                "terasort",
-                policy=("dynamic", {"cmin": cmin}),
-                workload_kwargs=WORKLOAD_KW,
-            )
-            for cmin in (2, 8, 32)
-        }
-
-    results = benchmark.pedantic(build, rounds=1, iterations=1)
-    default_total = sweep_cache("terasort")["runs"][32]["total"]
+    results = dynamic_runs("cmin", (2, 8, 32))
+    default = default_total()
     rows = [
-        (cmin, run.runtime, f"-{(1 - run.runtime / default_total) * 100:.1f}%")
+        (cmin, run.runtime, f"-{(1 - run.runtime / default) * 100:.1f}%")
         for cmin, run in sorted(results.items())
     ]
     write_result(
@@ -109,23 +99,16 @@ def test_ablation_cmin(benchmark, sweep_cache):
     assert results[8].runtime <= results[2].runtime * 1.25
 
 
-def test_ablation_per_stage_adaptation(benchmark, sweep_cache):
+def test_ablation_per_stage_adaptation():
     """Freezing the first stage's choice for the whole job (what a
     single-knob tuner would do) forfeits part of the win: stage optima
     differ (limitation L1)."""
-
-    def build():
-        sweep = sweep_cache("terasort")
-        # The best single uniform setting, applied to every stage:
-        runs = sweep["runs"]
-        best_uniform = min(runs, key=lambda t: runs[t]["total"])
-        uniform_total = runs[best_uniform]["total"]
-        per_stage_total = sweep["bestfit"]["total"]
-        return best_uniform, uniform_total, per_stage_total
-
-    best_uniform, uniform_total, per_stage_total = benchmark.pedantic(
-        build, rounds=1, iterations=1
-    )
+    sweep = fig2_static_sweep("terasort", scale=BENCH_SCALE)
+    # The best single uniform setting, applied to every stage:
+    runs = sweep["runs"]
+    best_uniform = min(runs, key=lambda t: runs[t]["total"])
+    uniform_total = runs[best_uniform]["total"]
+    per_stage_total = sweep["bestfit"]["total"]
     write_result(
         "ablation_per_stage",
         render_table(

@@ -10,14 +10,10 @@ reproduction reproduces for the right reason.
 
 import dataclasses
 
-import pytest
-
-from repro.cluster import Cluster, ClusterSpec, NodeSpec
-from repro.engine import SparkConf, SparkContext
-from repro.engine.policy import FixedPolicy
+from repro.harness.experiments import run_configs
+from repro.harness.parallel import RunConfig
 from repro.harness.report import render_table, write_result
 from repro.storage.device import HDD_PROFILE
-from repro.workloads import Terasort
 
 from conftest import BENCH_SCALE
 
@@ -27,37 +23,34 @@ THREADS = (32, 8, 2)
 SUBSTRATE_SCALE = max(0.25, BENCH_SCALE * 0.25)
 
 
-def run_terasort(profile, threads, chunk_bytes=None):
-    conf = SparkConf()
-    if chunk_bytes is not None:
-        conf.set("repro.task.chunk.bytes", chunk_bytes)
-    spec = ClusterSpec(num_nodes=4, disk_sigma=0.0, cpu_sigma=0.0,
-                       node=NodeSpec(disk_profile=profile))
-    ctx = SparkContext(Cluster(spec), conf=conf,
-                       policy_factory=lambda ex: FixedPolicy(threads))
-    return Terasort(scale=SUBSTRATE_SCALE).run(ctx)
+def run_terasort(profile, threads=THREADS, chunk_bytes=None):
+    """Fixed-policy Terasort on 4 identical nodes with disk ``profile``,
+    one run per thread count."""
+    conf = {} if chunk_bytes is None else {"repro.task.chunk.bytes": chunk_bytes}
+    runs = run_configs([
+        RunConfig("terasort", policy=("fixed", t),
+                  workload_kwargs={"scale": SUBSTRATE_SCALE},
+                  conf_overrides=conf, cluster_kwargs={"device": profile})
+        for t in threads
+    ])
+    return dict(zip(threads, runs))
 
 
 def stage0(run):
     return run.stages[0].duration
 
 
-def test_ablation_no_access_latency(benchmark):
+def test_ablation_no_access_latency():
     """Per-request latency is one of the two low-thread-count penalties
     (the other being CPU interleaving): removing it must measurably shrink
     the gap between 2 and 8 threads on the read stage."""
-
-    def build():
-        zero_latency = dataclasses.replace(
-            HDD_PROFILE, read_latency=0.0, write_latency=0.0
-        )
-        return (
-            {t: stage0(run_terasort(HDD_PROFILE, t)) for t in THREADS},
-            {t: stage0(run_terasort(zero_latency, t)) for t in THREADS},
-        )
-
-    with_latency, without_latency = benchmark.pedantic(build, rounds=1,
-                                                       iterations=1)
+    zero_latency = dataclasses.replace(
+        HDD_PROFILE, read_latency=0.0, write_latency=0.0
+    )
+    with_latency, without_latency = (
+        {t: stage0(run) for t, run in run_terasort(profile).items()}
+        for profile in (HDD_PROFILE, zero_latency)
+    )
     write_result(
         "ablation_access_latency",
         render_table(
@@ -76,21 +69,16 @@ def test_ablation_no_access_latency(benchmark):
     assert without_latency[2] < with_latency[2]
 
 
-def test_ablation_no_efficiency_decay(benchmark):
+def test_ablation_no_efficiency_decay():
     """Without the seek-thrash decay, more threads never hurt: the default
     (32) matches or beats 8, eliminating the paper's headline effect."""
-
-    def build():
-        no_decay = dataclasses.replace(
-            HDD_PROFILE, read_alpha=0.0, write_alpha=0.0, min_efficiency=1.0
-        )
-        return (
-            {t: run_terasort(HDD_PROFILE, t).runtime for t in THREADS},
-            {t: run_terasort(no_decay, t).runtime for t in THREADS},
-        )
-
-    with_decay, without_decay = benchmark.pedantic(build, rounds=1,
-                                                   iterations=1)
+    no_decay = dataclasses.replace(
+        HDD_PROFILE, read_alpha=0.0, write_alpha=0.0, min_efficiency=1.0
+    )
+    with_decay, without_decay = (
+        {t: run.runtime for t, run in run_terasort(profile).items()}
+        for profile in (HDD_PROFILE, no_decay)
+    )
     write_result(
         "ablation_efficiency_decay",
         render_table(
@@ -105,22 +93,19 @@ def test_ablation_no_efficiency_decay(benchmark):
     assert without_decay[32] <= min(without_decay.values()) * 1.02
 
 
-def test_ablation_chunk_granularity(benchmark):
+def test_ablation_chunk_granularity():
     """Coarse chunks serialise each task's I/O and CPU into long exclusive
     phases; the thread-count response must survive granularity changes
     (it is a property of the device, not of the chunking)."""
-
-    def build():
-        results = {}
-        for chunk_mb in (4, 8, 32):
-            results[chunk_mb] = {
-                t: run_terasort(HDD_PROFILE, t,
-                                chunk_bytes=chunk_mb * 1024 * 1024).runtime
-                for t in (32, 8)
-            }
-        return results
-
-    results = benchmark.pedantic(build, rounds=1, iterations=1)
+    results = {
+        chunk_mb: {
+            t: run.runtime
+            for t, run in run_terasort(
+                HDD_PROFILE, (32, 8), chunk_bytes=chunk_mb * 1024 * 1024
+            ).items()
+        }
+        for chunk_mb in (4, 8, 32)
+    }
     write_result(
         "ablation_chunk_granularity",
         render_table(

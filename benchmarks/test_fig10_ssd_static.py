@@ -1,6 +1,9 @@
 """Fig. 10: the static solution on HDD vs SSD (Terasort)."""
 
+from repro.harness.experiments import fig2_static_sweep
 from repro.harness.report import render_table, write_result
+
+from conftest import BENCH_SCALE
 
 
 def _render(result, label):
@@ -19,11 +22,9 @@ def _render(result, label):
     )
 
 
-def test_fig10_hdd_vs_ssd(benchmark, sweep_cache):
-    def build():
-        return sweep_cache("terasort", "hdd"), sweep_cache("terasort", "ssd")
-
-    hdd, ssd = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig10_hdd_vs_ssd():
+    hdd, ssd = (fig2_static_sweep("terasort", scale=BENCH_SCALE, device=device)
+                for device in ("hdd", "ssd"))
     write_result("fig10a_hdd", _render(hdd, "HDD"))
     write_result("fig10b_ssd", _render(ssd, "SSD"))
 

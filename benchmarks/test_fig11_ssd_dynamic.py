@@ -3,14 +3,11 @@
 from repro.harness.experiments import fig8_end_to_end
 from repro.harness.report import render_table, write_result
 
+from conftest import BENCH_SCALE
 
-def test_fig11_ssd_dynamic(benchmark, sweep_cache):
-    def build():
-        return fig8_end_to_end(
-            "terasort", device="ssd", sweep_result=sweep_cache("terasort", "ssd")
-        )
 
-    result = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig11_ssd_dynamic():
+    result = fig8_end_to_end("terasort", scale=BENCH_SCALE, device="ssd")
     rows = []
     for system in ("default", "static_bestfit", "dynamic"):
         summary = result[system]

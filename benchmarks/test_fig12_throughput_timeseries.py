@@ -1,36 +1,18 @@
 """Fig. 12: I/O throughput over time per thread count, HDD vs SSD."""
 
+from repro.harness.experiments import (
+    THREAD_COUNTS,
+    fig12_throughput_timeseries,
+)
 from repro.harness.report import render_series, write_result
-from repro.monitoring.iostat import throughput_timeseries
+
+from conftest import BENCH_SCALE
 
 MiB = 1024.0**2
-THREAD_COUNTS = (32, 16, 8, 4, 2)
 
 
-def test_fig12_throughput_timeseries(benchmark, fixed_run_cache):
-    def build():
-        rows = []
-        for device in ("hdd", "ssd"):
-            for threads in THREAD_COUNTS:
-                run = fixed_run_cache("terasort", threads, device)
-                for ordinal in (0, 1):
-                    stage = run.stages[ordinal]
-                    series = throughput_timeseries(
-                        run.ctx.recorder, stage.stage_id, node_id=0
-                    )
-                    values = [v for _t, v in series]
-                    rows.append(
-                        {
-                            "device": device,
-                            "threads": threads,
-                            "stage": ordinal,
-                            "series": series,
-                            "mean_throughput": sum(values) / len(values),
-                        }
-                    )
-        return rows
-
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig12_throughput_timeseries():
+    rows = fig12_throughput_timeseries(scale=BENCH_SCALE)
     lines = []
     for row in rows:
         name = (

@@ -13,10 +13,8 @@ PAPER_CPU = {
 }
 
 
-def test_fig1_cpu_iowait(benchmark):
-    results = benchmark.pedantic(
-        fig1_cpu_iowait, kwargs={"scale": BENCH_SCALE}, rounds=1, iterations=1
-    )
+def test_fig1_cpu_iowait():
+    results = fig1_cpu_iowait(scale=BENCH_SCALE)
     rows = []
     for workload, stages in results.items():
         for stage in stages:

@@ -1,6 +1,9 @@
 """Fig. 2: the static solution's effect on Terasort and PageRank runtimes."""
 
+from repro.harness.experiments import fig2_static_sweep
 from repro.harness.report import render_table, write_result
+
+from conftest import BENCH_SCALE
 
 #: Paper: best static threads per Terasort stage (Fig. 2a) and the headline
 #: reductions of the static solution at its best uniform setting.
@@ -27,10 +30,8 @@ def _render(result):
     )
 
 
-def test_fig2_terasort(benchmark, sweep_cache):
-    result = benchmark.pedantic(
-        sweep_cache, args=("terasort",), rounds=1, iterations=1
-    )
+def test_fig2_terasort():
+    result = fig2_static_sweep("terasort", scale=BENCH_SCALE)
     write_result("fig2a_static_terasort", _render(result))
     runs = result["runs"]
 
@@ -50,10 +51,8 @@ def test_fig2_terasort(benchmark, sweep_cache):
         assert threads in (4, 8), result["bestfit_sizes"]
 
 
-def test_fig2_pagerank(benchmark, sweep_cache):
-    result = benchmark.pedantic(
-        sweep_cache, args=("pagerank",), rounds=1, iterations=1
-    )
+def test_fig2_pagerank():
+    result = fig2_static_sweep("pagerank", scale=BENCH_SCALE)
     write_result("fig2b_static_pagerank", _render(result))
     runs = result["runs"]
 

@@ -4,10 +4,8 @@ from repro.harness.experiments import fig3_node_variability
 from repro.harness.report import render_table, write_result
 
 
-def test_fig3_node_variability(benchmark):
-    rows = benchmark.pedantic(
-        fig3_node_variability, kwargs={"num_nodes": 44}, rounds=1, iterations=1
-    )
+def test_fig3_node_variability():
+    rows = fig3_node_variability(num_nodes=44)
     write_result(
         "fig3_node_variability",
         render_table(

@@ -1,6 +1,9 @@
 """Fig. 4: the static solution does not help the SQL workloads."""
 
+from repro.harness.experiments import fig2_static_sweep
 from repro.harness.report import render_table, write_result
+
+from conftest import BENCH_SCALE
 
 
 def _render(result, label):
@@ -32,17 +35,13 @@ def _check_sql_shape(result):
     assert min(scan_by_threads, key=scan_by_threads.get) == 32
 
 
-def test_fig4_aggregation(benchmark, sweep_cache):
-    result = benchmark.pedantic(
-        sweep_cache, args=("aggregation",), rounds=1, iterations=1
-    )
+def test_fig4_aggregation():
+    result = fig2_static_sweep("aggregation", scale=BENCH_SCALE)
     write_result("fig4a_static_aggregation", _render(result, "Aggregation"))
     _check_sql_shape(result)
 
 
-def test_fig4_join(benchmark, sweep_cache):
-    result = benchmark.pedantic(
-        sweep_cache, args=("join",), rounds=1, iterations=1
-    )
+def test_fig4_join():
+    result = fig2_static_sweep("join", scale=BENCH_SCALE)
     write_result("fig4b_static_join", _render(result, "Join"))
     _check_sql_shape(result)

@@ -3,16 +3,11 @@
 from repro.harness.experiments import fig5_disk_utilization
 from repro.harness.report import render_table, write_result
 
+from conftest import BENCH_SCALE
 
-def test_fig5_disk_utilisation(benchmark, sweep_cache):
-    def build():
-        sweeps = {
-            name: sweep_cache(name)
-            for name in ("terasort", "pagerank", "aggregation", "join")
-        }
-        return fig5_disk_utilization(sweeps)
 
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig5_disk_utilisation():
+    rows = fig5_disk_utilization(scale=BENCH_SCALE)
     thread_counts = sorted(rows[0]["utilization_by_threads"], reverse=True)
     write_result(
         "fig5_disk_utilisation",

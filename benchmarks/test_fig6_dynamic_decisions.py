@@ -6,11 +6,8 @@ from repro.harness.report import render_table, write_result
 from conftest import BENCH_SCALE
 
 
-def test_fig6_dynamic_decisions(benchmark):
-    rows = benchmark.pedantic(
-        fig6_dynamic_decisions, kwargs={"scale": BENCH_SCALE},
-        rounds=1, iterations=1,
-    )
+def test_fig6_dynamic_decisions():
+    rows = fig6_dynamic_decisions(scale=BENCH_SCALE)
     executors = sorted(rows[0]["per_executor"])
     write_result(
         "fig6_dynamic_decisions",

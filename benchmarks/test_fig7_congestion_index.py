@@ -1,18 +1,15 @@
 """Fig. 7: ε, µ, and ζ vs thread count for the Terasort stages."""
 
-from repro.harness.experiments import fig7_from_runs
+from repro.harness.experiments import fig7_congestion_index
 from repro.harness.report import render_table, write_result
 
+from conftest import BENCH_SCALE
+
 MiB = 1024.0**2
-THREAD_COUNTS = (2, 4, 8, 16, 32)
 
 
-def test_fig7_congestion_index(benchmark, fixed_run_cache):
-    def build():
-        runs = {t: fixed_run_cache("terasort", t, "hdd") for t in THREAD_COUNTS}
-        return fig7_from_runs(runs)
-
-    rows = benchmark.pedantic(build, rounds=1, iterations=1)
+def test_fig7_congestion_index():
+    rows = fig7_congestion_index(scale=BENCH_SCALE)
     lines = []
     for row in rows:
         table = render_table(

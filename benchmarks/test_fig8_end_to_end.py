@@ -5,6 +5,8 @@ import pytest
 from repro.harness.experiments import fig8_end_to_end
 from repro.harness.report import render_table, write_result
 
+from conftest import BENCH_SCALE
+
 #: Paper Fig. 8 runtime reductions vs default: (static BestFit, dynamic).
 PAPER_REDUCTIONS = {
     "terasort": (0.475, 0.344),
@@ -38,17 +40,15 @@ def _render(result):
 
 
 @pytest.fixture(scope="module")
-def comparisons(sweep_cache):
+def comparisons():
     return {
-        workload: fig8_end_to_end(workload,
-                                  sweep_result=sweep_cache(workload))
+        workload: fig8_end_to_end(workload, scale=BENCH_SCALE)
         for workload in ("terasort", "pagerank", "aggregation", "join")
     }
 
 
-def test_fig8_terasort(benchmark, comparisons):
-    result = benchmark.pedantic(lambda: comparisons["terasort"],
-                                rounds=1, iterations=1)
+def test_fig8_terasort(comparisons):
+    result = comparisons["terasort"]
     write_result("fig8a_terasort", _render(result))
     # Both solutions reduce the runtime substantially; BestFit wins because
     # every Terasort stage is I/O-marked and it skips the exploration cost.
@@ -56,9 +56,8 @@ def test_fig8_terasort(benchmark, comparisons):
     assert result["reduction_bestfit"] > result["reduction_dynamic"]
 
 
-def test_fig8_pagerank(benchmark, comparisons):
-    result = benchmark.pedantic(lambda: comparisons["pagerank"],
-                                rounds=1, iterations=1)
+def test_fig8_pagerank(comparisons):
+    result = comparisons["pagerank"]
     write_result("fig8b_pagerank", _render(result))
     # The signature result: the dynamic solution tunes the shuffle stages the
     # static classification cannot see (L2) and wins by a wide margin.
@@ -69,9 +68,8 @@ def test_fig8_pagerank(benchmark, comparisons):
     assert all(t < 128 for t in result["dynamic"]["threads_per_stage"])
 
 
-def test_fig8_aggregation(benchmark, comparisons):
-    result = benchmark.pedantic(lambda: comparisons["aggregation"],
-                                rounds=1, iterations=1)
+def test_fig8_aggregation(comparisons):
+    result = comparisons["aggregation"]
     write_result("fig8c_aggregation", _render(result))
     # Diminishing gains on SQL (paper: 6.8%): the scan stage is compute
     # bound, only the final aggregation stage is tunable.
@@ -82,21 +80,17 @@ def test_fig8_aggregation(benchmark, comparisons):
     assert result["dynamic"]["threads_per_stage"][-1] < 128
 
 
-def test_fig8_join(benchmark, comparisons):
-    result = benchmark.pedantic(lambda: comparisons["join"],
-                                rounds=1, iterations=1)
+def test_fig8_join(comparisons):
+    result = comparisons["join"]
     write_result("fig8d_join", _render(result))
     # The smallest gain of the four (paper: 2.5%).
     assert -0.03 < result["reduction_dynamic"] < 0.15
     assert result["dynamic"]["threads_per_stage"][0] == 128
 
 
-def test_fig8_cross_workload_ordering(benchmark, comparisons):
+def test_fig8_cross_workload_ordering(comparisons):
     """The paper's aggregate picture: dynamic gains rank
     PageRank/Terasort >> Aggregation > Join."""
-    dynamic = benchmark.pedantic(
-        lambda: {w: c["reduction_dynamic"] for w, c in comparisons.items()},
-        rounds=1, iterations=1,
-    )
+    dynamic = {w: c["reduction_dynamic"] for w, c in comparisons.items()}
     assert dynamic["pagerank"] > dynamic["aggregation"] > dynamic["join"]
     assert dynamic["terasort"] > dynamic["aggregation"]

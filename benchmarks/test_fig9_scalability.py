@@ -10,10 +10,8 @@ from repro.harness.report import render_table, write_result
 FIG9_SCALE = float(os.environ.get("REPRO_FIG9_SCALE", "0.5"))
 
 
-def test_fig9_scalability(benchmark):
-    results = benchmark.pedantic(
-        fig9_scalability, kwargs={"scale": FIG9_SCALE}, rounds=1, iterations=1
-    )
+def test_fig9_scalability():
+    results = fig9_scalability(scale=FIG9_SCALE)
     write_result(
         "fig9_scalability",
         render_table(

@@ -14,8 +14,8 @@ PAPER_TABLE1 = {
 }
 
 
-def test_table1_parameters(benchmark):
-    counts = benchmark.pedantic(table1_parameters, rounds=1, iterations=1)
+def test_table1_parameters():
+    counts = table1_parameters()
     rows = [(category, count, PAPER_TABLE1[category])
             for category, count in counts.items()]
     rows.append(("Total", sum(counts.values()), sum(PAPER_TABLE1.values())))

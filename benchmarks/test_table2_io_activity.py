@@ -4,8 +4,8 @@ from repro.harness.experiments import table2_io_activity
 from repro.harness.report import render_table, write_result
 
 
-def test_table2_io_activity(benchmark):
-    rows = benchmark.pedantic(table2_io_activity, rounds=1, iterations=1)
+def test_table2_io_activity():
+    rows = table2_io_activity()
     table = render_table(
         ["Application", "Input (GiB)", "I/O activity (GiB)",
          "Amplification (measured)", "Amplification (paper)"],

@@ -41,8 +41,10 @@ from repro.harness.parallel import (
     QuarantinedConfigError,
     RunConfig,
     SweepInterrupted,
+    build_run_tracer,
     map_runs,
     resolve_parallel,
+    suffix_path,
 )
 from repro.harness.report import render_table
 from repro.harness.runner import (
@@ -50,10 +52,7 @@ from repro.harness.runner import (
     finish_trace,
     run_workload,
 )
-from repro.observability.chrome import ChromeTraceSink
 from repro.observability.history import load_events, reconstruct
-from repro.observability.sinks import JsonLinesSink
-from repro.observability.tracer import Tracer
 from repro.workloads.arrivals import (
     CANNED_PLANS as CANNED_ARRIVALS,
     ArrivalPlan,
@@ -468,29 +467,6 @@ def _thread_counts(cores: int) -> tuple:
     return tuple(counts) if counts else (cores,)
 
 
-def _suffix_path(path: str, suffix: str) -> str:
-    """Insert ``suffix`` before the extension: out.jsonl -> out.t8.jsonl."""
-    root, ext = os.path.splitext(path)
-    return f"{root}.{suffix}{ext}" if ext else f"{path}.{suffix}"
-
-
-def _build_tracer(args) -> Optional[Tracer]:
-    """A tracer for one run, or None when no output was requested."""
-    sinks = []
-    if args.events:
-        sinks.append(JsonLinesSink(args.events))
-    if args.trace:
-        sinks.append(ChromeTraceSink(args.trace))
-    if args.profile:
-        from repro.observability.profiler import ProfilerSink
-
-        sinks.append(ProfilerSink(interval=args.profile_interval,
-                                  out=args.profile))
-    if not sinks:
-        return None
-    return Tracer(sinks=sinks)
-
-
 def cmd_list(_args) -> int:
     rows = []
     for name in workload_names():
@@ -513,7 +489,10 @@ def cmd_list(_args) -> int:
 def cmd_run(args) -> int:
     if args.fork:
         return _cmd_run_forked(args)
-    tracer = _build_tracer(args)
+    tracer, _profiler = build_run_tracer(RunConfig(
+        workload=args.workload, events_path=args.events,
+        trace_path=args.trace, profile_path=args.profile,
+        profile_interval=args.profile_interval))
     monitor = None
     if args.validate:
         from repro.validation import InvariantMonitor
@@ -591,7 +570,7 @@ def _run_configs(args, points) -> List[RunConfig]:
     def out(path: Optional[str], suffix: Optional[str]) -> Optional[str]:
         if path is None or suffix is None:
             return path
-        return _suffix_path(path, suffix)
+        return suffix_path(path, suffix)
 
     return [
         RunConfig(

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from typing import Any, Dict, List, Optional
 
@@ -39,6 +40,18 @@ SUPPORTED_SCHEMAS = (PLAN_SCHEMA, PLAN_SCHEMA_V2)
 
 class FaultPlanError(ValueError):
     """A fault plan failed validation or could not be parsed."""
+
+
+@contextmanager
+def _malformed(what: str):
+    """Report a field of the wrong type or value, caught by a conversion or
+    by ``validate()`` comparing it, as a :class:`FaultPlanError`."""
+    try:
+        yield
+    except FaultPlanError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise FaultPlanError(f"malformed {what}: {exc}") from None
 
 
 def exponential_backoff(base: float, attempt: int, cap: float) -> float:
@@ -446,7 +459,7 @@ class ClusterFaults:
             except TypeError as exc:
                 raise FaultPlanError(f"bad {ctor.__name__} entry: {exc}") from None
 
-        try:
+        with _malformed("cluster section"):
             section = cls(
                 node_churn=build(NodeChurn, payload.get("node_churn", [])),
                 slot_flaps=build(SlotFlap, payload.get("slot_flaps", [])),
@@ -457,9 +470,7 @@ class ClusterFaults:
                     if "protection" in payload else ProtectionConfig()
                 ),
             )
-        except TypeError as exc:
-            raise FaultPlanError(f"malformed cluster section: {exc}") from None
-        section.validate()
+            section.validate()
         return section
 
 
@@ -586,7 +597,7 @@ class FaultPlan:
             except TypeError as exc:
                 raise FaultPlanError(f"bad {ctor.__name__} entry: {exc}") from None
 
-        try:
+        with _malformed("fault plan"):
             plan = cls(
                 seed=int(payload.get("seed", 0)),
                 task_crashes=build(TaskCrash, payload.get("task_crashes", [])),
@@ -607,9 +618,7 @@ class FaultPlan:
                     if "cluster" in payload else None
                 ),
             )
-        except TypeError as exc:
-            raise FaultPlanError(f"malformed fault plan: {exc}") from None
-        plan.validate()
+            plan.validate()
         return plan
 
     @classmethod

@@ -1,34 +1,107 @@
 """One function per table/figure of the paper's evaluation.
 
-Each function runs the simulation protocol behind that exhibit and returns a
+Each function gets its engine runs from :func:`run_configs` and returns a
 plain data structure; ``benchmarks/`` renders and checks them, and
 EXPERIMENTS.md records paper-vs-measured values.  ``scale`` shrinks inputs
 proportionally for quick runs (ratios are scale-invariant by construction).
+A run that several exhibits share is simulated once: Figs. 5 and 8 reuse
+Fig. 2's sweep, Fig. 6's dynamic Terasort is Fig. 8's, and Fig. 7's fixed
+runs are Fig. 12's HDD half.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import dataclasses
+from typing import Dict, List, Sequence
 
 from repro.engine.conf import SparkConf
-from repro.harness.parallel import RunConfig, map_runs
-from repro.harness.runner import (
-    build_cluster,
-    derive_bestfit,
-    run_workload,
-    static_sweep,
+from repro.harness.journal import config_fingerprint
+from repro.harness.parallel import (
+    RunConfig,
+    RunSummary,
+    map_runs,
+    resolve_parallel,
 )
+from repro.harness.runner import build_cluster, derive_bestfit
 from repro.monitoring import (
     stage_cpu_usage,
     stage_disk_utilization,
     stage_io_wait,
 )
 from repro.monitoring.iostat import throughput_timeseries
-from repro.workloads.base import GiB, MiB
+from repro.workloads.base import GiB
 from repro.workloads.catalog import TABLE2_WORKLOADS, get_workload
 
 THREAD_COUNTS = (32, 16, 8, 4, 2)
 DEFAULT_THREADS = 32
+
+#: Fingerprint (``key`` cleared) -> summary of every run this process made.
+_RUNS: Dict[str, RunSummary] = {}
+#: How many runs the exhibits asked for, and how many were simulated.
+RUN_COUNTS = {"requested": 0, "simulated": 0}
+
+
+def run_configs(configs: Sequence[RunConfig]) -> List[RunSummary]:
+    """Summaries for ``configs``, in order: the one run path of the exhibits.
+
+    A run already made in this process (same fingerprint with ``key``
+    cleared, so callers pair results with configs by position) comes from
+    memory; the rest go to :func:`map_runs` on every CPU.  Runs are seeded
+    and self-contained, so results do not depend on either.  Exhibits share
+    the returned summaries and must not change them.
+    """
+    fingerprints = [config_fingerprint(dataclasses.replace(config, key=None))
+                    for config in configs]
+    missing: Dict[str, RunConfig] = {}
+    for fingerprint, config in zip(fingerprints, configs):
+        if fingerprint not in _RUNS:
+            missing.setdefault(fingerprint, config)
+    if missing:
+        summaries = map_runs(list(missing.values()), resolve_parallel(0))
+        _RUNS.update(zip(missing, summaries))
+    RUN_COUNTS["requested"] += len(configs)
+    RUN_COUNTS["simulated"] += len(missing)
+    return [_RUNS[fingerprint] for fingerprint in fingerprints]
+
+
+def _config(workload: str, policy, scale: float, device: str = "hdd",
+            num_nodes: int = 4) -> RunConfig:
+    """The config of one exhibit run; one spelling per run, so exhibits
+    that share a run share its fingerprint."""
+    return RunConfig(workload=workload, policy=policy,
+                     workload_kwargs={"scale": scale},
+                     cluster_kwargs={"device": device,
+                                     "num_nodes": num_nodes})
+
+
+def _sweep(workload: str, scale: float, device: str = "hdd",
+           num_nodes: int = 4) -> dict:
+    """The static solution at each thread count.  The run at the highest
+    count doubles as "Default Spark": the static solution at all cores."""
+    return dict(zip(THREAD_COUNTS, run_configs([
+        _config(workload, ("static", threads), scale, device, num_nodes)
+        for threads in THREAD_COUNTS
+    ])))
+
+
+def _static_protocol(workload: str, scale: float, device: str = "hdd",
+                     num_nodes: int = 4):
+    """The sweep, then BestFit derived from it:
+    ``(sweep, bestfit_sizes, bestfit_run)``."""
+    sweep = _sweep(workload, scale, device, num_nodes)
+    bestfit_sizes = derive_bestfit(sweep, DEFAULT_THREADS)
+    [bestfit] = run_configs([_config(workload, ("bestfit", bestfit_sizes),
+                                     scale, device, num_nodes)])
+    return sweep, bestfit_sizes, bestfit
+
+
+def _summary(run) -> dict:
+    """What a figure reports of one run."""
+    return {
+        "total": run.runtime,
+        "stages": run.stage_durations(),
+        "threads_per_stage": [s.total_threads_used() for s in run.stages],
+    }
 
 
 def table1_parameters() -> Dict[str, int]:
@@ -36,26 +109,22 @@ def table1_parameters() -> Dict[str, int]:
     return SparkConf.category_counts()
 
 
-def table2_io_activity(scale: float = 0.05, parallel: int = 1) -> List[dict]:
+def table2_io_activity(scale: float = 0.05) -> List[dict]:
     """Table 2: cluster I/O activity relative to input size, 9 workloads.
 
     Amplification ratios are scale-invariant, so the default runs each
-    workload on 5% of the paper's input size.  ``parallel`` fans the nine
-    independent runs over worker processes (row order is unaffected).
+    workload on 5% of the paper's input size.
     """
-    configs = [
-        RunConfig(workload=name, policy="default", key=name,
-                  workload_kwargs={"scale": scale})
-        for name in TABLE2_WORKLOADS
-    ]
+    runs = run_configs([_config(name, "default", scale)
+                        for name in TABLE2_WORKLOADS])
     rows = []
-    for run in map_runs(configs, parallel):
-        workload = get_workload(run.workload, scale=scale)
+    for name, run in zip(TABLE2_WORKLOADS, runs):
+        workload = get_workload(name, scale=scale)
         measured = run.cluster_io_bytes
         input_bytes = workload.scaled_input_size
         rows.append(
             {
-                "application": run.workload,
+                "application": name,
                 "input_gib": input_bytes / GiB,
                 "io_activity_gib": measured / GiB,
                 "measured_amplification": measured / input_bytes,
@@ -67,10 +136,10 @@ def table2_io_activity(scale: float = 0.05, parallel: int = 1) -> List[dict]:
 
 def fig1_cpu_iowait(scale: float = 1.0) -> Dict[str, List[dict]]:
     """Fig. 1: per-stage CPU usage and I/O wait under default Spark."""
+    names = ("aggregation", "join", "pagerank", "terasort")
+    runs = run_configs([_config(name, "default", scale) for name in names])
     results: Dict[str, List[dict]] = {}
-    for name in ("aggregation", "join", "pagerank", "terasort"):
-        run = run_workload(name, policy="default",
-                           workload_kwargs={"scale": scale})
+    for name, run in zip(names, runs):
         recorder = run.ctx.recorder
         results[name] = [
             {
@@ -85,40 +154,15 @@ def fig1_cpu_iowait(scale: float = 1.0) -> Dict[str, List[dict]]:
 
 
 def fig2_static_sweep(workload: str, scale: float = 1.0,
-                      device: str = "hdd", parallel: int = 1,
-                      fork: bool = False) -> dict:
-    """Figs. 2/4/10: the static solution at each thread count + BestFit.
-
-    ``parallel`` spreads the sweep's independent points over worker
-    processes; the result dict is identical either way (parallel runs hand
-    back the full per-run recorder, so Fig. 5's utilisation analysis keeps
-    working on ``_sweep_runs``).  ``fork=True`` runs the sweep on the
-    copy-on-write fork engine instead: the setup prefix is simulated once
-    and each thread count diverges in a forked child (same summaries,
-    shared warm-up).
-    """
-    sweep = static_sweep(workload, THREAD_COUNTS, device=device,
-                         workload_kwargs={"scale": scale}, parallel=parallel,
-                         fork=fork)
-    bestfit_sizes = derive_bestfit(sweep, DEFAULT_THREADS)
-    bestfit = run_workload(workload, policy=("bestfit", bestfit_sizes),
-                           device=device, workload_kwargs={"scale": scale})
+                      device: str = "hdd") -> dict:
+    """Figs. 2/4/10: the static solution at each thread count + BestFit."""
+    sweep, bestfit_sizes, bestfit = _static_protocol(workload, scale, device)
     return {
         "workload": workload,
         "device": device,
-        "runs": {
-            threads: {
-                "total": run.runtime,
-                "stages": run.stage_durations(),
-            }
-            for threads, run in sweep.items()
-        },
+        "runs": {threads: _summary(run) for threads, run in sweep.items()},
         "bestfit_sizes": bestfit_sizes,
-        "bestfit": {
-            "total": bestfit.runtime,
-            "stages": bestfit.stage_durations(),
-        },
-        "_sweep_runs": sweep,
+        "bestfit": _summary(bestfit),
     }
 
 
@@ -155,12 +199,9 @@ def fig3_node_variability(num_nodes: int = 44, gib: float = 30.0,
     return results
 
 
-def fig5_disk_utilization(sweeps: Dict[str, dict]) -> List[dict]:
-    """Fig. 5: average disk utilisation per thread count in I/O stages.
-
-    ``sweeps`` maps workload name -> the result of :func:`fig2_static_sweep`
-    (reusing its runs avoids re-simulating).
-    """
+def fig5_disk_utilization(scale: float = 1.0) -> List[dict]:
+    """Fig. 5: average disk utilisation per thread count in I/O stages,
+    over the runs of Figs. 2/4's sweeps."""
     targets = {
         "terasort": (0, 1, 2),
         "pagerank": (0,),
@@ -169,12 +210,10 @@ def fig5_disk_utilization(sweeps: Dict[str, dict]) -> List[dict]:
     }
     rows = []
     for workload, stage_ordinals in targets.items():
-        if workload not in sweeps:
-            continue
-        sweep_runs = sweeps[workload]["_sweep_runs"]
+        sweep = _sweep(workload, scale)
         for ordinal in stage_ordinals:
             utilizations = {}
-            for threads, run in sweep_runs.items():
+            for threads, run in sweep.items():
                 stage = run.stages[ordinal]
                 utilizations[threads] = stage_disk_utilization(
                     run.ctx.recorder, stage.stage_id
@@ -192,37 +231,27 @@ def fig5_disk_utilization(sweeps: Dict[str, dict]) -> List[dict]:
 
 def fig6_dynamic_decisions(scale: float = 1.0) -> List[dict]:
     """Fig. 6: per-executor thread choice in each Terasort stage."""
-    run = run_workload("terasort", policy="dynamic",
-                       workload_kwargs={"scale": scale})
-    rows = []
-    for ordinal, stage in enumerate(run.stages):
-        rows.append(
-            {
-                "stage": ordinal,
-                "per_executor": stage.final_pool_sizes(),
-                "total_threads": stage.total_threads_used(),
-            }
-        )
-    return rows
+    [run] = run_configs([_config("terasort", "dynamic", scale)])
+    return [
+        {
+            "stage": ordinal,
+            "per_executor": stage.final_pool_sizes(),
+            "total_threads": stage.total_threads_used(),
+        }
+        for ordinal, stage in enumerate(run.stages)
+    ]
 
 
-def fig7_congestion_index(scale: float = 1.0,
-                          parallel: int = 1) -> List[dict]:
+def fig7_congestion_index(scale: float = 1.0) -> List[dict]:
     """Fig. 7: steady-state ε, µ, and ζ per thread count, Terasort stages.
 
     The paper plots the effect of each fixed thread count on one executor's
     sensors; we run the fixed policy at each count and read executor 0.
-    The per-count runs are independent, so ``parallel`` fans them out.
     """
-    configs = [
-        RunConfig(workload="terasort", policy=("fixed", threads), key=threads,
-                  workload_kwargs={"scale": scale})
-        for threads in reversed(THREAD_COUNTS)
-    ]
-    per_thread_runs = {
-        run.key: run for run in map_runs(configs, parallel)
-    }
-    return fig7_from_runs(per_thread_runs)
+    counts = tuple(reversed(THREAD_COUNTS))
+    runs = run_configs([_config("terasort", ("fixed", threads), scale)
+                        for threads in counts])
+    return fig7_from_runs(dict(zip(counts, runs)))
 
 
 def fig7_from_runs(per_thread_runs: dict) -> List[dict]:
@@ -266,45 +295,26 @@ def _hill_climb_selection(series: dict, tolerance: float = 2.0) -> int:
 
 
 def fig8_end_to_end(workload: str, scale: float = 1.0,
-                    device: str = "hdd",
-                    sweep_result: Optional[dict] = None,
-                    fork: bool = False) -> dict:
-    """Figs. 8/11: default vs static BestFit vs dynamic.
-
-    ``fork=True`` applies to the embedded static sweep (ignored when a
-    pre-computed ``sweep_result`` is supplied).
-    """
-    if sweep_result is None:
-        sweep_result = fig2_static_sweep(workload, scale=scale, device=device,
-                                         fork=fork)
-    default_run = sweep_result["_sweep_runs"][DEFAULT_THREADS]
-    bestfit_sizes = sweep_result["bestfit_sizes"]
-    bestfit_run = run_workload(workload, policy=("bestfit", bestfit_sizes),
-                               device=device, workload_kwargs={"scale": scale})
-    dynamic_run = run_workload(workload, policy="dynamic", device=device,
-                               workload_kwargs={"scale": scale})
-
-    def summary(run):
-        return {
-            "total": run.runtime,
-            "stages": run.stage_durations(),
-            "threads_per_stage": [s.total_threads_used() for s in run.stages],
-        }
-
+                    device: str = "hdd") -> dict:
+    """Figs. 8/11: default vs static BestFit vs dynamic."""
+    sweep, bestfit_sizes, bestfit_run = _static_protocol(workload, scale,
+                                                         device)
+    [dynamic_run] = run_configs([_config(workload, "dynamic", scale, device)])
+    default_run = sweep[DEFAULT_THREADS]
     default_total = default_run.runtime
     return {
         "workload": workload,
         "device": device,
-        "default": summary(default_run),
-        "static_bestfit": summary(bestfit_run),
-        "dynamic": summary(dynamic_run),
+        "default": _summary(default_run),
+        "static_bestfit": _summary(bestfit_run),
+        "dynamic": _summary(dynamic_run),
         "bestfit_sizes": bestfit_sizes,
         "reduction_bestfit": 1.0 - bestfit_run.runtime / default_total,
         "reduction_dynamic": 1.0 - dynamic_run.runtime / default_total,
     }
 
 
-def fig9_scalability(scale: float = 1.0, parallel: int = 1) -> dict:
+def fig9_scalability(scale: float = 1.0) -> dict:
     """Fig. 9: Terasort on 4 vs 16 nodes with proportionally scaled input.
 
     The paper's claim: the default does not scale (runtime grows despite a
@@ -314,16 +324,10 @@ def fig9_scalability(scale: float = 1.0, parallel: int = 1) -> dict:
     results = {}
     for num_nodes in (4, 16):
         node_scale = scale * (num_nodes / 4.0)
-        sweep = static_sweep("terasort", THREAD_COUNTS, num_nodes=num_nodes,
-                             workload_kwargs={"scale": node_scale},
-                             parallel=parallel)
-        bestfit_sizes = derive_bestfit(sweep, DEFAULT_THREADS)
-        bestfit_run = run_workload(
-            "terasort", policy=("bestfit", bestfit_sizes),
-            num_nodes=num_nodes, workload_kwargs={"scale": node_scale})
-        dynamic_run = run_workload(
-            "terasort", policy="dynamic", num_nodes=num_nodes,
-            workload_kwargs={"scale": node_scale})
+        sweep, bestfit_sizes, bestfit_run = _static_protocol(
+            "terasort", node_scale, num_nodes=num_nodes)
+        [dynamic_run] = run_configs([_config("terasort", "dynamic",
+                                             node_scale, num_nodes=num_nodes)])
         results[num_nodes] = {
             "default": sweep[DEFAULT_THREADS].runtime,
             "static_bestfit": bestfit_run.runtime,
@@ -333,25 +337,15 @@ def fig9_scalability(scale: float = 1.0, parallel: int = 1) -> dict:
     return results
 
 
-def fig12_throughput_timeseries(scale: float = 1.0,
-                                parallel: int = 1) -> List[dict]:
+def fig12_throughput_timeseries(scale: float = 1.0) -> List[dict]:
     """Fig. 12: node-0 disk throughput over time per thread count,
-    Terasort stages 0-1, HDD vs SSD.
-
-    The ten (device, threads) runs are independent; ``parallel`` fans them
-    out while preserving row order.
-    """
-    configs = [
-        RunConfig(workload="terasort", policy=("fixed", threads),
-                  key=(device, threads),
-                  workload_kwargs={"scale": scale},
-                  cluster_kwargs={"device": device})
-        for device in ("hdd", "ssd")
-        for threads in THREAD_COUNTS
-    ]
+    Terasort stages 0-1, HDD vs SSD."""
+    points = [(device, threads) for device in ("hdd", "ssd")
+              for threads in THREAD_COUNTS]
+    runs = run_configs([_config("terasort", ("fixed", threads), scale, device)
+                        for device, threads in points])
     rows = []
-    for run in map_runs(configs, parallel):
-        device, threads = run.key
+    for (device, threads), run in zip(points, runs):
         for ordinal in (0, 1):
             stage = run.stages[ordinal]
             series = throughput_timeseries(
@@ -365,7 +359,6 @@ def fig12_throughput_timeseries(scale: float = 1.0,
                     "stage": ordinal,
                     "series": series,
                     "mean_throughput": sum(values) / len(values),
-                    "peak_throughput": max(values),
                 }
             )
     return rows

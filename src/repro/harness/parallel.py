@@ -24,6 +24,7 @@ rules are the same either way.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -107,12 +108,21 @@ class _RecorderView:
     recorder: RunRecorder
 
 
+def suffix_path(path: str, suffix: str) -> str:
+    """Insert ``suffix`` before the extension: out.jsonl -> out.t8.jsonl.
+
+    How sweeps, comparisons and the service name one output file per run.
+    """
+    root, ext = os.path.splitext(path)
+    return f"{root}.{suffix}{ext}" if ext else f"{path}.{suffix}"
+
+
 def build_run_tracer(config: RunConfig):
     """``(tracer, profiler)`` for one config's requested outputs (or Nones).
 
-    Shared by :func:`execute_run_config` and the prefix-sharing children
-    of :mod:`repro.harness.fork`, so both write exactly the same files for
-    the same config.
+    Shared by :func:`execute_run_config`, the prefix-sharing children of
+    :mod:`repro.harness.fork` and ``repro run``, so all of them write
+    exactly the same files for the same outputs.
     """
     from repro.observability.chrome import ChromeTraceSink
     from repro.observability.profiler import ProfilerSink

@@ -56,19 +56,20 @@ def make_policy_factory(spec: PolicySpec) -> Callable:
 
 def build_cluster(
     num_nodes: int = 4,
-    device: str = "hdd",
+    device: Union[str, DeviceProfile] = "hdd",
     disk_sigma: float = 0.0,
     cpu_sigma: float = 0.0,
     seed: int = 42,
     cores: int = 32,
 ) -> Cluster:
-    """A DAS-5-shaped cluster (paper section 6.1 defaults)."""
-    try:
-        profile = DEVICE_PROFILES[device]
-    except KeyError:
+    """A DAS-5-shaped cluster (paper section 6.1 defaults); ``device`` is a
+    :data:`DEVICE_PROFILES` name or a profile itself."""
+    profile = (device if isinstance(device, DeviceProfile)
+               else DEVICE_PROFILES.get(device))
+    if profile is None:
         raise ValueError(
             f"unknown device {device!r}; expected one of {sorted(DEVICE_PROFILES)}"
-        ) from None
+        )
     spec = ClusterSpec(
         num_nodes=num_nodes,
         node=NodeSpec(cores=cores, disk_profile=profile),
@@ -162,7 +163,6 @@ def static_sweep(
     conf_overrides: Optional[Dict[str, Any]] = None,
     tracer_factory: Optional[Callable[[int], Optional[Tracer]]] = None,
     parallel: int = 1,
-    fork: bool = False,
     events_path_factory: Optional[Callable[[int], str]] = None,
     trace_path_factory: Optional[Callable[[int], str]] = None,
     profile_path_factory: Optional[Callable[[int], str]] = None,
@@ -184,16 +184,8 @@ def static_sweep(
     then come from ``events_path_factory(threads)`` /
     ``trace_path_factory(threads)`` (in-process ``tracer_factory`` objects
     cannot cross the process boundary).
-
-    With ``fork=True`` the sweep instead runs on the copy-on-write fork
-    engine (:func:`repro.harness.fork.fork_map_runs`): the shared prefix
-    -- cluster build, context wiring, dataset registration -- is simulated
-    once and each thread count continues in a forked child, at most
-    ``parallel`` at a time.  Results are the same picklable summaries,
-    byte-identical to from-scratch runs.  Falls back to
-    sequential re-simulation where ``os.fork`` is unavailable.
     """
-    if parallel > 1 or fork:
+    if parallel > 1:
         from repro.harness.parallel import RunConfig, map_runs
 
         if tracer_factory is not None:
@@ -227,13 +219,8 @@ def static_sweep(
             )
             for threads in thread_counts
         ]
-        if fork:
-            from repro.harness.fork import fork_map_runs
-
-            summaries = fork_map_runs(configs, parallel=parallel)
-        else:
-            summaries = map_runs(configs, parallel)
-        return {summary.key: summary for summary in summaries}
+        return {summary.key: summary
+                for summary in map_runs(configs, parallel)}
 
     runs: Dict[int, WorkloadRun] = {}
     for threads in thread_counts:

@@ -42,7 +42,7 @@ from repro.cluster.scheduler import (
     jobs_from_arrivals,
 )
 from repro.faults.plan import ClusterFaults, FaultPlan
-from repro.harness.parallel import RunConfig, map_runs
+from repro.harness.parallel import RunConfig, map_runs, suffix_path
 from repro.observability.metrics import tenant_metric
 from repro.workloads.arrivals import ArrivalPlan, JobArrival, JobTemplate
 
@@ -99,14 +99,6 @@ def _job_run_config(
     )
 
 
-def _suffix_path(path: str, suffix: str) -> str:
-    """out.jsonl -> out.j0007.jsonl (same rule as the CLI's sweep suffixes)."""
-    import os
-
-    root, ext = os.path.splitext(path)
-    return f"{root}.{suffix}{ext}" if ext else f"{path}.{suffix}"
-
-
 def compute_runtimes(
     arrivals: List[JobArrival],
     cores: int,
@@ -132,7 +124,7 @@ def compute_runtimes(
         def out(path: Optional[str], job_id: str) -> Optional[str]:
             if path is None:
                 return None
-            return path if single else _suffix_path(path, job_id)
+            return path if single else suffix_path(path, job_id)
 
         configs = [
             _job_run_config(

@@ -37,6 +37,10 @@ PLAN_SCHEMA = "repro.arrivals/1"
 _SCALAR_POLICIES = ("default", "dynamic")
 _PARAMETRIC_POLICIES = ("static", "fixed")
 
+#: Most jobs one Poisson tenant may submit; a plan past it (say, a rate so
+#: high that simulated time stops advancing) is rejected, not expanded.
+MAX_TENANT_JOBS = 10**6
+
 
 class ArrivalPlanError(ValueError):
     """An arrival plan failed validation or could not be parsed."""
@@ -107,6 +111,10 @@ class JobTemplate:
             raise ArrivalPlanError(
                 f"mix weight must be positive, got {self.weight}"
             )
+        if self.name is not None and not isinstance(self.name, str):
+            raise ArrivalPlanError(
+                f"job template name must be a string, got {self.name!r}"
+            )
         _validate_policy(self.policy)
 
     @property
@@ -171,8 +179,10 @@ class TenantSpec:
     process: Tuple[Any, ...] = ("trace", ())
 
     def validate(self, horizon: Optional[float]) -> None:
-        if not self.name:
-            raise ArrivalPlanError("tenant name must be non-empty")
+        if not self.name or not isinstance(self.name, str):
+            raise ArrivalPlanError(
+                f"tenant name must be a non-empty string, got {self.name!r}"
+            )
         if self.weight <= 0:
             raise ArrivalPlanError(
                 f"tenant {self.name!r}: weight must be positive, "
@@ -343,6 +353,11 @@ class ArrivalPlan:
                     t += rng.expovariate(rate)
                     if t > end:
                         break
+                    if len(times) == MAX_TENANT_JOBS:
+                        raise ArrivalPlanError(
+                            f"tenant {tenant.name!r} submits more than "
+                            f"{MAX_TENANT_JOBS} jobs"
+                        )
                     times.append(t)
             else:
                 times = list(tenant.process[1])
@@ -391,14 +406,21 @@ class ArrivalPlan:
                 f"unsupported schema {schema!r} (expected {PLAN_SCHEMA!r})"
             )
         _reject_unknown(doc, {"schema", "seed", "horizon", "tenants"}, "plan")
-        plan = cls(
-            seed=int(doc.get("seed", 0)),
-            horizon=(None if doc.get("horizon") is None
-                     else float(doc["horizon"])),
-            tenants=tuple(TenantSpec.from_dict(t)
-                          for t in doc.get("tenants", ())),
-        )
-        plan.validate()
+        try:
+            plan = cls(
+                seed=int(doc.get("seed", 0)),
+                horizon=(None if doc.get("horizon") is None
+                         else float(doc["horizon"])),
+                tenants=tuple(TenantSpec.from_dict(t)
+                              for t in doc.get("tenants", ())),
+            )
+            plan.validate()
+        except ArrivalPlanError:
+            raise
+        except (TypeError, ValueError, OverflowError) as exc:
+            # A field of the wrong type or value: a conversion or a
+            # comparison in validate() failed on it.
+            raise ArrivalPlanError(f"malformed plan: {exc}") from None
         return plan
 
     def to_json(self) -> str:
@@ -422,6 +444,10 @@ class ArrivalPlan:
 
 
 def _reject_unknown(doc: Dict[str, Any], allowed: set, what: str) -> None:
+    if not isinstance(doc, dict):
+        raise ArrivalPlanError(
+            f"{what} must be a JSON object, got {type(doc).__name__}"
+        )
     unknown = set(doc) - allowed
     if unknown:
         raise ArrivalPlanError(

@@ -2,17 +2,20 @@
 
 import pytest
 
+from repro.harness import experiments
 from repro.harness.experiments import (
+    THREAD_COUNTS,
     _hill_climb_selection,
     fig1_cpu_iowait,
     fig2_static_sweep,
     fig3_node_variability,
+    fig6_dynamic_decisions,
     fig7_from_runs,
     fig8_end_to_end,
     table1_parameters,
     table2_io_activity,
 )
-from repro.harness.runner import run_workload
+from repro.harness.runner import derive_bestfit, run_workload
 
 SCALE = 0.05
 
@@ -112,3 +115,67 @@ class TestSeedRobustness:
         dynamic = run_workload("terasort", policy="dynamic", seed=seed,
                                workload_kwargs={"scale": 0.1})
         assert dynamic.runtime < default.runtime * 0.9, seed
+
+
+@pytest.fixture
+def fresh_runs(monkeypatch):
+    """An empty run memo and zeroed counters for one test."""
+    monkeypatch.setattr(experiments, "_RUNS", {})
+    monkeypatch.setattr(experiments, "RUN_COUNTS",
+                        {"requested": 0, "simulated": 0})
+    return experiments
+
+
+class TestOneRunPath:
+    """The memoised, fanned-out run path against plain sequential runs."""
+
+    @staticmethod
+    def sequential_reference(workload, device):
+        """Figs. 2 and 8 from in-process ``run_workload`` calls, one at a
+        time, the way the protocol reads in the paper."""
+
+        def run(policy):
+            return run_workload(workload, policy=policy, device=device,
+                                workload_kwargs={"scale": SCALE})
+
+        sweep = {t: run(("static", t)) for t in THREAD_COUNTS}
+        sizes = derive_bestfit(sweep, 32)
+        return sweep, sizes, run(("bestfit", sizes)), run("dynamic")
+
+    @pytest.mark.parametrize("workload,device",
+                             [("terasort", "hdd"), ("pagerank", "ssd")])
+    def test_matches_sequential_runs(self, fresh_runs, workload, device):
+        sweep, sizes, bestfit, dynamic = self.sequential_reference(
+            workload, device)
+
+        def summary(run):
+            return {"total": run.runtime, "stages": run.stage_durations(),
+                    "threads_per_stage": [s.total_threads_used()
+                                          for s in run.stages]}
+
+        # Exact float equality: the fan-out must not change a single bit.
+        fig2 = fig2_static_sweep(workload, scale=SCALE, device=device)
+        assert fig2["runs"] == {t: summary(run) for t, run in sweep.items()}
+        assert fig2["bestfit_sizes"] == sizes
+        assert fig2["bestfit"] == summary(bestfit)
+
+        fig8 = fig8_end_to_end(workload, scale=SCALE, device=device)
+        assert fig8["default"] == summary(sweep[32])
+        assert fig8["static_bestfit"] == summary(bestfit)
+        assert fig8["dynamic"] == summary(dynamic)
+        assert fig8["bestfit_sizes"] == sizes
+
+    def test_second_call_simulates_nothing(self, fresh_runs, monkeypatch):
+        first = fig8_end_to_end("terasort", scale=SCALE)
+        # 5 sweep points, BestFit, dynamic.
+        assert fresh_runs.RUN_COUNTS == {"requested": 7, "simulated": 7}
+
+        def no_simulation(configs, parallel):
+            raise AssertionError(f"simulated {len(configs)} run(s) again")
+
+        monkeypatch.setattr(experiments, "map_runs", no_simulation)
+        assert fig8_end_to_end("terasort", scale=SCALE) == first
+        # Fig. 2 is Fig. 8's sweep and BestFit; Fig. 6 is its dynamic run.
+        fig2_static_sweep("terasort", scale=SCALE)
+        fig6_dynamic_decisions(scale=SCALE)
+        assert fresh_runs.RUN_COUNTS == {"requested": 21, "simulated": 7}

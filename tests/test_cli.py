@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from repro.cli import _suffix_path, _thread_counts, build_parser, main
+from repro.cli import _thread_counts, build_parser, main
+from repro.harness.parallel import suffix_path
 
 
 class TestParser:
@@ -99,8 +100,8 @@ class TestHelpers:
             _thread_counts(0)
 
     def test_suffix_path(self):
-        assert _suffix_path("out.jsonl", "t8") == "out.t8.jsonl"
-        assert _suffix_path("trace", "dynamic") == "trace.dynamic"
+        assert suffix_path("out.jsonl", "t8") == "out.t8.jsonl"
+        assert suffix_path("trace", "dynamic") == "trace.dynamic"
 
 
 class TestJsonMode:
