@@ -8,12 +8,39 @@ shares its bandwidth equally among active flows.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.simulation.core import Event, Simulator
 from repro.simulation.resources import FairShareResource, Job
 
 GBIT = 1e9 / 8.0  # bytes/second for one gigabit
+
+
+class _Join:
+    """Both halves of a flow done: the callback form of ``AllOf``.
+
+    Each half's hook queues one entry that counts it in, and the entry that
+    counts the second half queues one more that calls ``then(size)``.  That
+    is one queue entry for each event succeeded by the ``AllOf`` of two
+    event-form sends and its relay, so same-instant ties break as there.
+    """
+
+    __slots__ = ("sim", "pending", "then", "size")
+
+    def __init__(self, sim: Simulator, then: Callable[[float], None],
+                 size: float) -> None:
+        self.sim = sim
+        self.pending = 2
+        self.then = then
+        self.size = size
+
+    def arrive(self, _size: float) -> None:
+        self.sim.call_in(0.0, self._count)
+
+    def _count(self) -> None:
+        self.pending -= 1
+        if not self.pending:
+            self.sim.call_in(0.0, self.then, self.size)
 
 
 class NetworkLink(FairShareResource):
@@ -37,22 +64,29 @@ class NetworkLink(FairShareResource):
         self.latency = latency
         self.bytes_transferred = 0.0
 
-    def send(self, size: float, tag: str = "flow") -> Event:
-        """Move ``size`` bytes through this link; fires when done."""
+    def send(self, size: float, tag: str = "flow",
+             then: Optional[Callable[[float], None]] = None,
+             ) -> Optional[Event]:
+        """Move ``size`` bytes through this link; ``then(size)`` runs when
+        done (without ``then``, returns an event that fires then)."""
         if size < 0:
             raise ValueError(f"negative transfer size: {size}")
-        done = self.sim.event()
+        event = None
+        if then is None:
+            event = self.sim.event()
+            then = event.succeed
+        self.sim.call_in(self.latency, self._start, size, tag, then)
+        return event
 
-        def start() -> None:
-            job = self.submit(size, tag=tag)
-            job.event.add_callback(lambda _e: self._finish(done, size))
+    def _start(self, size: float, tag: str,
+               then: Callable[[float], None]) -> None:
+        sim = self.sim
+        self.submit(size, tag,
+                    lambda _job: sim.call_in(0.0, self._finish, then, size))
 
-        self.sim.call_in(self.latency, start)
-        return done
-
-    def _finish(self, done: Event, size: float) -> None:
+    def _finish(self, then: Callable[[float], None], size: float) -> None:
         self.bytes_transferred += size
-        done.succeed(size)
+        then(size)
 
     def sample_bytes(self) -> float:
         """Bytes through this link *including* in-flight flow progress.
@@ -103,8 +137,11 @@ class NetworkFabric:
     def node_ids(self) -> List[int]:
         return sorted(self._egress)
 
-    def transfer(self, src: int, dst: int, size: float, tag: str = "flow") -> Event:
-        """Move ``size`` bytes from ``src`` to ``dst``.
+    def transfer(self, src: int, dst: int, size: float, tag: str = "flow",
+                 then: Optional[Callable[[float], None]] = None,
+                 ) -> Optional[Event]:
+        """Move ``size`` bytes from ``src`` to ``dst``; ``then(size)`` runs
+        when done (without ``then``, returns an event that fires then).
 
         The flow occupies the source egress and destination ingress links
         concurrently and completes when both have passed the bytes (i.e. the
@@ -119,17 +156,17 @@ class NetworkFabric:
                 active_flows=self._egress[src].active_jobs + 1
                 if src in self._egress else 1,
             )
+        event = None
+        if then is None:
+            event = self.sim.event()
+            then = event.succeed
         if src == dst:
-            done = self.sim.event()
-            done.succeed(size)
-            return done
-        halves = [
-            self._egress[src].send(size, tag=tag),
-            self._ingress[dst].send(size, tag=tag),
-        ]
-        done = self.sim.event()
-        self.sim.all_of(halves).add_callback(lambda _e: done.succeed(size))
-        return done
+            then(size)
+            return event
+        join = _Join(self.sim, then, size)
+        self._egress[src].send(size, tag, join.arrive)
+        self._ingress[dst].send(size, tag, join.arrive)
+        return event
 
     def total_bytes(self) -> float:
         """Bytes that crossed any egress link (each flow counted once)."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.simulation.core import Event, SimulationError, Simulator
 
@@ -61,10 +61,16 @@ class ResourceStats:
 
 
 class Job:
-    """One unit of service demand submitted to a fair-share resource."""
+    """One unit of service demand submitted to a fair-share resource.
+
+    ``then(job)`` is the job's completion hook.  The resource calls it
+    directly at the instant service completes, where an event would be
+    succeeded; ``event`` is that event when the job was submitted in the
+    :class:`Event` form (``then`` is then ``event.succeed``), else ``None``.
+    """
 
     __slots__ = (
-        "resource", "work", "remaining", "tag", "attrs", "event",
+        "resource", "work", "remaining", "tag", "attrs", "then", "event",
         "submitted_at", "done_below",
     )
 
@@ -74,6 +80,8 @@ class Job:
         work: float,
         tag: str,
         attrs: Dict[str, Any],
+        then: Callable[["Job"], None],
+        event: Optional[Event] = None,
     ) -> None:
         sim = resource.sim
         self.resource = resource
@@ -81,7 +89,8 @@ class Job:
         self.remaining = work
         self.tag = tag
         self.attrs = attrs
-        self.event = Event(sim)
+        self.then = then
+        self.event = event
         self.submitted_at = sim._now
         #: The rate-independent part of the completion threshold: residual
         #: work this small counts as done whatever the job's rate.  Fixed by
@@ -153,16 +162,28 @@ class FairShareResource:
     def active_jobs(self) -> int:
         return len(self._jobs)
 
-    def submit(self, work: float, tag: str = "", **attrs: Any) -> Job:
-        """Submit ``work`` units; returns a :class:`Job` whose ``event`` fires
-        with the job itself when service completes."""
+    def submit(self, work: float, tag: str = "",
+               then: Optional[Callable[[Job], None]] = None,
+               **attrs: Any) -> Job:
+        """Submit ``work`` units; ``then(job)`` runs when service completes.
+
+        Without ``then`` the job gets an :class:`Event` (``job.event``) that
+        fires with the job itself, through ``then=event.succeed``.  A hook
+        that stands in for such an event should queue exactly one entry
+        (``sim.call_in(0.0, ...)``) in its place, so same-instant ties still
+        break in the order the event form gives.
+        """
         if work < 0:
             raise SimulationError(f"negative work: {work}")
         if not math.isfinite(work):
             raise SimulationError(f"work must be finite, got {work}")
-        job = Job(self, float(work), tag, attrs)
+        event = None
+        if then is None:
+            event = Event(self.sim)
+            then = event.succeed
+        job = Job(self, float(work), tag, attrs, then, event)
         if work == 0:
-            job.event.succeed(job)
+            then(job)
             return job
         least = self._advance()
         self._admit(job)
@@ -439,7 +460,7 @@ class FairShareResource:
             stats.jobs_completed += len(finished)
             self._retire(finished)
             for job in finished:
-                job.event.succeed(job)
+                job.then(job)
         self._reschedule(least)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

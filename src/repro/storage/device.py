@@ -21,7 +21,7 @@ Fig. 5/7) and at high thread counts on SSDs (Fig. 10).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.simulation.core import Event, Simulator
 from repro.simulation.resources import FairShareResource, Job
@@ -157,11 +157,13 @@ class StorageDevice(FairShareResource):
         for memo in self._rate_memo.values():
             memo.clear()
 
-    def submit(self, work: float, tag: str = "", **attrs: Any) -> Job:
+    def submit(self, work: float, tag: str = "",
+               then: Optional[Callable[[Job], None]] = None,
+               **attrs: Any) -> Job:
         op = attrs.get("op", "read")
         if op not in OPS:
             raise ValueError(f"unknown op {op!r} (expected 'read' or 'write')")
-        return super().submit(work, tag, **attrs)
+        return super().submit(work, tag, then, **attrs)
 
     def _admit(self, job: Job) -> None:
         self._jobs.append(job)
@@ -207,35 +209,44 @@ class StorageDevice(FairShareResource):
             return self.group_rate("write", n)
         return None
 
-    def request(self, size: float, op: str) -> Event:
+    def request(self, size: float, op: str,
+                then: Optional[Callable[[float], None]] = None,
+                ) -> Optional[Event]:
         """Issue one I/O request: access latency, then bandwidth service.
 
-        Returns an event that fires when the data has been transferred.  The
-        latency phase does not occupy the device (it models head movement /
-        controller setup concurrent with other streams' transfers), which is
-        the standard fluid approximation.
+        ``then(size)`` runs when the data has been transferred.  Without
+        ``then`` the request returns an event that fires with ``size``
+        instead (``then=event.succeed``).  The latency phase does not occupy
+        the device (it models head movement / controller setup concurrent
+        with other streams' transfers), which is the standard fluid
+        approximation.
         """
         if op not in OPS:
             raise ValueError(f"unknown op {op!r}")
         if size < 0:
             raise ValueError(f"negative request size: {size}")
-        done = self.sim.event()
+        event = None
+        if then is None:
+            event = self.sim.event()
+            then = event.succeed
         latency = self.profile.latency(op) / self.speed_factor
+        self.sim.call_in(latency, self._start_transfer, size, op, then)
+        return event
 
-        def start_transfer() -> None:
-            job = self.submit(size, tag=op, op=op)
-            tracer = self.tracer
-            if tracer is not None and tracer.enabled:
-                depth = self.active_jobs
-                tracer.counter(
-                    "device", self.name, float(depth),
-                    efficiency=self.profile.efficiency(op, max(1, depth)),
-                    op=op,
-                )
-            job.event.add_callback(lambda _e: done.succeed(size))
-
-        self.sim.call_in(latency, start_transfer)
-        return done
+    def _start_transfer(self, size: float, op: str,
+                        then: Callable[[float], None]) -> None:
+        sim = self.sim
+        # The job's completion queues one entry that calls ``then``: the
+        # relay hop between the job and the request completing.
+        self.submit(size, op, lambda _job: sim.call_in(0.0, then, size), op=op)
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            depth = self.active_jobs
+            tracer.counter(
+                "device", self.name, float(depth),
+                efficiency=self.profile.efficiency(op, max(1, depth)),
+                op=op,
+            )
 
     def sample_io_counters(self) -> Dict[str, float]:
         """Profiler-probe view: extrapolated counters with a read/write

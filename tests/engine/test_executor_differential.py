@@ -1,0 +1,219 @@
+"""Differential tests: continuation task attempts vs the generator body.
+
+``reference_executor.py`` keeps the executor's generator task body: one
+``Process`` per attempt, an ``Event`` per CPU burst or I/O chunk and an
+``AllOf`` over multi-request chunks.  The production executor drives each
+attempt from its requests' completion hooks instead and must reproduce the
+reference exactly: byte-identical event logs (spans, counters and the
+trailing metrics snapshot included), equal run results and equal metric
+registries.  The one allowed difference is the kernel's queue count: each
+reference task process pushes a completion event that nothing waits on, so
+``events_scheduled`` must be lower by exactly one per launched attempt.
+
+The hypothesis storm draws fault plans mixing task crashes, crash rates,
+executor and node loss, disk degradation, stragglers and speculation; its
+budget comes from the active profile::
+
+    python -m pytest tests/engine/test_executor_differential.py \\
+        --hypothesis-profile=kernel-ci
+"""
+
+import io
+from collections import Counter
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro.cli import main
+from repro.engine.executor import Executor
+from repro.engine.scheduler import JobAbortedError
+from repro.faults import (
+    DiskDegrade,
+    ExecutorLoss,
+    FaultPlan,
+    NodeLoss,
+    SpeculationConfig,
+    Straggler,
+    TaskCrash,
+    TaskCrashRate,
+)
+from repro.harness.parallel import summarize_run, summary_to_doc
+from repro.harness.runner import build_context, finish_trace
+from repro.observability.sinks import JsonLinesSink
+from repro.observability.tracer import Tracer
+from repro.simulation import core
+from repro.workloads import get_workload
+from tests.engine.reference_executor import ReferenceExecutor, install
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
+NODES = 3
+#: The fault-free storm run takes about 32 simulated seconds; fault times
+#: are drawn over a longer window so some land after the job.
+HORIZON = 40.0
+
+
+class _Launches:
+    """Counts the attempts an executor class launches during one run."""
+
+    def __init__(self, monkeypatch, executor_class):
+        self.count = 0
+        launch = executor_class.launch_task
+
+        def counting(executor, message):
+            self.count += 1
+            launch(executor, message)
+
+        monkeypatch.setattr(executor_class, "launch_task", counting)
+
+
+def _storm_run(plan, policy, reference):
+    """One traced terasort run: everything the two executors must agree on."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        if reference:
+            install(monkeypatch)
+        launches = _Launches(monkeypatch,
+                             ReferenceExecutor if reference else Executor)
+        stream = io.StringIO()
+        ctx = build_context(policy=policy,
+                            tracer=Tracer(sinks=[JsonLinesSink(stream)]),
+                            fault_plan=plan, num_nodes=NODES, cores=8)
+        try:
+            run = get_workload("terasort", scale=0.01).run(ctx)
+        except JobAbortedError as exc:
+            outcome = repr(exc)
+            ctx.tracer.close()
+        else:
+            outcome = summary_to_doc(summarize_run(run, "storm"))
+            finish_trace(run)
+    return {
+        "log": stream.getvalue(),
+        "outcome": outcome,
+        "registry": ctx.metrics.snapshot(),
+        "now": ctx.sim.now,
+        "events": ctx.sim.events_scheduled,
+        "launches": launches.count,
+    }
+
+
+def plans():
+    times = st.floats(0.0, HORIZON)
+    return st.builds(
+        FaultPlan,
+        seed=st.integers(0, 2**16),
+        task_crashes=st.lists(
+            st.builds(TaskCrash,
+                      stage_ordinal=st.integers(0, 1),
+                      partition=st.integers(0, 7),
+                      attempt=st.integers(0, 1),
+                      at_fraction=st.floats(0.0, 1.0)),
+            max_size=3,
+            unique_by=lambda c: (c.stage_ordinal, c.partition, c.attempt),
+        ),
+        crash_rate=st.none() | st.builds(
+            TaskCrashRate, probability=st.floats(0.0, 0.3),
+            max_crashes=st.integers(0, 3)),
+        executor_losses=st.lists(
+            st.builds(ExecutorLoss, executor_id=st.integers(0, NODES - 1),
+                      at=times),
+            max_size=1),
+        node_losses=st.lists(
+            st.builds(NodeLoss, node_id=st.integers(0, NODES - 1), at=times),
+            max_size=1),
+        disk_degradations=st.lists(
+            st.builds(DiskDegrade, node_id=st.integers(0, NODES - 1),
+                      at=times, duration=st.floats(0.5, 20.0),
+                      factor=st.floats(0.1, 2.0)),
+            max_size=2),
+        # Slow nodes give speculation twins to launch, win and kill.
+        stragglers=st.lists(
+            st.builds(Straggler, node_id=st.integers(0, NODES - 1), at=times,
+                      duration=st.floats(5.0, 40.0),
+                      cpu_factor=st.floats(0.1, 0.6),
+                      disk_factor=st.floats(0.1, 0.6)),
+            max_size=2),
+        speculation=st.none() | st.builds(
+            SpeculationConfig, enabled=st.just(True),
+            multiplier=st.floats(1.2, 2.0), quantile=st.floats(0.3, 0.9)),
+    )
+
+
+POLICIES = st.sampled_from(["default", ("static", 2), "dynamic"])
+
+
+class TestFaultStorms:
+    @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(plan=plans(), policy=POLICIES)
+    def test_continuations_match_generator_body(self, plan, policy):
+        fresh = _storm_run(plan, policy, reference=False)
+        old = _storm_run(plan, policy, reference=True)
+        assert fresh["log"] == old["log"]
+        assert fresh["outcome"] == old["outcome"]
+        assert fresh["registry"] == old["registry"]
+        assert fresh["now"] == old["now"]
+        assert fresh["launches"] == old["launches"]
+        assert old["events"] - fresh["events"] == fresh["launches"]
+
+
+class TestNoObjectsPerAttempt:
+    """A fault-free run allocates no Process, Event or AllOf per attempt."""
+
+    def _created(self, monkeypatch, scale):
+        created = Counter()
+        init = core.Event.__init__
+
+        def counting(event, sim):
+            created[type(event).__name__] += 1
+            init(event, sim)
+
+        monkeypatch.setattr(core.Event, "__init__", counting)
+        ctx = build_context(num_nodes=NODES, cores=8)
+        get_workload("terasort", scale=scale).run(ctx)
+        monkeypatch.undo()
+        launched = ctx.metrics.counter("scheduler.tasks_launched").value
+        return created, launched
+
+    def test_kernel_objects_do_not_grow_with_tasks(self, monkeypatch):
+        small, small_tasks = self._created(monkeypatch, 0.01)
+        large, large_tasks = self._created(monkeypatch, 0.04)
+        assert large_tasks > small_tasks
+        # Only the job process and the per-stage events remain, and the
+        # stage count does not depend on the input size.
+        assert large == small
+        assert sum(small.values()) < small_tasks
+
+
+class TestEndToEnd:
+    """Whole CLI runs with the reference executor swapped in."""
+
+    def _events(self, tmp_path, extra):
+        out = tmp_path / "events.jsonl"
+        assert main(["run", "terasort", "--scale", "0.05", "--seed", "42",
+                     "--events", str(out)] + extra) == 0
+        return out.read_bytes()
+
+    def test_reference_event_log_bit_identical(self, tmp_path, capsys,
+                                               monkeypatch):
+        # Pins the reference to the committed golden log, so the storms
+        # compare against the task body the goldens saw.
+        install(monkeypatch)
+        golden = REPO_ROOT / "tests" / "golden" / "terasort_s005_seed42.jsonl"
+        assert self._events(tmp_path, []) == golden.read_bytes()
+
+    def test_reference_node_loss_bit_identical(self, tmp_path, capsys,
+                                               monkeypatch):
+        install(monkeypatch)
+        plan = REPO_ROOT / "examples" / "faults" / "node-loss.json"
+        golden = (REPO_ROOT / "tests" / "golden"
+                  / "terasort_s005_seed42_nodeloss.jsonl")
+        assert (self._events(tmp_path, ["--faults", str(plan)])
+                == golden.read_bytes())
+
+    def test_run_results_identical_to_reference(self, capsys, monkeypatch):
+        argv = ["run", "pagerank", "--scale", "0.02", "--nodes", "2",
+                "--cores", "4", "--policy", "dynamic", "--json"]
+        assert main(argv) == 0
+        fresh = capsys.readouterr().out
+        install(monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == fresh

@@ -10,8 +10,9 @@ became one pass over a resource's jobs:
   completion loop in ``_on_wake`` and a separate minimum scan in
   ``_reschedule``; the completion threshold is a three-way ``max`` per job.
 * :class:`ReferenceStorageDevice` recomputes ``group_rate`` on every call,
-  counts an op in before the advance, counts it out through a completion
-  callback per request, and rescans the live set when both counts are set.
+  counts an op in before the advance, counts it out in a wrapper around
+  each job's completion hook, and rescans the live set when both counts
+  are set.
 
 The bodies are copied from the earlier code, with only the hooks the
 removed vector backend needed (``_new_job``/``_admit``) inlined.  The
@@ -97,14 +98,20 @@ class ReferenceSimulator(Simulator):
 class ReferenceFairShareResource(FairShareResource):
     """Fair-share mechanics as three separate loops."""
 
-    def submit(self, work: float, tag: str = "", **attrs: Any) -> Job:
+    def submit(self, work: float, tag: str = "",
+               then: Optional[Callable[[Job], None]] = None,
+               **attrs: Any) -> Job:
         if work < 0:
             raise SimulationError(f"negative work: {work}")
         if not math.isfinite(work):
             raise SimulationError(f"work must be finite, got {work}")
-        job = Job(self, float(work), tag, attrs)
+        event = None
+        if then is None:
+            event = Event(self.sim)
+            then = event.succeed
+        job = Job(self, float(work), tag, attrs, then, event)
         if work == 0:
-            job.event.succeed(job)
+            then(job)
             return job
         self._advance()
         self._jobs.append(job)
@@ -214,7 +221,7 @@ class ReferenceFairShareResource(FairShareResource):
         self._jobs = survivors
         for job in finished:
             self.stats.jobs_completed += 1
-            job.event.succeed(job)
+            job.then(job)
         self._reschedule()
 
 
@@ -225,19 +232,24 @@ class ReferenceCpuResource(ReferenceFairShareResource, CpuResource):
 class ReferenceStorageDevice(ReferenceFairShareResource, StorageDevice):
     """:class:`StorageDevice` with unmemoised rates and lagging op counts."""
 
-    def submit(self, work: float, tag: str = "", **attrs: Any) -> Job:
+    def submit(self, work: float, tag: str = "",
+               then: Optional[Callable[[Job], None]] = None,
+               **attrs: Any) -> Job:
         op = attrs.get("op", "read")
         counts = self._op_counts
         counts[op] = counts.get(op, 0) + 1
-        job = super().submit(work, tag, **attrs)
-        if job.event.triggered:
-            counts[op] -= 1
-        else:
-            job.event.add_callback(lambda _event: self._release_op(op))
-        return job
+        event = None
+        if then is None:
+            event = Event(self.sim)
+            then = event.succeed
 
-    def _release_op(self, op: str) -> None:
-        self._op_counts[op] -= 1
+        def release(job: Job) -> None:
+            counts[op] -= 1
+            then(job)
+
+        job = super().submit(work, tag, release, **attrs)
+        job.event = event
+        return job
 
     def group_rate(self, op: str, n: int) -> float:
         return (
