@@ -234,7 +234,9 @@ class ProfilerSink(TraceSink):
 
     def _on_end(self, event: TraceEvent) -> None:
         begin = self._open.pop(event.span, None)
-        if begin is None:
+        if begin is None or event.args.get("killed"):
+            # A killed attempt's task and io spans end without the work
+            # completing: they add no task, duration or I/O bytes.
             return
         if begin.cat == "stage":
             stage = self._stage_by_id.get(int(begin.args.get("stage_id", -1)))

@@ -273,7 +273,8 @@ class TaskChecker(Checker):
         stage_id = int(opener.args.get("stage_id", -1))
         partition = int(opener.args.get("partition", -1))
         state = self._stages.get(stage_id)
-        if state is None:
+        if state is None or event.args.get("killed"):
+            # A killed attempt neither completed nor crashed.
             return
         if event.args.get("crashed"):
             state.crashed += 1

@@ -251,6 +251,29 @@ class TestSyntheticStreams:
         assert stage["io_bytes"] == {"read": 100.0, "write": 40.0}
         assert doc["executors"][0]["io_bytes"] == 140.0
 
+    def test_killed_attempt_adds_no_work(self):
+        events = [
+            _begin(0.0, 0, "stage", "map", span=1, stage_id=0,
+                   num_tasks=1, io_marked=True),
+            _begin(0.0, 1, "task", "task-0", span=2, parent=1,
+                   executor_id=0, stage_id=0),
+            _begin(0.0, 2, "io", "read", span=3, parent=2,
+                   executor_id=0, bytes=100.0),
+            _end(1.0, 3, span=3, killed="node-loss"),
+            _end(1.0, 4, span=2, killed="node-loss"),
+            _begin(1.0, 5, "task", "task-0", span=4, parent=1,
+                   executor_id=0, stage_id=0, attempt=1),
+            _end(3.0, 6, span=4, io_wait=0.0, io_bytes=0.0),
+            _end(3.0, 7, span=1),
+        ]
+        doc = profile_events(events).demand_profile()
+        executor = doc["executors"][0]
+        assert executor["tasks"] == 1
+        assert executor["crashed_tasks"] == 0
+        assert executor["io_bytes"] == 0.0
+        assert doc["stages"][0]["io_bytes"] == {}
+        assert doc["distributions"]["tasks.duration"]["count"] == 1
+
     def test_unmatched_end_ignored(self):
         doc = profile_events([_end(1.0, 0, span=99)]).demand_profile()
         assert doc["stages"] == []

@@ -1,11 +1,14 @@
 """Tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.cli import _thread_counts, build_parser, main
 from repro.harness.parallel import suffix_path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestParser:
@@ -221,6 +224,21 @@ class TestHistoryCommand:
         assert "truncated" in captured.err
         assert "never ended" in captured.err
         assert "total runtime" in captured.out
+
+
+    def test_history_of_node_loss_run_has_no_open_spans(self, tmp_path,
+                                                        capsys):
+        """Attempts killed by the lost node end their task and io spans."""
+        events = tmp_path / "nodeloss.jsonl"
+        plan = REPO_ROOT / "examples" / "faults" / "node-loss.json"
+        assert main(["run", "terasort", "--scale", "0.05", "--faults",
+                     str(plan), "--events", str(events)]) == 0
+        capsys.readouterr()
+        assert '"killed":"node-loss"' in events.read_text()
+        assert main(["history", str(events), "--json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["open_spans"] == {}
+        assert "never ended" not in captured.err
 
 
 class TestProfileCommand:

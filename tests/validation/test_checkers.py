@@ -156,7 +156,7 @@ class TestSpanChecker:
         stage = s.begin(1.0, "stage", "rdd", stage_id=0, num_tasks=1,
                         io_marked=True)
         s.begin(1.1, "task", "task 0.0", executor_id=0, stage_id=0,
-                partition=0, pool_size=4)  # killed attempt: E never emitted
+                partition=0, pool_size=4)  # an attempt whose end never came
         task2 = s.begin(1.2, "task", "task 0.0", executor_id=0, stage_id=0,
                         partition=0, attempt=1, pool_size=4)
         s.end(2.0, task2, io_wait=0.0, io_bytes=10)
@@ -204,6 +204,36 @@ class TestTaskChecker:
         report, kinds = _violations(s)
         assert "tasks.conservation" in kinds
         assert "never completed" in report.violations[0].message
+
+    def test_killed_attempt_is_not_a_completion(self):
+        s = _Stream()
+        s.app_start()
+        s.emit(0.5, INSTANT, "fault", "node-loss", node_id=1)
+        stage = s.begin(1.0, "stage", "rdd", stage_id=0, num_tasks=1,
+                        io_marked=True)
+        task = s.begin(1.1, "task", "task 0.0", executor_id=0, stage_id=0,
+                       partition=0, pool_size=4)
+        s.end(1.5, task, killed="node-loss")
+        s.end(2.1, stage, duration=1.1)  # partition 0 never completed
+        report, kinds = _violations(s)
+        assert "tasks.conservation" in kinds
+        assert "never completed" in report.violations[0].message
+
+    def test_killed_attempt_then_retry_passes(self):
+        s = _Stream()
+        s.app_start()
+        s.emit(0.5, INSTANT, "fault", "node-loss", node_id=1)
+        stage = s.begin(1.0, "stage", "rdd", stage_id=0, num_tasks=1,
+                        io_marked=True)
+        task = s.begin(1.1, "task", "task 0.0", executor_id=0, stage_id=0,
+                       partition=0, pool_size=4)
+        s.end(1.5, task, killed="node-loss")
+        retry = s.begin(1.6, "task", "task 0.0", executor_id=1, stage_id=0,
+                        partition=0, attempt=1, pool_size=4)
+        s.end(2.0, retry, io_wait=0.0, io_bytes=10)
+        s.end(2.1, stage, duration=1.1)
+        report, _ = _violations(s)
+        assert report.ok
 
     def test_task_for_unknown_stage_caught(self):
         s = _Stream()
