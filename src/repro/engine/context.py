@@ -7,6 +7,7 @@ simulated timeline.
 
 from __future__ import annotations
 
+import functools
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.cluster import Cluster, ClusterSpec
@@ -107,7 +108,9 @@ class SparkContext:
     def _wire_tracer(self) -> None:
         """Attach the tracer to every instrumented subsystem."""
         tracer = self.tracer
-        tracer.bind_clock(lambda: self.sim.now)
+        # Reads the clock attribute directly: no lambda frame and no
+        # property call on every event.
+        tracer.bind_clock(functools.partial(getattr, self.sim, "_now"))
         self.sim.tracer = tracer
         self.map_output_tracker.tracer = tracer
         self.cluster.fabric.tracer = tracer

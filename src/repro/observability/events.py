@@ -31,7 +31,7 @@ KINDS = (BEGIN, END, COMPLETE, INSTANT, COUNTER)
 SCHEMA = "repro.trace/1"
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceEvent:
     """One occurrence on the simulated timeline."""
 

@@ -176,12 +176,15 @@ class ProfilerSink(TraceSink):
 
     def write(self, event: TraceEvent) -> None:
         kind = event.kind
-        if kind == BEGIN:
-            self._on_begin(event)
+        if kind == COUNTER:
+            # Per-op device and per-flow network samples, a third of a
+            # profiled run's events, stop at the category test.
+            if event.cat == "profile":
+                self._on_probe(event)
         elif kind == END:
             self._on_end(event)
-        elif kind == COUNTER and event.cat == "profile":
-            self._on_probe(event)
+        elif kind == BEGIN:
+            self._on_begin(event)
         elif kind == INSTANT and event.cat == "app" \
                 and event.name == "application-start":
             self.application = {
@@ -205,9 +208,22 @@ class ProfilerSink(TraceSink):
 
     # -- event handling ----------------------------------------------------
 
+    # Span categories are tested most frequent first: io, task, stage.
+
     def _on_begin(self, event: TraceEvent) -> None:
         cat = event.cat
-        if cat == "stage":
+        if cat == "io":
+            self._open[event.span] = event
+        elif cat == "task":
+            self._open[event.span] = event
+            stage_id = int(event.args.get("stage_id", -1))
+            stage = self._stage_by_id.get(stage_id)
+            if stage is not None:
+                stage.tasks_seen += 1
+            start = self._stage_start.get(stage_id)
+            if start is not None:
+                self.histograms["tasks.queue_delay"].observe(event.ts - start)
+        elif cat == "stage":
             stage = _StageProfile(
                 stage_id=int(event.args.get("stage_id", -1)),
                 name=event.name,
@@ -219,18 +235,6 @@ class ProfilerSink(TraceSink):
             self._stage_by_id[stage.stage_id] = stage
             self._stage_start[stage.stage_id] = event.ts
             self._open[event.span] = event
-        elif cat in ("task", "io"):
-            self._open[event.span] = event
-            if cat == "task":
-                stage_id = int(event.args.get("stage_id", -1))
-                stage = self._stage_by_id.get(stage_id)
-                if stage is not None:
-                    stage.tasks_seen += 1
-                start = self._stage_start.get(stage_id)
-                if start is not None:
-                    self.histograms["tasks.queue_delay"].observe(
-                        event.ts - start
-                    )
 
     def _on_end(self, event: TraceEvent) -> None:
         begin = self._open.pop(event.span, None)
@@ -238,13 +242,24 @@ class ProfilerSink(TraceSink):
             # A killed attempt's task and io spans end without the work
             # completing: they add no task, duration or I/O bytes.
             return
-        if begin.cat == "stage":
-            stage = self._stage_by_id.get(int(begin.args.get("stage_id", -1)))
-            if stage is not None and stage.end is None:
-                stage.end = event.ts
-                self.histograms["stages.runtime"].observe(stage.duration)
-        elif begin.cat == "task":
-            executor = self._executor(int(begin.args.get("executor_id", -1)))
+        cat = begin.cat
+        args = begin.args
+        if cat == "io":
+            executor = self._executor(int(args.get("executor_id", -1)))
+            size = float(args.get("bytes", 0.0))
+            executor.io_bytes += size
+            _deposit(executor.io_bps, begin.ts, event.ts, size, self.interval)
+            parent = self._open.get(begin.parent)
+            if parent is not None and parent.cat == "task":
+                stage = self._stage_by_id.get(
+                    int(parent.args.get("stage_id", -1))
+                )
+                if stage is not None:
+                    io_bytes = stage.io_bytes
+                    kind = begin.name
+                    io_bytes[kind] = io_bytes.get(kind, 0.0) + size
+        elif cat == "task":
+            executor = self._executor(int(args.get("executor_id", -1)))
             if event.args.get("crashed"):
                 executor.crashed_tasks += 1
                 return
@@ -256,21 +271,11 @@ class ProfilerSink(TraceSink):
             self.histograms["tasks.io_wait"].observe(io_wait)
             _deposit(executor.active, begin.ts, event.ts, duration,
                      self.interval)
-        elif begin.cat == "io":
-            executor = self._executor(int(begin.args.get("executor_id", -1)))
-            size = float(begin.args.get("bytes", 0.0))
-            executor.io_bytes += size
-            _deposit(executor.io_bps, begin.ts, event.ts, size, self.interval)
-            parent = self._open.get(begin.parent)
-            if parent is not None and parent.cat == "task":
-                stage = self._stage_by_id.get(
-                    int(parent.args.get("stage_id", -1))
-                )
-                if stage is not None:
-                    kind = begin.name
-                    stage.io_bytes[kind] = (
-                        stage.io_bytes.get(kind, 0.0) + size
-                    )
+        elif cat == "stage":
+            stage = self._stage_by_id.get(int(args.get("stage_id", -1)))
+            if stage is not None and stage.end is None:
+                stage.end = event.ts
+                self.histograms["stages.runtime"].observe(stage.duration)
 
     def _on_probe(self, event: TraceEvent) -> None:
         args = event.args

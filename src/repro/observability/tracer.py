@@ -61,47 +61,58 @@ class Tracer:
         self.sinks.append(sink)
 
     # -- emission ----------------------------------------------------------
-
-    def _emit(self, event: TraceEvent) -> None:
-        for sink in self.sinks:
-            sink.write(event)
-
-    def _stamp(self) -> tuple:
-        seq = self._next_seq
-        self._next_seq += 1
-        return self.clock(), seq
+    #
+    # Each method stamps inline (clock read, then the next seq) and builds
+    # one event, which every sink receives in attachment order.
 
     def begin(self, cat: str, name: str, parent: int = -1,
               **args: Any) -> int:
         """Open a span; returns its id for the matching :meth:`end`."""
         span = self._next_span
-        self._next_span += 1
-        ts, seq = self._stamp()
-        self._emit(TraceEvent(ts, seq, BEGIN, cat, name,
-                              span=span, parent=parent, args=args))
+        self._next_span = span + 1
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        event = TraceEvent(self.clock(), seq, BEGIN, cat, name, span, parent,
+                           0.0, args)
+        for sink in self.sinks:
+            sink.write(event)
         return span
 
     def end(self, span: int, **args: Any) -> None:
         """Close a span opened by :meth:`begin`."""
-        ts, seq = self._stamp()
-        self._emit(TraceEvent(ts, seq, END, "", "", span=span, args=args))
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        event = TraceEvent(self.clock(), seq, END, "", "", span, -1, 0.0,
+                           args)
+        for sink in self.sinks:
+            sink.write(event)
 
     def complete(self, cat: str, name: str, start: float, end: float,
                  parent: int = -1, **args: Any) -> None:
         """Report a finished span whose start predates this call."""
-        _ts, seq = self._stamp()
-        self._emit(TraceEvent(start, seq, COMPLETE, cat, name,
-                              parent=parent, dur=max(0.0, end - start),
-                              args=args))
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        event = TraceEvent(start, seq, COMPLETE, cat, name, -1, parent,
+                           max(0.0, end - start), args)
+        for sink in self.sinks:
+            sink.write(event)
 
     def instant(self, cat: str, name: str, **args: Any) -> None:
-        ts, seq = self._stamp()
-        self._emit(TraceEvent(ts, seq, INSTANT, cat, name, args=args))
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        event = TraceEvent(self.clock(), seq, INSTANT, cat, name, -1, -1,
+                           0.0, args)
+        for sink in self.sinks:
+            sink.write(event)
 
     def counter(self, cat: str, name: str, value: float, **args: Any) -> None:
-        ts, seq = self._stamp()
         args["value"] = value
-        self._emit(TraceEvent(ts, seq, COUNTER, cat, name, args=args))
+        seq = self._next_seq
+        self._next_seq = seq + 1
+        event = TraceEvent(self.clock(), seq, COUNTER, cat, name, -1, -1,
+                           0.0, args)
+        for sink in self.sinks:
+            sink.write(event)
 
     # -- lifecycle ---------------------------------------------------------
 
