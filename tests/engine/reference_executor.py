@@ -111,7 +111,12 @@ class ReferenceExecutor(Executor):
                 pool_size=self.pool_size,
                 **extra,
             )
-        ops = self._build_ops(plan)
+        try:
+            ops = self._build_ops(plan)
+        except TaskFailure:
+            if task_span >= 0:
+                tracer.end(task_span, crashed=True)
+            raise
         chunks = self._chunk_ops(ops, plan.cpu_seconds,
                                  interleave_offset=task.partition)
         faults = self.ctx.faults

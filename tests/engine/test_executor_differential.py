@@ -67,8 +67,9 @@ class _Launches:
         monkeypatch.setattr(executor_class, "launch_task", counting)
 
 
-def _storm_run(plan, policy, reference):
-    """One traced terasort run: everything the two executors must agree on."""
+def _storm_run(plan, policy, reference, replication=None):
+    """One traced terasort run: everything the two executors must agree on.
+    ``replication`` (default: every node) sets the input's DFS replicas."""
     with pytest.MonkeyPatch.context() as monkeypatch:
         if reference:
             install(monkeypatch)
@@ -78,6 +79,8 @@ def _storm_run(plan, policy, reference):
         ctx = build_context(policy=policy,
                             tracer=Tracer(sinks=[JsonLinesSink(stream)]),
                             fault_plan=plan, num_nodes=NODES, cores=8)
+        if replication is not None:
+            ctx.dfs.replication = replication
         try:
             run = get_workload("terasort", scale=0.01).run(ctx)
         except JobAbortedError as exc:
@@ -153,6 +156,21 @@ class TestFaultStorms:
         assert fresh["now"] == old["now"]
         assert fresh["launches"] == old["launches"]
         assert old["events"] - fresh["events"] == fresh["launches"]
+
+
+class TestLostInput:
+    """Attempts that find every replica of their input gone fail before
+    their first chunk; both executors end the task span as crashed."""
+
+    @pytest.mark.parametrize("policy", ["default", "dynamic"])
+    def test_input_data_lost_matches_generator_body(self, policy):
+        plan = FaultPlan(node_losses=[NodeLoss(node_id=0, at=0.5)])
+        fresh = _storm_run(plan, policy, reference=False, replication=1)
+        old = _storm_run(plan, policy, reference=True, replication=1)
+        assert '"reason":"input-data-lost"' in fresh["log"]
+        assert fresh["log"] == old["log"]
+        assert fresh["outcome"] == old["outcome"]
+        assert fresh["registry"] == old["registry"]
 
 
 class TestNoObjectsPerAttempt:

@@ -6,11 +6,16 @@ import math
 
 import pytest
 
-from repro.harness.runner import finish_trace, run_workload
+from repro.cli import main
+from repro.engine.scheduler import JobAbortedError
+from repro.faults import FaultPlan, NodeLoss
+from repro.harness.runner import build_context, finish_trace, run_workload
 from repro.observability.chrome import ChromeTraceSink, validate_chrome_trace
 from repro.observability.history import load_events, reconstruct
+from repro.observability.profiler import ProfilerSink
 from repro.observability.sinks import JsonLinesSink, MemorySink
 from repro.observability.tracer import Tracer
+from repro.workloads import get_workload
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +222,29 @@ class TestOpenSpans:
         assert all(count > 0 for count in report.open_spans.values())
         as_dict = report.to_dict()
         assert as_dict["open_spans"] == report.open_spans
+
+    def test_lost_input_ends_task_spans_as_crashed(self, tmp_path, capsys):
+        """Node 1 dies after the read stage is planned.  With one replica per
+        block it was the only holder of some input, so attempts launched
+        later fail with ``input-data-lost`` before their first chunk; their
+        task spans end as crashed instead of staying open."""
+        events = tmp_path / "lost-input.jsonl"
+        profiler = ProfilerSink()
+        ctx = build_context(
+            tracer=Tracer(sinks=[JsonLinesSink(str(events)), profiler]),
+            fault_plan=FaultPlan(node_losses=[NodeLoss(at=5.0, node_id=1)]),
+            num_nodes=4, cores=4,
+        )
+        ctx.dfs.replication = 1  # before the workload writes its input
+        with pytest.raises(JobAbortedError, match="input-data-lost"):
+            get_workload("terasort", scale=0.05).run(ctx)
+        ctx.tracer.close()
+        assert main(["history", str(events), "--json"]) == 0
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["open_spans"] == {}
+        assert "never ended" not in captured.err
+        assert sum(executor.crashed_tasks
+                   for executor in profiler.executors.values()) > 0
 
 
 class TestInfinityHandling:
