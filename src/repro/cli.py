@@ -35,6 +35,7 @@ from repro.faults.plan import (
     CANNED_PLANS,
     FaultPlan,
     FaultPlanError,
+    ProtectionConfig,
 )
 from repro.harness.fork import ForkBarrierNotReached, ForkUnavailableError
 from repro.harness.parallel import (
@@ -306,10 +307,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--device", choices=("hdd", "ssd"), default="hdd")
     serve.add_argument("--seed", type=int, default=None,
                        help="override the plan's arrival seed")
-    serve.add_argument("--max-queue", type=int, default=None, metavar="N",
+    serve.add_argument("--max-queue", type=_non_negative_int, default=None,
+                       metavar="N",
                        help="admission control: reject arrivals once N jobs "
                             "queue (default: admit everything)")
-    serve.add_argument("--max-wait", type=float, default=None, metavar="SECS",
+    serve.add_argument("--max-wait", type=_positive_float, default=None,
+                       metavar="SECS",
                        help="admission control: shed arrivals when the "
                             "estimated queue wait exceeds SECS")
     serve.add_argument("--faults", metavar="PLAN.json", default=None,
@@ -417,6 +420,13 @@ def _fork_arg(parser: argparse.ArgumentParser) -> None:
              "re-simulation where os.fork is unavailable)")
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -448,10 +458,7 @@ def _run_kwargs(args):
         workload_kwargs={"scale": args.scale},
     )
     if getattr(args, "faults", None):
-        try:
-            kwargs["fault_plan"] = FaultPlan.load(args.faults)
-        except FileNotFoundError:
-            raise FaultPlanError(f"no such file: {args.faults}") from None
+        kwargs["fault_plan"] = FaultPlan.load(args.faults)
     return kwargs
 
 
@@ -714,10 +721,7 @@ def cmd_compare(args) -> int:
 
 def cmd_faults(args) -> int:
     if args.faults_command == "show":
-        try:
-            plan = FaultPlan.load(args.plan)  # load() validates
-        except FileNotFoundError:
-            raise FaultPlanError(f"no such file: {args.plan}") from None
+        plan = FaultPlan.load(args.plan)  # load() validates
         counts = {
             "task_crashes": len(plan.task_crashes),
             "executor_losses": len(plan.executor_losses),
@@ -778,10 +782,7 @@ def cmd_chaos(args) -> int:
     from dataclasses import replace
 
     if args.chaos_command == "show":
-        try:
-            plan = FaultPlan.load(args.plan)  # load() validates
-        except FileNotFoundError:
-            raise FaultPlanError(f"no such file: {args.plan}") from None
+        plan = FaultPlan.load(args.plan)  # load() validates
         if plan.cluster is None:
             print(f"valid fault plan (seed {plan.seed}) with no cluster "
                   f"scope; see 'repro faults show'")
@@ -990,16 +991,27 @@ def cmd_bench(args) -> int:
     return status
 
 
-def cmd_history(args) -> int:
+class BadEventLogError(Exception):
+    """A missing or malformed event log: exit 2 (CLI.md "Exit codes")."""
+
+
+def _load_log(path: str, allow_truncated: bool = False):
+    """Read an event log for ``history``, ``profile`` and ``validate``.
+
+    A missing or malformed log raises :class:`BadEventLogError`; any other
+    ``OSError`` propagates (exit 1).
+    """
     try:
-        events = load_events(args.eventlog, allow_truncated=True)
+        return load_events(path, allow_truncated=allow_truncated)
     except FileNotFoundError:
-        print(f"cannot read event log: no such file: {args.eventlog}",
-              file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot read event log: {exc}", file=sys.stderr)
-        return 1
+        raise BadEventLogError(
+            f"cannot read {path}: no such event log") from None
+    except ValueError as exc:
+        raise BadEventLogError(f"cannot replay {path}: {exc}") from None
+
+
+def cmd_history(args) -> int:
+    events = _load_log(args.eventlog, allow_truncated=True)
     report = reconstruct(events)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -1075,15 +1087,7 @@ def _format_rate(value: float) -> str:
 def cmd_profile(args) -> int:
     from repro.observability.profiler import profile_events
 
-    try:
-        events = load_events(args.eventlog, allow_truncated=True)
-    except FileNotFoundError:
-        print(f"cannot read event log: no such file: {args.eventlog}",
-              file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot read event log: {exc}", file=sys.stderr)
-        return 1
+    events = _load_log(args.eventlog, allow_truncated=True)
     sink = profile_events(events, interval=args.interval,
                           out=args.out, trace_out=args.trace)
     doc = sink.demand_profile()
@@ -1167,11 +1171,8 @@ def cmd_validate(args) -> int:
     try:
         with open(args.eventlog, "r", encoding="utf-8") as handle:
             doc = json.load(handle)
-    except FileNotFoundError:
-        print(f"error: no such event log: {args.eventlog}", file=sys.stderr)
-        return 2
     except (OSError, ValueError):
-        doc = None  # JSONL (or garbage): fall through to the event path
+        doc = None  # JSONL, garbage or missing: fall through to the log path
     if (isinstance(doc, dict)
             and str(doc.get("schema", "")).startswith("repro.service/")):
         report = validate_service_report(doc)
@@ -1181,15 +1182,7 @@ def cmd_validate(args) -> int:
             print(report.summary())
         return 0 if report.ok else 1
 
-    try:
-        events = load_events(args.eventlog)
-    except FileNotFoundError:
-        print(f"error: no such event log: {args.eventlog}", file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
-        # Unreadable file or not a repro.trace/1 event log.
-        print(f"error: cannot replay {args.eventlog}: {exc}", file=sys.stderr)
-        return 2
+    events = _load_log(args.eventlog)
     report = validate_events(
         events,
         max_failures=args.max_failures,
@@ -1203,29 +1196,16 @@ def cmd_validate(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.cluster.scheduler import max_queue_admission, max_wait_admission
     from repro.harness.service import run_service, validate_report
 
-    try:
-        plan = ArrivalPlan.load(args.plan)
-    except FileNotFoundError:
-        raise ArrivalPlanError(f"no such file: {args.plan}") from None
+    plan = ArrivalPlan.load(args.plan)
     fault_plan_doc = None
     if args.faults:
-        try:
-            fault_plan_doc = FaultPlan.load(args.faults).to_dict()
-        except FileNotFoundError:
-            raise FaultPlanError(f"no such file: {args.faults}") from None
-    hooks = []
-    if args.max_queue is not None:
-        hooks.append(max_queue_admission(args.max_queue))
-    if args.max_wait is not None:
-        hooks.append(max_wait_admission(args.max_wait))
-    if len(hooks) > 1:
-        admission = lambda job, state: all(hook(job, state)  # noqa: E731
-                                           for hook in hooks)
-    else:
-        admission = hooks[0] if hooks else None
+        fault_plan_doc = FaultPlan.load(args.faults).to_dict()
+    protection = None
+    if args.max_queue is not None or args.max_wait is not None:
+        protection = ProtectionConfig(max_queue=args.max_queue,
+                                      max_wait=args.max_wait)
     monitor = None
     if args.validate:
         from repro.validation import ClusterInvariantMonitor
@@ -1244,8 +1224,8 @@ def cmd_serve(args) -> int:
         trace_path=args.trace,
         profile_path=args.profile,
         profile_interval=args.profile_interval,
-        admission=admission,
         monitor=monitor,
+        protection=protection,
     )
     doc = report.to_dict()
     validate_report(doc)
@@ -1322,10 +1302,7 @@ def cmd_serve(args) -> int:
 
 def cmd_arrivals(args) -> int:
     if args.arrivals_command == "show":
-        try:
-            plan = ArrivalPlan.load(args.plan)  # load() validates
-        except FileNotFoundError:
-            raise ArrivalPlanError(f"no such file: {args.plan}") from None
+        plan = ArrivalPlan.load(args.plan)  # load() validates
         arrivals = plan.generate()
         horizon = "--" if plan.horizon is None else f"{plan.horizon:g}s"
         print(f"valid arrival plan (seed {plan.seed}, horizon {horizon}): "
@@ -1412,6 +1389,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ArrivalPlanError as exc:
         # Malformed or unknown-schema arrival plan: same contract as faults.
         print(f"error: invalid arrival plan: {exc}", file=sys.stderr)
+        return 2
+    except BadEventLogError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         # Unwritable --events/--trace path, unreadable log, and friends.

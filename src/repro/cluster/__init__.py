@@ -13,7 +13,6 @@ from repro.cluster.scheduler import (
     ClusterScheduler,
     ServiceJob,
     ServiceResult,
-    max_queue_admission,
 )
 
 __all__ = [
@@ -24,5 +23,4 @@ __all__ = [
     "NodeSpec",
     "ServiceJob",
     "ServiceResult",
-    "max_queue_admission",
 ]

@@ -21,8 +21,8 @@ per-tenant poison rules fail attempts partway through; and the
 :class:`~repro.faults.plan.ProtectionConfig` guards push back -- deadline
 aborts, queue/wait admission shedding, per-tenant circuit breakers, and
 graceful degradation that shrinks slot grants under sustained pressure.
-A chaos-free run takes none of these paths and is byte-identical to the
-pre-chaos scheduler.
+A run with neither chaos nor protection takes none of these paths and
+is byte-identical to the pre-chaos scheduler.
 
 Disciplines (all starvation-free by head-of-line blocking -- when the
 chosen queue's head does not fit in the free slots, dispatch stops
@@ -35,12 +35,10 @@ forever):
 * ``wfair`` -- like ``fair`` but normalised by tenant weight
   (``running_slots / weight``).
 
-Admission and preemption are pluggable hooks: admission sees each job at
-arrival and may reject it (e.g. :func:`max_queue_admission`); preemption
-runs after every event and may evict running jobs, which requeue through
-the same single admission path as arrivals and retries (so a full queue
-sheds them too), and later restart from scratch (lost work is accounted
-as wasted slot-seconds).  Service-level metrics (job latency, queueing
+Admission has one path: arrivals and retries alike pass the protection
+guards (breaker, ``max_queue``, ``max_wait``), which apply with or
+without chaos -- ``repro serve --max-queue/--max-wait`` sets the same
+fields a plan does.  Service-level metrics (job latency, queueing
 delay, per-tenant splits, resilience counters) flow through the shared
 observability registry under the ``service.*`` names;
 :mod:`repro.harness.service` folds them into the versioned
@@ -54,7 +52,6 @@ from dataclasses import dataclass, field
 from typing import (
     TYPE_CHECKING,
     Any,
-    Callable,
     Dict,
     List,
     Optional,
@@ -66,7 +63,7 @@ from typing import (
 from repro.observability.metrics import MetricsRegistry, tenant_metric
 
 if TYPE_CHECKING:  # imported lazily at runtime: workloads -> engine -> cluster
-    from repro.faults.plan import ClusterFaults
+    from repro.faults.plan import ClusterFaults, ProtectionConfig
     from repro.validation.cluster import ClusterInvariantMonitor
     from repro.workloads.arrivals import JobArrival
 
@@ -99,7 +96,6 @@ class ServiceJob:
     start: Optional[float] = None          #: start of the final (successful) execution
     end: Optional[float] = None            #: completion time
     rejected: bool = False
-    preemptions: int = 0
     served: float = 0.0                    #: seconds of service received, incl. failed attempts
     retries: int = 0                       #: fault-triggered re-executions
     failures: int = 0                      #: tenant-attributable attempt failures
@@ -242,52 +238,6 @@ class _JobQueue:
 
 
 @dataclass
-class SchedulerState:
-    """Read-only view handed to admission and preemption hooks."""
-
-    now: float
-    total_slots: int
-    free_slots: int
-    running: Tuple[ServiceJob, ...]
-    queued: Tuple[ServiceJob, ...]
-    #: Slots on live (non-down, non-flapped) nodes; == total_slots chaos-free.
-    up_slots: int = -1
-
-
-AdmissionHook = Callable[[ServiceJob, SchedulerState], bool]
-PreemptionHook = Callable[[SchedulerState], Sequence[ServiceJob]]
-
-
-def max_queue_admission(limit: int) -> AdmissionHook:
-    """Canned admission hook: reject submissions once ``limit`` jobs queue."""
-    if limit < 0:
-        raise ValueError(f"queue limit must be >= 0, got {limit}")
-
-    def admit(job: ServiceJob, state: SchedulerState) -> bool:
-        return len(state.queued) < limit
-
-    return admit
-
-
-def max_wait_admission(limit: float) -> AdmissionHook:
-    """Canned admission hook: shed when the estimated wait exceeds ``limit``.
-
-    Estimated wait is queued work (runtime x slots) over live capacity --
-    the simplest load-aware shed rule, and the same estimate the
-    ``max_wait`` protection guard uses.
-    """
-    if limit <= 0:
-        raise ValueError(f"wait limit must be > 0, got {limit}")
-
-    def admit(job: ServiceJob, state: SchedulerState) -> bool:
-        capacity = state.up_slots if state.up_slots > 0 else state.total_slots
-        work = sum(queued.runtime * queued.slots for queued in state.queued)
-        return work / max(1, capacity) <= limit
-
-    return admit
-
-
-@dataclass
 class ServiceResult:
     """Outcome of one scheduled scenario, ready for report assembly."""
 
@@ -298,10 +248,9 @@ class ServiceResult:
     submitted: int
     completed: int
     rejected: int
-    preempted: int
     #: slot-seconds of completed service, per tenant (fairness input).
     slot_seconds: Dict[str, float]
-    #: slot-seconds thrown away by preemption and faults (lost work).
+    #: slot-seconds thrown away by killed attempts (lost work).
     wasted_slot_seconds: float
     registry: MetricsRegistry
     # -- resilience (all zero / empty on a chaos-free run) --
@@ -309,13 +258,18 @@ class ServiceResult:
     retried: int = 0
     shed: Dict[str, int] = field(default_factory=dict)
     slo_violations: int = 0
-    wasted_fault_slot_seconds: float = 0.0
     degraded_grants: int = 0
     #: One record per node-churn episode that killed work, resolution order.
     mttr: List[Dict[str, Any]] = field(default_factory=list)
     #: tenant -> {state, opens, transitions} for armed circuit breakers.
     breakers: Dict[str, Dict[str, Any]] = field(default_factory=dict)
     node_downtime: float = 0.0
+
+    @property
+    def preempted(self) -> int:
+        """Always 0: the scheduler never preempts.  ``repro.service/1``
+        keeps its ``preemptions`` counts, so the layout is unchanged."""
+        return 0
 
     @property
     def utilization(self) -> float:
@@ -351,18 +305,22 @@ class ServiceResult:
 
 
 class ClusterScheduler:
-    """Deterministic event-driven service loop over executor slots."""
+    """Deterministic event-driven service loop over executor slots.
+
+    ``protection`` is the guard policy in force (shedding, deadlines,
+    breakers, degradation); it defaults to ``chaos.protection`` and
+    applies chaos-free too.
+    """
 
     def __init__(
         self,
         total_slots: int,
         discipline: str = "fifo",
-        admission: Optional[AdmissionHook] = None,
-        preemption: Optional[PreemptionHook] = None,
         registry: Optional[MetricsRegistry] = None,
         chaos: Optional["ClusterFaults"] = None,
         chaos_seed: int = 0,
         monitor: Optional["ClusterInvariantMonitor"] = None,
+        protection: Optional["ProtectionConfig"] = None,
     ) -> None:
         if total_slots < 1:
             raise ValueError(f"total_slots must be >= 1, got {total_slots}")
@@ -373,8 +331,9 @@ class ClusterScheduler:
             )
         self.total_slots = total_slots
         self.discipline = discipline
-        self.admission = admission
-        self.preemption = preemption
+        if protection is None and chaos is not None:
+            protection = chaos.protection
+        self.protection = protection
         self.registry = registry if registry is not None else MetricsRegistry()
         self.chaos = chaos
         self.chaos_seed = chaos_seed
@@ -425,8 +384,8 @@ class ClusterScheduler:
                 )
 
         arrivals = sorted(jobs, key=lambda job: (job.arrival, job.job_id))
-        # Queue entries keep (arrival, submit_seq) so requeued preempted
-        # jobs fall back into arrival order deterministically.
+        # Queue entries keep (arrival, submit_seq) so retried jobs fall
+        # back into arrival order deterministically.
         queued = _JobQueue(self.discipline)
         running: Dict[str, ServiceJob] = {}
         #: tenant -> slots its running jobs hold (``job.slots``, not the
@@ -442,12 +401,10 @@ class ClusterScheduler:
         rejected = 0
         aborted = 0
         retried = 0
-        preempted_events = 0
         degraded_grants = 0
         slo_violations = 0
         pending_retries = 0
         wasted = 0.0
-        wasted_faults = 0.0
         node_downtime = 0.0
         slot_seconds: Dict[str, float] = {}
         shed_counts: Dict[str, int] = {}
@@ -458,14 +415,14 @@ class ClusterScheduler:
         submitted_counter = metrics.counter("service.jobs.submitted")
         completed_counter = metrics.counter("service.jobs.completed")
         rejected_counter = metrics.counter("service.jobs.rejected")
-        preempted_counter = metrics.counter("service.jobs.preempted")
         latency_hist = metrics.histogram("service.job_latency")
         delay_hist = metrics.histogram("service.queue_delay")
 
-        # -- chaos machinery (untouched, and metrics uncreated, chaos-free) --
+        # -- guard machinery (untouched, and metrics uncreated, when no
+        #    protection applies) --
         chaos = self.chaos
-        protection = chaos.protection if chaos is not None else None
-        if chaos is not None:
+        protection = self.protection
+        if protection is not None:
             from repro.cluster.chaos import (
                 CircuitBreaker,
                 backoff_delay,
@@ -538,18 +495,6 @@ class ClusterScheduler:
             return sum(1 for node in nodes
                        if node.down == 0 and node.flaps == 0)
 
-        def state() -> SchedulerState:
-            return SchedulerState(
-                now=now,
-                total_slots=self.total_slots,
-                free_slots=len(available_nodes()),
-                running=tuple(
-                    running[job_id] for job_id in sorted(running)
-                ),
-                queued=tuple(entry[2] for entry in queued.ordered()),
-                up_slots=up_slots(),
-            )
-
         def resolve_victim(job_id: str) -> None:
             """A churn victim reached a terminal state; close episodes."""
             for index in list(episode_victims):
@@ -585,7 +530,7 @@ class ClusterScheduler:
                 resolve_victim(job.job_id)
 
         def admit(job: ServiceJob, kind: str) -> bool:
-            """The single admission path: arrivals, retries, and requeues."""
+            """The single admission path: arrivals and retries."""
             nonlocal seq
             if protection is not None:
                 if protection.breaker_failures is not None:
@@ -603,10 +548,6 @@ class ClusterScheduler:
                     if work / max(1, up_slots()) > protection.max_wait:
                         shed(job, "wait")
                         return False
-            if (self.admission is not None
-                    and not self.admission(job, state())):
-                shed(job, "admission")
-                return False
             seq += 1
             queued.push(job.arrival, seq, job)
             if (kind == "arrival" and protection is not None
@@ -644,10 +585,10 @@ class ClusterScheduler:
 
         def kill_attempt(job: ServiceJob) -> None:
             """Tear down a running attempt without deciding the job's fate."""
-            nonlocal wasted_faults
+            nonlocal wasted
             lost = now - run_start[job.job_id]
             job.served += lost
-            wasted_faults += lost * job._attempt_slots
+            wasted += lost * job._attempt_slots
             release(job)
             job.start = None
 
@@ -797,7 +738,7 @@ class ClusterScheduler:
                     completions)
                 job = running.get(job_id)
                 if job is None or job._generation != generation:
-                    continue  # stale event from a preempted/killed attempt
+                    continue  # stale event from a killed attempt
                 if outcome == "poison":
                     kill_attempt(job)
                     breaker_failure(job)
@@ -821,13 +762,14 @@ class ClusterScheduler:
                 metrics.histogram(
                     tenant_metric(job.tenant, "queue_delay")
                 ).observe(job.queue_delay)
-                if chaos is not None:
+                if protection is not None:
                     if job.tenant in breakers:
                         breakers[job.tenant].record_success(now, job_id)
                     if (protection.slo_latency is not None
                             and job.latency > protection.slo_latency):
                         slo_violations += 1
                         slo_counter.inc()
+                if chaos is not None:
                     resolve_victim(job_id)
 
             # 2. timed chaos events at `now` (node churn, flaps, retries,
@@ -844,24 +786,7 @@ class ClusterScheduler:
                 submitted_counter.inc()
                 admit(job, "arrival")
 
-            # 4. preemption hook may evict running jobs back to the queue.
-            if self.preemption is not None:
-                victims = list(self.preemption(state()))
-                for victim in victims:
-                    current = running.get(victim.job_id)
-                    if current is not victim:
-                        continue  # hook returned a job that is not running
-                    release(victim)
-                    lost = now - run_start[victim.job_id]
-                    victim.served += lost
-                    wasted += lost * victim._attempt_slots
-                    victim.preemptions += 1
-                    victim.start = None
-                    preempted_events += 1
-                    preempted_counter.inc()
-                    admit(victim, "requeue")
-
-            # 5. fill freed slots under the discipline.
+            # 4. fill freed slots under the discipline.
             dispatch()
 
         for node_id, since in down_since.items():
@@ -879,15 +804,13 @@ class ClusterScheduler:
             submitted=total,
             completed=completed,
             rejected=rejected,
-            preempted=preempted_events,
             slot_seconds=slot_seconds,
-            wasted_slot_seconds=wasted + wasted_faults,
+            wasted_slot_seconds=wasted,
             registry=metrics,
             aborted=aborted,
             retried=retried,
             shed=dict(sorted(shed_counts.items())),
             slo_violations=slo_violations,
-            wasted_fault_slot_seconds=wasted_faults,
             degraded_grants=degraded_grants,
             mttr=mttr_records,
             breakers={

@@ -23,7 +23,6 @@ from repro.engine.rdd import HadoopRDD, ParallelizedRDD, RDD
 from repro.engine.scheduler import TaskScheduler
 from repro.engine.shuffle import MapOutputTracker
 from repro.engine.sizing import SizeInfo, estimate_size
-from repro.engine.stage import Stage
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import NULL_TRACER, Tracer
 from repro.storage.dfs import DistributedFileSystem
@@ -257,7 +256,3 @@ class SparkContext:
     @property
     def total_runtime(self) -> float:
         return self.recorder.total_runtime
-
-    def executed_stages(self) -> List[Stage]:
-        # The recorder holds records; callers usually want those instead.
-        raise NotImplementedError("use ctx.recorder.stages")

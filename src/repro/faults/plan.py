@@ -631,8 +631,12 @@ class FaultPlan:
 
     @classmethod
     def load(cls, path: str) -> "FaultPlan":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except FileNotFoundError:
+            raise FaultPlanError(f"no such file: {path}") from None
+        return cls.from_json(text)
 
     def save(self, path: str) -> None:
         from repro.atomicio import atomic_write_text

@@ -184,8 +184,8 @@ def fig3_node_variability(num_nodes: int = 44, gib: float = 30.0,
         for op in ("write", "read"):
             start = sim.now
             per_stream = gib * GiB / streams
-            events = [node.disk.request(per_stream, op) for _s in range(streams)]
-            sim.all_of(events)
+            for _stream in range(streams):
+                node.disk.request(per_stream, op)
             sim.run()
             times[op] = sim.now - start
         results.append(

@@ -35,13 +35,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.atomicio import atomic_write_json
 from repro.cluster.scheduler import (
-    AdmissionHook,
     ClusterScheduler,
-    PreemptionHook,
     ServiceResult,
     jobs_from_arrivals,
 )
-from repro.faults.plan import ClusterFaults, FaultPlan
+from repro.faults.plan import ClusterFaults, FaultPlan, ProtectionConfig
 from repro.harness.parallel import RunConfig, map_runs, suffix_path
 from repro.observability.metrics import tenant_metric
 from repro.workloads.arrivals import ArrivalPlan, JobArrival, JobTemplate
@@ -187,9 +185,8 @@ def run_service(
     trace_path: Optional[str] = None,
     profile_path: Optional[str] = None,
     profile_interval: float = 1.0,
-    admission: Optional[AdmissionHook] = None,
-    preemption: Optional[PreemptionHook] = None,
     monitor: Optional[Any] = None,
+    protection: Optional[ProtectionConfig] = None,
 ) -> ServiceReport:
     """Run one full service scenario and assemble its SLO report.
 
@@ -200,7 +197,10 @@ def run_service(
     ``repro.faults/2``) drives the outer scheduler instead and never
     reaches the oracle, so a cluster-only plan leaves the inner runs --
     and their event logs -- byte-identical to a faultless serve.
-    ``monitor`` (a
+    ``protection`` is the guard policy of a run without a cluster
+    section (``repro serve --max-queue/--max-wait``); with one, only its
+    ``max_queue``/``max_wait`` join the plan's guards, and where both set
+    a limit the tighter applies.  ``monitor`` (a
     :class:`~repro.validation.cluster.ClusterInvariantMonitor`) checks
     cluster invariants live without perturbing the schedule.
     """
@@ -257,14 +257,16 @@ def run_service(
                 for arrival in shrunk
             }
 
+    if protection is not None and chaos is not None:
+        protection = _tighter(chaos.protection, protection)
+        chaos = replace(chaos, protection=protection)
     scheduler = ClusterScheduler(
         total_slots=total_nodes,
         discipline=discipline,
-        admission=admission,
-        preemption=preemption,
         chaos=chaos,
         chaos_seed=chaos_seed,
         monitor=monitor,
+        protection=protection,
     )
     result = scheduler.run(
         jobs_from_arrivals(arrivals, runtimes, degraded_runtimes)
@@ -272,6 +274,19 @@ def run_service(
     doc = _build_report(plan, result, cores=cores, device=device,
                         distinct_runs=distinct_runs, chaos=chaos)
     return ServiceReport(doc=doc, result=result)
+
+
+def _tighter(plan: ProtectionConfig,
+             limits: ProtectionConfig) -> ProtectionConfig:
+    """``plan`` with each admission limit set in ``limits`` tightened."""
+    tightened = {}
+    for name in ("max_queue", "max_wait"):
+        limit = getattr(limits, name)
+        if limit is not None:
+            current = getattr(plan, name)
+            tightened[name] = (limit if current is None
+                               else min(current, limit))
+    return replace(plan, **tightened)
 
 
 def _build_report(
@@ -313,7 +328,7 @@ def _build_report(
             "runtime": job.runtime,
             "latency": job.latency,
             "queue_delay": job.queue_delay,
-            "preemptions": job.preemptions,
+            "preemptions": 0,
             "rejected": job.rejected,
         }
         if chaos is not None:
@@ -372,7 +387,7 @@ def _build_report(
             },
             "retry_backoff": registry.histogram(
                 "service.retry_backoff").summary(),
-            "wasted_fault_slot_seconds": result.wasted_fault_slot_seconds,
+            "wasted_fault_slot_seconds": result.wasted_slot_seconds,
             "degraded_grants": result.degraded_grants,
             "node_downtime_s": result.node_downtime,
             "breakers": result.breakers,

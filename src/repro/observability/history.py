@@ -64,7 +64,7 @@ def load_events(path: str, allow_truncated: bool = False,
             raise ValueError(
                 f"{path}:{lineno}: not valid JSON: {exc}"
             ) from None
-        if doc.get("kind") == "meta":
+        if isinstance(doc, dict) and doc.get("kind") == "meta":
             schema = doc.get("schema", "")
             if schema and schema != SCHEMA:
                 raise ValueError(

@@ -56,7 +56,6 @@ METRIC_UNITS: Dict[str, str] = {
     "service.jobs.submitted": "jobs",
     "service.jobs.completed": "jobs",
     "service.jobs.rejected": "jobs",
-    "service.jobs.preempted": "jobs",
     "service.jobs.retried": "jobs",
     "service.jobs.shed": "jobs",
     "service.jobs.aborted": "jobs",

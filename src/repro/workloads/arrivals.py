@@ -439,8 +439,12 @@ class ArrivalPlan:
 
     @classmethod
     def load(cls, path: str) -> "ArrivalPlan":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_json(handle.read())
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+        except FileNotFoundError:
+            raise ArrivalPlanError(f"no such file: {path}") from None
+        return cls.from_json(text)
 
 
 def _reject_unknown(doc: Dict[str, Any], allowed: set, what: str) -> None:

@@ -4,20 +4,14 @@ These tests drive :class:`ClusterScheduler` with synthetic jobs and
 hand-built :class:`ClusterFaults` (no inner engine, no report layer), so
 every resilience mechanism is pinned at the event-loop level: node-loss
 kill/requeue/backoff, conservation across terminal states under every
-discipline, deadline aborts, admission shedding, the circuit-breaker
-state machine, graceful degradation, and the single-admission-path
-regression (preempted jobs must not bypass ``max_queue_admission``).
+discipline, deadline aborts, admission shedding (with and without
+chaos), the circuit-breaker state machine, and graceful degradation.
 """
 
 import pytest
 
 from repro.cluster.chaos import CircuitBreaker, backoff_delay
-from repro.cluster.scheduler import (
-    ClusterScheduler,
-    ServiceJob,
-    max_queue_admission,
-    max_wait_admission,
-)
+from repro.cluster.scheduler import ClusterScheduler, ServiceJob
 from repro.faults.plan import (
     ClusterFaults,
     NodeChurn,
@@ -45,60 +39,6 @@ def make_jobs(count, tenants=("a", "b"), slots=1, runtime=10.0, gap=1.0):
 def run(jobs, total_slots=4, discipline="fifo", **kwargs):
     return ClusterScheduler(total_slots=total_slots, discipline=discipline,
                             **kwargs).run(jobs)
-
-
-class TestRequeueAdmissionRegression:
-    """Preempted jobs must pass the same admission path as arrivals."""
-
-    def test_preempted_requeue_respects_max_queue(self):
-        # One wide victim, then a stream of arrivals that fills the queue
-        # to the limit; when the preemptor fires, the victim's requeue
-        # must be shed by max_queue_admission, not silently enqueued.
-        victim = ServiceJob(job_id="v", tenant="a", workload="synthetic",
-                            arrival=0.0, slots=4, runtime=100.0)
-        fillers = [
-            ServiceJob(job_id=f"f{index}", tenant="a", workload="synthetic",
-                       arrival=1.0 + index * 0.1, slots=1, runtime=5.0)
-            for index in range(2)
-        ]
-        preemptor = ServiceJob(job_id="p", tenant="b", workload="synthetic",
-                               arrival=2.0, slots=4, runtime=1.0)
-        fired = []
-
-        def preempt(state):
-            if not fired and any(j.tenant == "b" for j in state.queued):
-                fired.append(True)
-                return [j for j in state.running if j.job_id == "v"]
-            return []
-
-        result = run([victim] + fillers + [preemptor], total_slots=4,
-                     admission=max_queue_admission(3), preemption=preempt)
-        out = {job.job_id: job for job in result.jobs}
-        # The queue already held 3 jobs (2 fillers + preemptor) when the
-        # victim was evicted, so its requeue is rejected.
-        assert out["v"].rejected
-        assert out["v"].shed_reason == "admission"
-        assert result.preempted == 1
-        assert result.submitted == result.completed + result.rejected
-
-    def test_preempted_requeue_admitted_when_queue_has_room(self):
-        # No admission hook: the pre-chaos behaviour is unchanged.
-        victim = ServiceJob(job_id="v", tenant="a", workload="synthetic",
-                            arrival=0.0, slots=4, runtime=10.0)
-        preemptor = ServiceJob(job_id="p", tenant="b", workload="synthetic",
-                               arrival=4.0, slots=4, runtime=2.0)
-        fired = []
-
-        def preempt(state):
-            if not fired and any(j.tenant == "b" for j in state.queued):
-                fired.append(True)
-                return [j for j in state.running if j.tenant == "a"]
-            return []
-
-        result = run([victim, preemptor], total_slots=4, preemption=preempt)
-        assert result.completed == 2
-        out = {job.job_id: job for job in result.jobs}
-        assert out["v"].end == pytest.approx(14.0)
 
 
 class TestNodeChurn:
@@ -134,7 +74,7 @@ class TestNodeChurn:
         # jitter) but the node is down until t=15, so the retry queues and
         # the full 20s re-run starts at 15.
         assert job.end == pytest.approx(35.0)
-        assert result.wasted_fault_slot_seconds == pytest.approx(5.0)
+        assert result.wasted_slot_seconds == pytest.approx(5.0)
         assert result.mttr and result.mttr[0]["mttr_s"] == pytest.approx(30.0)
         assert result.node_downtime == pytest.approx(10.0)
 
@@ -214,7 +154,7 @@ class TestDeadlines:
                          arrival=0.0, slots=1, runtime=50.0)
         result = run([job], total_slots=1, chaos=chaos, chaos_seed=1)
         assert job.aborted
-        assert result.wasted_fault_slot_seconds == pytest.approx(5.0)
+        assert result.wasted_slot_seconds == pytest.approx(5.0)
 
 
 class TestOverloadProtection:
@@ -233,11 +173,18 @@ class TestOverloadProtection:
                      chaos=chaos, chaos_seed=1)
         assert result.shed.get("wait", 0) > 0
 
-    def test_max_wait_admission_hook(self):
+    def test_max_wait_applies_without_chaos(self):
         result = run(make_jobs(10, gap=0.1, runtime=50.0), total_slots=1,
-                     admission=max_wait_admission(30.0))
-        assert result.rejected > 0
+                     protection=ProtectionConfig(max_wait=30.0))
+        assert result.shed.get("wait", 0) == result.rejected > 0
         assert result.submitted == result.completed + result.rejected
+
+    def test_explicit_protection_replaces_the_plans(self):
+        chaos = ClusterFaults(protection=ProtectionConfig(max_queue=0))
+        result = run(make_jobs(10, gap=0.1, runtime=50.0), total_slots=1,
+                     chaos=chaos, chaos_seed=1,
+                     protection=ProtectionConfig(max_wait=30.0))
+        assert result.shed == {"wait": result.rejected}
 
     def test_degradation_shrinks_grants_under_pressure(self):
         chaos = ClusterFaults(
@@ -348,6 +295,6 @@ class TestChaosDeterminism:
         again = run(make_jobs(25, gap=0.5), chaos=None)
         assert ([(j.job_id, j.start, j.end) for j in plain.jobs]
                 == [(j.job_id, j.start, j.end) for j in again.jobs])
-        assert plain.wasted_fault_slot_seconds == 0.0
+        assert plain.wasted_slot_seconds == 0.0
         assert plain.shed == {}
         assert plain.breakers == {}

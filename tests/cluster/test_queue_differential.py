@@ -20,7 +20,6 @@ from repro.cluster.scheduler import (
     ClusterScheduler,
     ServiceJob,
     _JobQueue,
-    max_wait_admission,
 )
 from repro.faults.plan import (
     ClusterFaults,
@@ -214,8 +213,13 @@ def scenarios(draw):
         "total_slots": total_slots,
         "weights": weights,
         "specs": specs,
-        "admission": draw(st.sampled_from([None, 8.0, 30.0])),
-        "preemptions": draw(st.integers(0, 3)),
+        "protection": draw(st.sampled_from([
+            None,
+            ProtectionConfig(max_wait=8.0),
+            ProtectionConfig(max_wait=30.0),
+            ProtectionConfig(max_queue=3),
+            ProtectionConfig(max_queue=6, max_wait=30.0),
+        ])),
     }
 
 
@@ -267,31 +271,17 @@ def build_jobs(scenario) -> List[ServiceJob]:
     return jobs
 
 
-def evict_widest(limit: int):
-    """Preemption hook: while jobs queue, evict the widest running job,
-    at most ``limit`` times per run."""
-    fired = [0]
-
-    def preempt(state):
-        if fired[0] >= limit or not state.queued or not state.running:
-            return []
-        fired[0] += 1
-        return [max(state.running, key=lambda job: (job.slots, job.job_id))]
-
-    return preempt
-
-
 def run_scenario(scenario, chaos, queue_cls):
-    """One scheduler run with ``queue_cls`` as its queue, as plain data."""
-    limit = scenario["admission"]
+    """One scheduler run with ``queue_cls`` as its queue, as plain data.
+
+    The scenario's admission limits apply to chaos-free runs; a chaos
+    plan brings its own protection."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scheduler_module, "_JobQueue", queue_cls)
         result = ClusterScheduler(
             scenario["total_slots"], scenario["discipline"],
-            admission=max_wait_admission(limit) if limit else None,
-            preemption=(evict_widest(scenario["preemptions"])
-                        if scenario["preemptions"] else None),
             chaos=chaos, chaos_seed=11,
+            protection=None if chaos is not None else scenario["protection"],
         ).run(build_jobs(scenario))
     fields = {field.name: getattr(result, field.name)
               for field in dataclasses.fields(result)
@@ -331,6 +321,6 @@ class TestSchedulerDifferential:
         scenario = {"discipline": "wfair", "total_slots": 2,
                     "weights": [1.0, 2.0],
                     "specs": [(0, 0, 1, 4), (1, 0, 2, 4)],
-                    "admission": None, "preemptions": 0}
+                    "protection": None}
         run_scenario(scenario, None, Spy)
         assert built == ["wfair"]

@@ -3,7 +3,7 @@
 These tests drive :class:`ClusterScheduler` directly with hand-built
 :class:`ServiceJob` lists (no inner engine runs), so the queueing logic is
 exercised in isolation: conservation of submitted jobs, starvation
-freedom, discipline ordering, hooks, and fairness accounting.
+freedom, discipline ordering, admission limits, and fairness accounting.
 """
 
 import pytest
@@ -12,8 +12,8 @@ from repro.cluster.scheduler import (
     ClusterScheduler,
     ServiceJob,
     jobs_from_arrivals,
-    max_queue_admission,
 )
+from repro.faults.plan import ProtectionConfig
 from repro.workloads.arrivals import ArrivalPlanError
 
 
@@ -56,7 +56,7 @@ class TestConservation:
     @pytest.mark.parametrize("discipline", ["fifo", "fair"])
     def test_conservation_with_admission_control(self, discipline):
         result = run(make_jobs(50, gap=0.1), discipline=discipline,
-                     admission=max_queue_admission(3))
+                     protection=ProtectionConfig(max_queue=3))
         assert result.submitted == 50
         assert result.completed + result.rejected == 50
         assert result.rejected > 0  # gap 0.1 floods a 4-slot cluster
@@ -162,41 +162,11 @@ class TestDeterminism:
 
 
 class TestHooks:
-    def test_preemption_requeues_and_restarts(self):
-        """Evict the running job when a second tenant shows up; the victim
-        restarts from scratch and its lost work is accounted."""
-        first = ServiceJob(job_id="v", tenant="a", workload="synthetic",
-                           arrival=0.0, slots=4, runtime=10.0)
-        second = ServiceJob(job_id="p", tenant="b", workload="synthetic",
-                            arrival=4.0, slots=4, runtime=2.0)
-        fired = []
-
-        def preempt(state):
-            if not fired and any(j.tenant == "b" for j in state.queued):
-                fired.append(True)
-                return [j for j in state.running if j.tenant == "a"]
-            return []
-
-        result = run([first, second], total_slots=4, discipline="fifo",
-                     preemption=preempt)
-        victim = next(j for j in result.jobs if j.job_id == "v")
-        assert result.completed == 2
-        assert result.preempted == 1
-        assert victim.preemptions == 1
-        # 4s of work on 4 slots was thrown away...
-        assert result.wasted_slot_seconds == pytest.approx(16.0)
-        # ...and the victim requeues at its *arrival* position, so under
-        # FIFO it restarts immediately (a full re-run: 4 + 10) while the
-        # preemptor waits behind it.
-        assert victim.end == pytest.approx(4.0 + 10.0)
-        preemptor = next(j for j in result.jobs if j.job_id == "p")
-        assert preemptor.end == pytest.approx(14.0 + 2.0)
-        assert victim.queue_delay == pytest.approx(
-            victim.latency - victim.served)
+    """Admission limits given to the scheduler as a ``protection``."""
 
     def test_admission_limit_zero_rejects_everything(self):
         result = run(make_jobs(10, gap=0.0), total_slots=1,
-                     admission=max_queue_admission(0))
+                     protection=ProtectionConfig(max_queue=0))
         assert result.completed == 0
         assert result.rejected == 10
         assert all(job.start is None for job in result.jobs)

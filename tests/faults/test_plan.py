@@ -89,6 +89,10 @@ class TestValidation:
         with pytest.raises(FaultPlanError, match="JSON"):
             FaultPlan.from_json("{nope")
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(FaultPlanError, match="no such file"):
+            FaultPlan.load(str(tmp_path / "absent.json"))
+
     @pytest.mark.parametrize("bad", [
         FaultPlan(crash_rate=TaskCrashRate(probability=1.5)),
         FaultPlan(task_crashes=[TaskCrash(0, 0, at_fraction=2.0)]),

@@ -207,7 +207,7 @@ class TestHistoryCommand:
         path = tmp_path / "not-a-log.json"
         path.write_text('{"traceEvents": []}\n')
         code = main(["history", str(path)])
-        assert code == 1
+        assert code == 2
         assert "error:" in capsys.readouterr().err
 
     def test_history_tolerates_truncated_log(self, tmp_path, capsys):
@@ -301,6 +301,23 @@ class TestProfileCommand:
         assert code == 2
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        '{"traceEvents": []}\n',  # JSON, but no ``ts``
+        "not json\n",
+        "[1, 2]\n",
+    ])
+    def test_profile_wrong_format_errors_cleanly(self, tmp_path, capsys,
+                                                 content):
+        path = tmp_path / "not-a-log.jsonl"
+        path.write_text(content)
+        assert main(["profile", str(path)]) == 2
+        assert "error: cannot replay" in capsys.readouterr().err
+
+    def test_unreadable_log_exits_1(self, tmp_path, capsys):
+        for command in ("history", "profile", "validate"):
+            assert main([command, str(tmp_path)]) == 1
+            assert "error:" in capsys.readouterr().err
+
     def test_sweep_profile_one_file_per_point(self, tmp_path, capsys):
         profile = tmp_path / "sweep.json"
         assert main(["sweep", "wordcount", "--scale", "0.02", "--nodes", "2",
@@ -326,6 +343,22 @@ class TestBadInputs:
                   *flag])
         assert info.value.code == 2
         assert f"argument {flag[0]}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        ["--max-queue", "-1"], ["--max-wait", "0"], ["--max-wait", "-5"],
+    ])
+    def test_serve_admission_flags_rejected_by_parser(self, flag, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--plan", "plan.json", *flag])
+        assert info.value.code == 2
+        assert f"argument {flag[0]}: must be" in capsys.readouterr().err
+
+    def test_whatif_missing_alternative_plan_exits_2(self, tmp_path, capsys):
+        code = main(["whatif", "wordcount", "--scale", "0.02", "--nodes",
+                     "2", "--at", "5",
+                     "--alt", f"faults={tmp_path / 'absent.json'}"])
+        assert code == 2
+        assert "invalid fault plan: no such file" in capsys.readouterr().err
 
     def test_unwritable_events_path_errors_cleanly(self, capsys):
         code = main(["run", "wordcount", "--scale", "0.02", "--nodes", "2",
@@ -514,6 +547,28 @@ class TestChaosCommand:
         assert main(["serve", "--plan", plan, "--nodes", "1", "--cores", "8",
                      "--max-wait", "10", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
+        assert doc["totals"]["rejected"] > 0
+
+    def test_serve_flags_tighten_the_plans_limits(self, tmp_path, capsys):
+        plan = str(tmp_path / "plan.json")
+        assert main(["arrivals", "generate", "poisson", "--tenants", "2",
+                     "--rate", "0.2", "--horizon", "200",
+                     "--workload", "wordcount", "--scale", "0.02",
+                     "--out", plan]) == 0
+        chaos = str(tmp_path / "chaos.json")
+        assert main(["chaos", "generate", "node-churn", "--node", "0",
+                     "--at", "20", "--duration", "100", "--max-queue", "3",
+                     "--out", chaos]) == 0
+        capsys.readouterr()
+        assert main(["serve", "--plan", plan, "--nodes", "2", "--cores", "8",
+                     "--faults", chaos, "--max-queue", "8",
+                     "--max-wait", "10", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        resilience = doc["resilience"]
+        assert resilience["protection"]["max_queue"] == 3
+        assert resilience["protection"]["max_wait"] == 10.0
+        assert "admission" not in resilience["shed"]
+        assert sum(resilience["shed"].values()) == doc["totals"]["rejected"]
         assert doc["totals"]["rejected"] > 0
 
 

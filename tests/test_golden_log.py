@@ -14,6 +14,9 @@ Regenerate (only when an *intentional* semantic change lands) with::
     PYTHONPATH=src python -m repro run terasort --scale 0.05 --seed 42 \
         --faults examples/faults/node-loss.json \
         --events tests/golden/terasort_s005_seed42_nodeloss.jsonl
+    PYTHONPATH=src python -m repro serve --plan tests/golden/serve_plan.json \
+        --scheduler fair --nodes 2 --cores 8 --max-queue 2 --max-wait 300 \
+        --out tests/golden/serve_fair_q2_w300.json
 """
 
 from pathlib import Path
@@ -75,3 +78,19 @@ class TestForkedGoldenLogs:
         fresh = _run_and_read(tmp_path, ["--fork", "--faults", str(plan)])
         assert fresh == _golden_bytes("terasort_s005_seed42_nodeloss.jsonl")
 
+
+
+class TestServeGoldenReport:
+    """A chaos-free serve under both admission limits must reproduce the
+    committed ``repro.service/1`` report byte for byte.  The plan sheds
+    for both reasons (queue length and estimated wait), so either limit
+    changing its arithmetic or its order shows up here."""
+
+    def test_fair_serve_with_admission_limits_bit_identical(self, tmp_path,
+                                                            capsys):
+        out = tmp_path / "report.json"
+        assert main(["serve", "--plan", str(GOLDEN_DIR / "serve_plan.json"),
+                     "--scheduler", "fair", "--nodes", "2", "--cores", "8",
+                     "--max-queue", "2", "--max-wait", "300",
+                     "--out", str(out)]) == 0
+        assert out.read_bytes() == _golden_bytes("serve_fair_q2_w300.json")

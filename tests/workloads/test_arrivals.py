@@ -138,6 +138,10 @@ class TestValidation:
         with pytest.raises(ArrivalPlanError, match="unknown workload"):
             JobTemplate(workload="nope").validate()
 
+    def test_missing_file_rejected(self, tmp_path):
+        with pytest.raises(ArrivalPlanError, match="no such file"):
+            ArrivalPlan.load(str(tmp_path / "absent.json"))
+
     def test_rejects_bad_policy(self):
         with pytest.raises(ArrivalPlanError, match="policy"):
             JobTemplate.from_dict({"workload": "terasort",
