@@ -1,4 +1,5 @@
-"""Crash-safe file writes: temp file + fsync + atomic rename.
+"""Crash-safe file writes (temp file + fsync + atomic rename) and the
+strict JSON reader that plan files are loaded with.
 
 Every artifact the harness persists (bench documents, fault plans, sweep
 journals, rendered results) goes through :func:`atomic_write_text`, so a
@@ -11,6 +12,7 @@ filesystem boundary.
 from __future__ import annotations
 
 import json
+import math
 import os
 import tempfile
 from typing import Any
@@ -42,3 +44,26 @@ def atomic_write_json(path: str, doc: Any, indent: int = 2,
     atomic_write_text(
         path, json.dumps(doc, indent=indent, sort_keys=sort_keys) + "\n"
     )
+
+
+def _non_finite(token: str) -> float:
+    raise ValueError(f"non-finite number {token} is not allowed")
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        _non_finite(text)
+    return value
+
+
+def loads_finite(text: str) -> Any:
+    """``json.loads`` that rejects ``NaN``, ``Infinity`` and numbers that
+    overflow a float (``1e999``) with a :class:`ValueError`.
+
+    Python's own reader accepts all three, so a plan field could otherwise
+    hold a value that no range check (``x >= 0`` is False for NaN) and no
+    strict writer (``allow_nan=False``) would pass.
+    """
+    return json.loads(text, parse_constant=_non_finite,
+                      parse_float=_finite_float)

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from typing import List, Optional
@@ -77,26 +78,23 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one workload under one policy")
     _common_args(run)
     run.add_argument("--policy", choices=POLICY_CHOICES, default="default")
-    run.add_argument("--threads", type=int, default=8,
+    run.add_argument("--threads", type=_positive_int, default=8,
                      help="thread count for static/fixed policies")
     run.add_argument("--validate", action="store_true",
                      help="check engine invariants continuously during the "
                           "run (exit 1 on any violation)")
-    _fork_arg(run)
 
     compare = sub.add_parser(
         "compare", help="default vs static BestFit vs dynamic (Fig. 8)"
     )
     _common_args(compare)
     _parallel_arg(compare)
-    _fork_arg(compare)
 
     sweep = sub.add_parser(
         "sweep", help="static solution at each thread count (Fig. 2/4/10)"
     )
     _common_args(sweep)
     _parallel_arg(sweep)
-    _fork_arg(sweep)
     sweep.add_argument("--journal", metavar="PATH", default=None,
                        help="journal each finished point to PATH "
                             "(crash-safe; see --resume)")
@@ -127,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="run only the named benchmark (repeatable)")
     bench.add_argument("--check", metavar="BASELINE.json", default=None,
                        help="fail on >25%% regression vs a baseline document")
-    bench.add_argument("--tolerance", type=float, default=0.25,
+    bench.add_argument("--tolerance", type=_non_negative_float, default=0.25,
                        help="allowed fractional regression for --check")
     bench.add_argument("--json", action="store_true",
                        help="print the results document as JSON to stdout "
@@ -229,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the demand-profile JSON to PATH")
     profile.add_argument("--trace", metavar="PATH", default=None,
                          help="write Chrome counter tracks (Perfetto) to PATH")
-    profile.add_argument("--interval", type=float, default=1.0,
+    profile.add_argument("--interval", type=_positive_float, default=1.0,
                          metavar="SECS",
                          help="sampling grid in simulated seconds "
                               "(default 1.0; must match the live run's "
@@ -258,7 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
              "(copy-on-write; see PERFORMANCE.md)",
     )
     whatif.add_argument("workload", choices=sorted(WORKLOADS))
-    whatif.add_argument("--at", type=float, required=True, metavar="SECS",
+    whatif.add_argument("--at", type=_non_negative_float, required=True,
+                        metavar="SECS",
                         help="fork point in simulated seconds")
     whatif.add_argument("--alt", action="append", default=None,
                         metavar="SPEC",
@@ -270,10 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(a 'continue' baseline is added if missing)")
     whatif.add_argument("--policy", choices=POLICY_CHOICES, default="default",
                         help="base policy for the shared warm-up prefix")
-    whatif.add_argument("--threads", type=int, default=8,
+    whatif.add_argument("--threads", type=_positive_int, default=8,
                         help="thread count for static/fixed base policies")
-    whatif.add_argument("--scale", type=float, default=1.0)
-    whatif.add_argument("--nodes", type=int, default=4)
+    whatif.add_argument("--scale", type=_positive_float, default=1.0)
+    whatif.add_argument("--nodes", type=_positive_int, default=4)
     whatif.add_argument("--cores", type=_positive_int, default=32)
     whatif.add_argument("--device", choices=("hdd", "ssd"), default="hdd")
     whatif.add_argument("--seed", type=int, default=42)
@@ -282,9 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     whatif.add_argument("--parallel", type=int, default=1, metavar="N",
                         help="forked children to run at once (0 = one per "
                              "core)")
-    whatif.add_argument("--no-fork", action="store_true",
-                        help="sequential re-simulation instead of forking "
-                             "(identical results, no shared warm-up)")
     whatif.add_argument("--out", metavar="PATH", default=None,
                         help="write the report JSON to PATH")
     whatif.add_argument("--json", action="store_true",
@@ -300,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--scheduler", choices=("fifo", "fair", "wfair"),
                        default="fifo",
                        help="cluster queue discipline (default fifo)")
-    serve.add_argument("--nodes", type=int, default=4,
+    serve.add_argument("--nodes", type=_positive_int, default=4,
                        help="total executor slots shared by all tenants")
     serve.add_argument("--cores", type=_positive_int, default=32,
                        help="virtual cores per node for the inner runs")
@@ -331,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-job Chrome trace_event JSON for Perfetto")
     serve.add_argument("--profile", metavar="PATH", default=None,
                        help="per-job demand-profile JSON (see 'repro profile')")
-    serve.add_argument("--profile-interval", type=float, default=1.0,
+    serve.add_argument("--profile-interval", type=_positive_float,
+                       default=1.0,
                        metavar="SECS",
                        help="profiler sampling grid in simulated seconds")
     _parallel_arg(serve)
@@ -380,9 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("workload", choices=sorted(WORKLOADS))
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=_positive_float, default=1.0,
                         help="input-size multiplier (ratios are invariant)")
-    parser.add_argument("--nodes", type=int, default=4)
+    parser.add_argument("--nodes", type=_positive_int, default=4)
     parser.add_argument("--cores", type=_positive_int, default=32,
                         help="virtual cores per node (the default pool size)")
     parser.add_argument("--device", choices=("hdd", "ssd"), default="hdd")
@@ -396,7 +393,8 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--profile", metavar="PATH", default=None,
                         help="profile resource demand live and write the "
                              "demand-profile JSON (see 'repro profile')")
-    parser.add_argument("--profile-interval", type=float, default=1.0,
+    parser.add_argument("--profile-interval", type=_positive_float,
+                        default=1.0,
                         metavar="SECS",
                         help="profiler sampling grid in simulated seconds "
                              "(default 1.0)")
@@ -409,15 +407,6 @@ def _parallel_arg(parser: argparse.ArgumentParser) -> None:
         "--parallel", type=int, default=1, metavar="N",
         help="fan independent runs out over N worker processes "
              "(0 = one per core); results are deterministic either way")
-
-
-def _fork_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--fork", action="store_true",
-        help="run on the copy-on-write fork engine: simulate the setup "
-             "prefix once, continue each point in a forked child "
-             "(byte-identical results; falls back to sequential "
-             "re-simulation where os.fork is unavailable)")
 
 
 def _non_negative_int(text: str) -> int:
@@ -436,8 +425,17 @@ def _positive_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and > 0, got {value}")
+    return value
+
+
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0, got {value}")
     return value
 
 
@@ -494,8 +492,6 @@ def cmd_list(_args) -> int:
 
 
 def cmd_run(args) -> int:
-    if args.fork:
-        return _cmd_run_forked(args)
     tracer, _profiler = build_run_tracer(RunConfig(
         workload=args.workload, events_path=args.events,
         trace_path=args.trace, profile_path=args.profile,
@@ -519,26 +515,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _cmd_run_forked(args) -> int:
-    """``repro run --fork``: setup in the parent, the run in a forked child.
-
-    Mostly a determinism probe for the fork engine (CI diffs the child's
-    event log against a from-scratch run), since a single run has no
-    warm-up to share.  Results and output files are byte-identical to a
-    plain ``repro run``.
-    """
-    from repro.harness.fork import fork_map_runs
-
-    if args.validate:
-        raise ValueError("--validate requires an in-process run; "
-                         "drop --fork")
-    [config] = _run_configs(args, [(args.workload, None, _policy_spec(args))])
-    _print_run(args, fork_map_runs([config])[0])
-    return 0
-
-
 def _print_run(args, run) -> None:
-    """``repro run``'s report for a live run or a forked run's summary."""
+    """``repro run``'s report."""
     if args.json:
         payload = {
             "command": "run",
@@ -596,16 +574,6 @@ def _run_configs(args, points) -> List[RunConfig]:
     ]
 
 
-def _map_runs(args, configs, **options) -> list:
-    """Run a multi-run subcommand's configs, forked when ``--fork``."""
-    parallel = resolve_parallel(args.parallel)
-    if args.fork:
-        from repro.harness.fork import fork_map_runs
-
-        return fork_map_runs(configs, parallel, **options)
-    return map_runs(configs, parallel, **options)
-
-
 def _run_sweep(args, thread_counts) -> dict:
     """The static sweep behind ``sweep`` and ``compare``, keyed by threads.
 
@@ -626,7 +594,8 @@ def _run_sweep(args, thread_counts) -> dict:
             max_attempts=args.max_attempts,
             stop_after=args.stop_after,
         )
-    summaries = _map_runs(args, configs, **options)
+    summaries = map_runs(configs, resolve_parallel(args.parallel),
+                         **options)
     return {summary.key: summary for summary in summaries}
 
 
@@ -676,10 +645,10 @@ def cmd_compare(args) -> int:
     # run doubles as the "Default Spark" baseline (no hardcoded 32).
     default = sweep[default_threads]
 
-    bestfit, dynamic = _map_runs(args, _run_configs(args, [
+    bestfit, dynamic = map_runs(_run_configs(args, [
         ("bestfit", "bestfit", ("bestfit", bestfit_sizes)),
         ("dynamic", "dynamic", "dynamic"),
-    ]))
+    ]), resolve_parallel(args.parallel))
 
     systems = (("default", default), ("static bestfit", bestfit),
                ("self-adaptive", dynamic))
@@ -716,6 +685,22 @@ def cmd_compare(args) -> int:
         title=f"{args.workload} on {args.nodes} {args.device.upper()} nodes "
               f"(scale {args.scale})",
     ))
+    return 0
+
+
+def _emit_plan(plan, out: Optional[str], what: str) -> int:
+    """Print or save a generated fault or arrival plan.
+
+    The plan first goes through the loader ``show`` uses, so a flag value
+    the loader rejects (a negative or NaN time, no tenants) exits 2 here
+    instead of writing a plan nothing can read.
+    """
+    type(plan).from_dict(plan.to_dict())
+    if out is None:
+        print(plan.to_json())
+    else:
+        plan.save(out)
+        print(f"wrote {what} to {out}")
     return 0
 
 
@@ -769,13 +754,8 @@ def cmd_faults(args) -> int:
             kwargs[param] = value
     if args.kind == "stragglers" and args.no_speculation:
         kwargs["speculation"] = False
-    plan = CANNED_PLANS[args.kind](**kwargs)
-    if args.out is None:
-        print(plan.to_json())
-    else:
-        plan.save(args.out)
-        print(f"wrote {args.kind} plan to {args.out}")
-    return 0
+    return _emit_plan(CANNED_PLANS[args.kind](**kwargs), args.out,
+                      f"{args.kind} plan")
 
 
 def cmd_chaos(args) -> int:
@@ -856,21 +836,11 @@ def cmd_chaos(args) -> int:
         protection = replace(plan.cluster.protection, **overrides)
         plan = replace(plan,
                        cluster=replace(plan.cluster, protection=protection))
-        plan.validate()
-    if args.out is None:
-        print(plan.to_json())
-    else:
-        plan.save(args.out)
-        print(f"wrote {args.kind} chaos plan to {args.out}")
-    return 0
+    return _emit_plan(plan, args.out, f"{args.kind} chaos plan")
 
 
 def cmd_whatif(args) -> int:
-    from repro.harness.fork import (
-        fork_available,
-        parse_alternative,
-        run_whatif,
-    )
+    from repro.harness.fork import parse_alternative, run_whatif
 
     specs = list(args.alt or [])
     if "continue" not in specs:
@@ -879,7 +849,6 @@ def cmd_whatif(args) -> int:
     kwargs = _run_kwargs(args)
     fault_plan = kwargs.pop("fault_plan", None)
     workload_kwargs = kwargs.pop("workload_kwargs", {})
-    use_fork = None if not args.no_fork else False
     report = run_whatif(
         args.workload,
         at=args.at,
@@ -888,7 +857,6 @@ def cmd_whatif(args) -> int:
         workload_kwargs=workload_kwargs,
         fault_plan=fault_plan,
         parallel=resolve_parallel(args.parallel),
-        use_fork=use_fork,
         **kwargs,
     )
     doc = report.to_dict()
@@ -897,9 +865,8 @@ def cmd_whatif(args) -> int:
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
-    mode = "forked" if report.forked else "sequential re-simulation"
-    if not report.forked and not args.no_fork and not fork_available():
-        mode += " (os.fork unavailable)"
+    mode = ("forked" if report.forked
+            else "sequential re-simulation (os.fork unavailable)")
     print(f"{args.workload}: forked at t={args.at:g}s into "
           f"{len(alternatives)} future(s) [{mode}]\n")
     rows = []
@@ -998,16 +965,19 @@ class BadEventLogError(Exception):
 def _load_log(path: str, allow_truncated: bool = False):
     """Read an event log for ``history``, ``profile`` and ``validate``.
 
-    A missing or malformed log raises :class:`BadEventLogError`; any other
-    ``OSError`` propagates (exit 1).
+    A missing, malformed or event-free log raises
+    :class:`BadEventLogError`; any other ``OSError`` propagates (exit 1).
     """
     try:
-        return load_events(path, allow_truncated=allow_truncated)
+        events = load_events(path, allow_truncated=allow_truncated)
     except FileNotFoundError:
         raise BadEventLogError(
             f"cannot read {path}: no such event log") from None
     except ValueError as exc:
         raise BadEventLogError(f"cannot replay {path}: {exc}") from None
+    if not events:
+        raise BadEventLogError(f"cannot replay {path}: it holds no events")
+    return events
 
 
 def cmd_history(args) -> int:
@@ -1338,13 +1308,8 @@ def cmd_arrivals(args) -> int:
     else:  # single
         if args.workload:
             kwargs["workload"] = args.workload[0]
-    plan = CANNED_ARRIVALS[args.kind](**kwargs)
-    if args.out is None:
-        print(plan.to_json())
-    else:
-        plan.save(args.out)
-        print(f"wrote {args.kind} plan to {args.out}")
-    return 0
+    return _emit_plan(CANNED_ARRIVALS[args.kind](**kwargs), args.out,
+                      f"{args.kind} plan")
 
 
 COMMANDS = {
@@ -1379,7 +1344,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ForkBarrierNotReached, ForkUnavailableError) as exc:
-        # Barrier past the end of the run, fork on an unsupported platform.
+        # Barrier past the end of the run, or a run timeout where there is
+        # no os.fork to give the run a child process to kill.
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FaultPlanError as exc:

@@ -124,24 +124,6 @@ class SparkContext:
             if self.cluster.nodes else "",
         )
 
-    def attach_tracer(self, tracer: Tracer) -> None:
-        """Wire a tracer into a context built without one.
-
-        The copy-on-write fork engine builds the shared prefix untraced
-        (children must not inherit open sink file handles) and each child
-        attaches its own tracer here, at the divergence barrier.  Nothing
-        in the engine captures ``ctx.tracer`` by value and the prefix emits
-        no events, so a log started here is byte-identical to one wired at
-        construction -- the golden-log tests hold the fork engine to that.
-        """
-        if self.tracer.enabled:
-            raise ValueError("context already has an enabled tracer")
-        self.tracer = tracer
-        self._wire_tracer()
-        self.profiling = self.tracer.enabled and any(
-            getattr(sink, "is_profiler", False) for sink in self.tracer.sinks
-        )
-
     def install_fault_plan(self, fault_plan) -> None:
         """Arm a fault plan: build the injector and schedule its timers.
 

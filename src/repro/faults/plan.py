@@ -50,7 +50,7 @@ def _malformed(what: str):
         yield
     except FaultPlanError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FaultPlanError(f"malformed {what}: {exc}") from None
 
 
@@ -79,11 +79,11 @@ class TaskCrash:
     at_fraction: float = 0.5
 
     def validate(self) -> None:
-        if self.stage_ordinal < 0:
+        if not self.stage_ordinal >= 0:
             raise FaultPlanError(f"stage_ordinal must be >= 0, got {self.stage_ordinal}")
-        if self.partition < 0:
+        if not self.partition >= 0:
             raise FaultPlanError(f"partition must be >= 0, got {self.partition}")
-        if self.attempt < 0:
+        if not self.attempt >= 0:
             raise FaultPlanError(f"attempt must be >= 0, got {self.attempt}")
         if not 0.0 <= self.at_fraction <= 1.0:
             raise FaultPlanError(
@@ -110,7 +110,7 @@ class TaskCrashRate:
             raise FaultPlanError(
                 f"probability must be in [0, 1], got {self.probability}"
             )
-        if self.max_crashes < 0:
+        if not self.max_crashes >= 0:
             raise FaultPlanError(f"max_crashes must be >= 0, got {self.max_crashes}")
 
 
@@ -127,9 +127,9 @@ class ExecutorLoss:
     at: float
 
     def validate(self) -> None:
-        if self.executor_id < 0:
+        if not self.executor_id >= 0:
             raise FaultPlanError(f"executor_id must be >= 0, got {self.executor_id}")
-        if self.at < 0:
+        if not self.at >= 0:
             raise FaultPlanError(f"at must be >= 0, got {self.at}")
 
 
@@ -141,9 +141,9 @@ class NodeLoss:
     at: float
 
     def validate(self) -> None:
-        if self.node_id < 0:
+        if not self.node_id >= 0:
             raise FaultPlanError(f"node_id must be >= 0, got {self.node_id}")
-        if self.at < 0:
+        if not self.at >= 0:
             raise FaultPlanError(f"at must be >= 0, got {self.at}")
 
 
@@ -161,13 +161,13 @@ class DiskDegrade:
     factor: float = 0.25
 
     def validate(self) -> None:
-        if self.node_id < 0:
+        if not self.node_id >= 0:
             raise FaultPlanError(f"node_id must be >= 0, got {self.node_id}")
-        if self.at < 0:
+        if not self.at >= 0:
             raise FaultPlanError(f"at must be >= 0, got {self.at}")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise FaultPlanError(f"duration must be > 0, got {self.duration}")
-        if self.factor <= 0:
+        if not self.factor > 0:
             raise FaultPlanError(f"factor must be > 0, got {self.factor}")
 
 
@@ -186,13 +186,13 @@ class Straggler:
     disk_factor: float = 0.3
 
     def validate(self) -> None:
-        if self.node_id < 0:
+        if not self.node_id >= 0:
             raise FaultPlanError(f"node_id must be >= 0, got {self.node_id}")
-        if self.at < 0:
+        if not self.at >= 0:
             raise FaultPlanError(f"at must be >= 0, got {self.at}")
-        if self.duration <= 0:
+        if not self.duration > 0:
             raise FaultPlanError(f"duration must be > 0, got {self.duration}")
-        if self.cpu_factor <= 0 or self.disk_factor <= 0:
+        if not (self.cpu_factor > 0 and self.disk_factor > 0):
             raise FaultPlanError(
                 f"straggler factors must be > 0, got cpu={self.cpu_factor} "
                 f"disk={self.disk_factor}"
@@ -212,7 +212,7 @@ class SpeculationConfig:
     quantile: float = 0.75
 
     def validate(self) -> None:
-        if self.multiplier <= 1.0:
+        if not self.multiplier > 1.0:
             raise FaultPlanError(
                 f"speculation multiplier must be > 1, got {self.multiplier}"
             )
@@ -240,9 +240,9 @@ class NodeChurn:
     duration: Optional[float] = None
 
     def validate(self) -> None:
-        if self.node_id < 0:
+        if not self.node_id >= 0:
             raise FaultPlanError(f"node_id must be >= 0, got {self.node_id}")
-        if self.down_at < 0:
+        if not self.down_at >= 0:
             raise FaultPlanError(f"down_at must be >= 0, got {self.down_at}")
         if self.duration is not None and not (
                 math.isfinite(self.duration) and self.duration > 0):
@@ -266,9 +266,9 @@ class SlotFlap:
     duration: float
 
     def validate(self) -> None:
-        if self.node_id < 0:
+        if not self.node_id >= 0:
             raise FaultPlanError(f"node_id must be >= 0, got {self.node_id}")
-        if self.at < 0:
+        if not self.at >= 0:
             raise FaultPlanError(f"at must be >= 0, got {self.at}")
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise FaultPlanError(
@@ -300,7 +300,7 @@ class TenantPoison:
             raise FaultPlanError(
                 f"probability must be in [0, 1], got {self.probability}"
             )
-        if self.max_poisoned < 0:
+        if not self.max_poisoned >= 0:
             raise FaultPlanError(
                 f"max_poisoned must be >= 0, got {self.max_poisoned}"
             )
@@ -327,7 +327,7 @@ class DemandSurge:
     tenant: Optional[str] = None
 
     def validate(self) -> None:
-        if self.at < 0:
+        if not self.at >= 0:
             raise FaultPlanError(f"at must be >= 0, got {self.at}")
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise FaultPlanError(
@@ -371,40 +371,40 @@ class ProtectionConfig:
     degrade_factor: float = 0.5
 
     def validate(self) -> None:
-        if self.max_retries < 0:
+        if not self.max_retries >= 0:
             raise FaultPlanError(
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
-        if self.backoff_base <= 0 or self.backoff_cap <= 0:
+        if not (self.backoff_base > 0 and self.backoff_cap > 0):
             raise FaultPlanError(
                 f"backoff base/cap must be > 0, got {self.backoff_base}"
                 f"/{self.backoff_cap}"
             )
-        if self.backoff_jitter < 0:
+        if not self.backoff_jitter >= 0:
             raise FaultPlanError(
                 f"backoff_jitter must be >= 0, got {self.backoff_jitter}"
             )
         for name in ("deadline", "slo_latency", "max_wait"):
             value = getattr(self, name)
-            if value is not None and value <= 0:
+            if value is not None and not value > 0:
                 raise FaultPlanError(f"{name} must be > 0, got {value}")
-        if self.max_queue is not None and self.max_queue < 0:
+        if self.max_queue is not None and not self.max_queue >= 0:
             raise FaultPlanError(
                 f"max_queue must be >= 0, got {self.max_queue}"
             )
-        if self.breaker_failures is not None and self.breaker_failures < 1:
+        if self.breaker_failures is not None and not self.breaker_failures >= 1:
             raise FaultPlanError(
                 f"breaker_failures must be >= 1, got {self.breaker_failures}"
             )
-        if self.breaker_cooldown <= 0:
+        if not self.breaker_cooldown > 0:
             raise FaultPlanError(
                 f"breaker_cooldown must be > 0, got {self.breaker_cooldown}"
             )
-        if self.breaker_jitter < 0:
+        if not self.breaker_jitter >= 0:
             raise FaultPlanError(
                 f"breaker_jitter must be >= 0, got {self.breaker_jitter}"
             )
-        if self.degrade_queue is not None and self.degrade_queue < 1:
+        if self.degrade_queue is not None and not self.degrade_queue >= 1:
             raise FaultPlanError(
                 f"degrade_queue must be >= 1, got {self.degrade_queue}"
             )
@@ -565,7 +565,11 @@ class FaultPlan:
         return payload
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        try:
+            return json.dumps(self.to_dict(), indent=indent, sort_keys=True,
+                              allow_nan=False)
+        except ValueError as exc:
+            raise FaultPlanError(f"fault plan is not valid JSON: {exc}") from None
 
     @classmethod
     def from_dict(cls, payload: Dict[str, Any]) -> "FaultPlan":
@@ -623,9 +627,11 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, text: str) -> "FaultPlan":
+        from repro.atomicio import loads_finite
+
         try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
+            payload = loads_finite(text)
+        except ValueError as exc:
             raise FaultPlanError(f"fault plan is not valid JSON: {exc}") from None
         return cls.from_dict(payload)
 

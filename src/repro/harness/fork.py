@@ -1,47 +1,27 @@
-"""Copy-on-write prefix sharing: forked sweeps and what-if planning.
+"""Copy-on-write what-if planning: one simulated prefix, many futures.
 
-Sweeps and fault experiments re-simulate identical warm-up prefixes dozens
-of times: a Fig. 2 sweep rebuilds the same cluster, dataset and DAG once
-per point, and every fault-plan ablation replays the fault-free prefix
-before the first injection.  This module runs the shared prefix **once**
-and then continues each experiment point in a child forked by the
-supervised-child executor (:func:`~repro.harness.supervise.supervise`),
-which sidesteps the impossibility of pickling the kernel's generator-based
-:class:`~repro.simulation.core.Process` objects: the child inherits the
-entire live simulator -- heap, event queue, suspended generators -- for
-the cost of a page-table copy.  Children are babysat, retried and
-quarantined exactly like any other supervised child.
+Trial-and-error tuning asks "what if, from this point of the run, the pool
+size / policy / conf / fault plan were different?".  :func:`run_whatif`
+runs one workload to a chosen simulated time ``t=T`` once, then continues
+each :class:`Alternative` in a child forked by the supervised-child
+executor (:func:`~repro.harness.supervise.supervise`) and races the
+futures.  Forking sidesteps the impossibility of pickling the kernel's
+generator-based :class:`~repro.simulation.core.Process` objects: the child
+inherits the entire live simulator -- heap, event queue, suspended
+generators -- for the cost of a page-table copy.  Children are babysat,
+retried and quarantined exactly like any other supervised child.
 
-* **Sweep divergences** (:func:`fork_map_runs`): a family of
-  :class:`~repro.harness.parallel.RunConfig` points sharing one setup
-  prefix (cluster + context + dataset/DAG preparation) and diverging in
-  policy and/or fault plan.  Each child attaches its own tracer at the
-  barrier; the resulting event log is **byte-identical** to a from-scratch
-  run of the same configuration (golden-log tests enforce this).  The
-  sweep journal, ``resume`` and ``stop_after`` work as in
-  :func:`~repro.harness.parallel.map_runs`.
-* **What-if planning** (:func:`run_whatif`): run one workload to a chosen
-  simulated time ``t=T`` once, then fork N children that each apply a
-  different :class:`Alternative` (pool size, policy, conf override, fault
-  plan, RNG reseed) and race the futures.
-
-Where ``os.fork`` is unavailable (:func:`fork_available` is False) every
-entry point falls back to sequential re-simulation with identical results.
+Where ``os.fork`` is unavailable (:func:`fork_available` is False) the
+fan-out falls back to sequential re-simulation with identical results.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Union
 
-from repro.harness.parallel import (
-    RunConfig,
-    RunSummary,
-    build_run_tracer,
-    map_runs,
-    summarize_run,
-    supervise_runs,
-)
+from repro.harness.parallel import RunSummary, summarize_run
 from repro.harness.supervise import (
     CHILD_CONTINUES,
     CONTINUE,
@@ -57,97 +37,6 @@ from repro.harness.supervise import (
 
 class ForkBarrierNotReached(RuntimeError):
     """The what-if barrier time lies beyond the end of the run."""
-
-
-# -- sweep divergences -------------------------------------------------------
-
-#: RunConfig fields every point of one forked family must share: they
-#: describe the prefix (built once, pre-fork); the rest (policy, fault
-#: plan, output paths) are divergences applied in the children.
-_SHARED_PREFIX_FIELDS = (
-    "workload", "workload_kwargs", "conf_overrides", "cluster_kwargs",
-)
-
-
-def _execute_divergence(workload, ctx, config: RunConfig) -> RunSummary:
-    """Child body for one sweep point: diverge, run, summarise."""
-    from repro.faults.plan import FaultPlan
-    from repro.harness.runner import finish_trace, make_policy_factory
-    from repro.workloads.base import WorkloadRun
-
-    ctx.sim.after_fork(str(config.key))
-    ctx.set_policy_factory(make_policy_factory(config.policy))
-    if config.fault_plan_doc is not None:
-        ctx.install_fault_plan(FaultPlan.from_dict(config.fault_plan_doc))
-    tracer, profiler = build_run_tracer(config)
-    if tracer is not None:
-        ctx.attach_tracer(tracer)
-    result = workload.execute(ctx)
-    run = WorkloadRun(workload=workload.name, ctx=ctx, result=result)
-    if tracer is not None:
-        finish_trace(run)
-    return summarize_run(run, config.key, profiler)
-
-
-def fork_map_runs(
-    configs: Sequence[RunConfig],
-    parallel: int = 1,
-    *,
-    journal=None,
-    resume: bool = False,
-    timeout: Optional[float] = None,
-    max_attempts: int = 3,
-    backoff: float = 0.5,
-    stop_after: Optional[int] = None,
-    allow_quarantine: bool = False,
-) -> List[Optional[RunSummary]]:
-    """:func:`~repro.harness.parallel.map_runs` over one shared prefix.
-
-    All configs must describe the same prefix (workload, inputs, conf,
-    cluster) and may diverge in policy, fault plan, and output paths.  The
-    prefix -- cluster build, context wiring, dataset/DAG preparation --
-    runs once in the parent; each point then continues in a copy-on-write
-    child.  Event logs written by children are byte-identical to
-    from-scratch runs of the same configuration.
-
-    Falls back to :func:`~repro.harness.parallel.map_runs` (identical
-    results, no copy-on-write) where :func:`fork_available` is False.
-    """
-    configs = list(configs)
-    durable = dict(journal=journal, resume=resume, timeout=timeout,
-                   max_attempts=max_attempts, backoff=backoff,
-                   stop_after=stop_after, allow_quarantine=allow_quarantine)
-    if not configs:
-        return []
-    if not fork_available():
-        return map_runs(configs, parallel, **durable)
-    ref = configs[0]
-    for config in configs[1:]:
-        for field_name in _SHARED_PREFIX_FIELDS:
-            if getattr(config, field_name) != getattr(ref, field_name):
-                raise ValueError(
-                    f"fork sweep points must share the run prefix, but "
-                    f"{field_name!r} differs between key={ref.key!r} and "
-                    f"key={config.key!r}; use map_runs for heterogeneous "
-                    f"configs"
-                )
-    from repro.harness.runner import build_context
-    from repro.workloads import get_workload
-
-    workload = get_workload(ref.workload, **dict(ref.workload_kwargs))
-    ctx = build_context(
-        policy="default",
-        conf_overrides=dict(ref.conf_overrides) or None,
-        **dict(ref.cluster_kwargs),
-    )
-    workload.prepare(ctx)
-    return supervise_runs(
-        configs, lambda config: _execute_divergence(workload, ctx, config),
-        in_process=False, parallel=parallel, **durable,
-    )
-
-
-# -- what-if planning --------------------------------------------------------
 
 
 class AlternativeError(ValueError):
@@ -357,8 +246,8 @@ def run_whatif(
     from repro.harness.runner import build_context
     from repro.workloads import Workload, get_workload
 
-    if at < 0:
-        raise ValueError(f"fork time must be >= 0, got {at}")
+    if not 0 <= at < math.inf:
+        raise ValueError(f"fork time must be finite and >= 0, got {at}")
     alternatives = list(alternatives)
     if not alternatives:
         raise ValueError("run_whatif needs at least one alternative")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.engine.metrics import RunRecorder, StageRecord
 from repro.harness.supervise import (  # noqa: F401 - re-exported
@@ -120,8 +120,7 @@ def suffix_path(path: str, suffix: str) -> str:
 def build_run_tracer(config: RunConfig):
     """``(tracer, profiler)`` for one config's requested outputs (or Nones).
 
-    Shared by :func:`execute_run_config`, the prefix-sharing children of
-    :mod:`repro.harness.fork` and ``repro run``, so all of them write
+    Shared by :func:`execute_run_config` and ``repro run``, so both write
     exactly the same files for the same outputs.
     """
     from repro.observability.chrome import ChromeTraceSink
@@ -241,12 +240,10 @@ def _import_run_modules() -> None:
     import repro.observability.sinks  # noqa: F401
 
 
-def supervise_runs(
+def map_runs(
     configs: List[RunConfig],
-    child_fn: Callable[[RunConfig], RunSummary],
+    parallel: int = 1,
     *,
-    in_process: bool,
-    parallel: int,
     journal=None,
     resume: bool = False,
     timeout: Optional[float] = None,
@@ -255,9 +252,26 @@ def supervise_runs(
     stop_after: Optional[int] = None,
     allow_quarantine: bool = False,
 ) -> List[Optional[RunSummary]]:
-    """Run ``child_fn`` over ``configs`` under :func:`supervise`, with a
-    crash-safe journal around every run; see :func:`map_runs`.  Shared with
-    the prefix-sharing sweeps of :mod:`repro.harness.fork`."""
+    """Execute every config; results come back in config order.
+
+    * With ``parallel > 1`` or a ``timeout`` each run gets its own forked
+      child, at most ``parallel`` at once; otherwise runs execute
+      in-process, bit-identically, because each run owns a private
+      simulator either way.
+    * A run that fails (raises, dies, or outlives ``timeout``) is retried
+      with exponential backoff from ``backoff`` seconds, up to
+      ``max_attempts`` attempts; then it is quarantined in the journal and
+      raises :class:`QuarantinedConfigError`, or, with
+      ``allow_quarantine``, leaves ``None`` in its slot.
+    * With a ``journal`` each finished run is journaled atomically, so a
+      killed sweep loses at most the runs in flight; ``resume=True``
+      rebuilds journaled runs instead of re-running them, and the
+      aggregate is byte-identical to an uninterrupted sweep.
+    * ``stop_after`` raises :class:`SweepInterrupted` after that many
+      *new* completions (the CI resume smoke test's "kill the sweep
+      mid-flight").
+    """
+    configs = list(configs)
     results: List[Optional[RunSummary]] = [None] * len(configs)
     pending = list(range(len(configs)))
     fingerprints: List[str] = []
@@ -296,11 +310,12 @@ def supervise_runs(
         journal.record_quarantine(fingerprints[pending[slot]], attempts,
                                   reason)
 
+    in_process = parallel <= 1 and timeout is None
     if not in_process:
         _import_run_modules()
     summaries = supervise(
         [configs[index] for index in pending],
-        child_fn,
+        execute_run_config,
         parallel=parallel,
         timeout=timeout,
         max_attempts=max_attempts,
@@ -313,44 +328,3 @@ def supervise_runs(
     for index, summary in zip(pending, summaries):
         results[index] = summary
     return results
-
-
-def map_runs(
-    configs: List[RunConfig],
-    parallel: int = 1,
-    *,
-    journal=None,
-    resume: bool = False,
-    timeout: Optional[float] = None,
-    max_attempts: int = 3,
-    backoff: float = 0.5,
-    stop_after: Optional[int] = None,
-    allow_quarantine: bool = False,
-) -> List[Optional[RunSummary]]:
-    """Execute every config; results come back in config order.
-
-    * With ``parallel > 1`` or a ``timeout`` each run gets its own forked
-      child, at most ``parallel`` at once; otherwise runs execute
-      in-process, bit-identically, because each run owns a private
-      simulator either way.
-    * A run that fails (raises, dies, or outlives ``timeout``) is retried
-      with exponential backoff from ``backoff`` seconds, up to
-      ``max_attempts`` attempts; then it is quarantined in the journal and
-      raises :class:`QuarantinedConfigError`, or, with
-      ``allow_quarantine``, leaves ``None`` in its slot.
-    * With a ``journal`` each finished run is journaled atomically, so a
-      killed sweep loses at most the runs in flight; ``resume=True``
-      rebuilds journaled runs instead of re-running them, and the
-      aggregate is byte-identical to an uninterrupted sweep.
-    * ``stop_after`` raises :class:`SweepInterrupted` after that many
-      *new* completions (the CI resume smoke test's "kill the sweep
-      mid-flight").
-    """
-    configs = list(configs)
-    return supervise_runs(
-        configs, execute_run_config,
-        in_process=parallel <= 1 and timeout is None,
-        parallel=parallel, journal=journal, resume=resume, timeout=timeout,
-        max_attempts=max_attempts, backoff=backoff, stop_after=stop_after,
-        allow_quarantine=allow_quarantine,
-    )

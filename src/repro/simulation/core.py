@@ -112,8 +112,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None) -> None:
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay: {delay!r}")
+        if not delay >= 0:  # also rejects NaN, which would poison the heap
+            raise SimulationError(f"timeout delay must be >= 0, got {delay!r}")
         super().__init__(sim)
         self.delay = delay
         self._value = value
@@ -402,8 +402,9 @@ class Simulator:
 
     def call_at(self, when: float, callback: Callable[[], None]) -> Event:
         """Run ``callback()`` at absolute simulated time ``when``."""
-        if when < self._now:
-            raise SimulationError(f"cannot schedule in the past: {when} < {self._now}")
+        if not when >= self._now:
+            raise SimulationError(
+                f"cannot schedule at {when} with the clock at {self._now}")
         marker = self.timeout(when - self._now)
         marker.add_callback(lambda _e: callback())
         return marker
@@ -418,8 +419,8 @@ class Simulator:
         :class:`Timeout` with ``call_in`` preserves the event-by-event
         timeline exactly.
         """
-        if delay < 0:
-            raise SimulationError(f"negative call_in delay: {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"call_in delay must be >= 0, got {delay!r}")
         self._sequence += 1
         heapq.heappush(self._queue, (self._now + delay, self._sequence, fn, args))
 
@@ -488,7 +489,7 @@ class Simulator:
         is *not* advanced.  Returns ``True`` when the barrier was reached,
         ``False`` when ``stop`` cut it short.
         """
-        if until < self._now:
+        if not until >= self._now:
             raise SimulationError(
                 f"fork barrier lies in the past: {until} < {self._now}"
             )
@@ -521,7 +522,7 @@ class Simulator:
         The loop body is :meth:`step` inlined: one pop and one dispatch per
         entry, with no method call in between.
         """
-        if until is not None and until < self._now:
+        if until is not None and not until >= self._now:
             raise SimulationError("`until` lies in the past")
         queue = self._queue
         pop = heapq.heappop

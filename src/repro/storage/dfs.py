@@ -16,6 +16,7 @@ against :class:`repro.storage.device.StorageDevice` and the network fabric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -86,8 +87,8 @@ class DistributedFileSystem:
             if not overwrite:
                 raise FileExistsError(f"DFS path already exists: {path}")
             del self._files[path]
-        if size < 0:
-            raise ValueError(f"negative file size: {size}")
+        if not 0 <= size < math.inf:
+            raise ValueError(f"file size must be finite and >= 0, got {size}")
         dfs_file = DfsFile(path=path, size=float(size))
         remaining = float(size)
         index = 0

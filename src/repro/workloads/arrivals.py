@@ -22,10 +22,11 @@ is :mod:`repro.harness.service`'s.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.atomicio import atomic_write_text
+from repro.atomicio import atomic_write_text, loads_finite
 from repro.simulation.randomness import RandomStreams
 from repro.workloads.catalog import WORKLOADS
 
@@ -105,9 +106,10 @@ class JobTemplate:
                 f"unknown workload {self.workload!r}; known: "
                 f"{', '.join(sorted(WORKLOADS))}"
             )
-        if self.scale <= 0:
-            raise ArrivalPlanError(f"scale must be positive, got {self.scale}")
-        if self.weight <= 0:
+        if not 0 < self.scale < math.inf:
+            raise ArrivalPlanError(
+                f"scale must be positive and finite, got {self.scale}")
+        if not self.weight > 0:
             raise ArrivalPlanError(
                 f"mix weight must be positive, got {self.weight}"
             )
@@ -183,12 +185,12 @@ class TenantSpec:
             raise ArrivalPlanError(
                 f"tenant name must be a non-empty string, got {self.name!r}"
             )
-        if self.weight <= 0:
+        if not self.weight > 0:
             raise ArrivalPlanError(
                 f"tenant {self.name!r}: weight must be positive, "
                 f"got {self.weight}"
             )
-        if self.slots < 1:
+        if not self.slots >= 1:
             raise ArrivalPlanError(
                 f"tenant {self.name!r}: slots must be >= 1, got {self.slots}"
             )
@@ -201,12 +203,12 @@ class TenantSpec:
         kind = self.process[0]
         if kind == "poisson":
             _kind, rate, start, end = self.process
-            if rate <= 0:
+            if not rate > 0:
                 raise ArrivalPlanError(
                     f"tenant {self.name!r}: poisson rate must be positive, "
                     f"got {rate}"
                 )
-            if start < 0:
+            if not start >= 0:
                 raise ArrivalPlanError(
                     f"tenant {self.name!r}: start must be >= 0, got {start}"
                 )
@@ -215,13 +217,13 @@ class TenantSpec:
                     f"tenant {self.name!r}: poisson arrivals need an 'end' "
                     f"or a plan horizon"
                 )
-            if end is not None and end < start:
+            if end is not None and not end >= start:
                 raise ArrivalPlanError(
                     f"tenant {self.name!r}: end {end} before start {start}"
                 )
         elif kind == "trace":
             times = self.process[1]
-            if any(t < 0 for t in times):
+            if not all(t >= 0 for t in times):
                 raise ArrivalPlanError(
                     f"tenant {self.name!r}: trace times must be >= 0"
                 )
@@ -315,7 +317,7 @@ class ArrivalPlan:
     horizon: Optional[float] = None
 
     def validate(self) -> None:
-        if self.horizon is not None and self.horizon <= 0:
+        if self.horizon is not None and not self.horizon > 0:
             raise ArrivalPlanError(
                 f"horizon must be positive, got {self.horizon}"
             )
@@ -424,13 +426,17 @@ class ArrivalPlan:
         return plan
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        try:
+            return json.dumps(self.to_dict(), indent=2, sort_keys=True,
+                              allow_nan=False)
+        except ValueError as exc:
+            raise ArrivalPlanError(f"not valid JSON: {exc}") from None
 
     @classmethod
     def from_json(cls, text: str) -> "ArrivalPlan":
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
+            doc = loads_finite(text)
+        except ValueError as exc:
             raise ArrivalPlanError(f"not valid JSON: {exc}") from None
         return cls.from_dict(doc)
 

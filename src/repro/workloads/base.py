@@ -14,6 +14,7 @@ checkable (Terasort really sorts).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, List, Optional
 
@@ -70,8 +71,8 @@ class Workload:
     paper_io_activity: float = 0.0  # bytes (Table 2)
 
     def __init__(self, scale: float = 1.0) -> None:
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        if not 0 < scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {scale}")
         self.scale = scale
 
     @property

@@ -16,6 +16,8 @@ from repro.faults import (
     TaskCrashRate,
 )
 
+NAN = float("nan")
+
 
 def full_plan():
     return FaultPlan(
@@ -101,10 +103,34 @@ class TestValidation:
         FaultPlan(disk_degradations=[DiskDegrade(0, 1.0, duration=0.0)]),
         FaultPlan(stragglers=[Straggler(0, 1.0, 10.0, cpu_factor=0.0)]),
         FaultPlan(speculation=SpeculationConfig(multiplier=1.0)),
+        # NaN compares False against every bound.
+        FaultPlan(node_losses=[NodeLoss(node_id=0, at=NAN)]),
+        FaultPlan(executor_losses=[ExecutorLoss(executor_id=0, at=NAN)]),
+        FaultPlan(disk_degradations=[DiskDegrade(0, 1.0, duration=NAN)]),
+        FaultPlan(stragglers=[Straggler(0, 1.0, 10.0, cpu_factor=NAN)]),
+        FaultPlan(speculation=SpeculationConfig(multiplier=NAN)),
     ])
     def test_out_of_range_values_rejected(self, bad):
         with pytest.raises(FaultPlanError):
             bad.validate()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
+                                       "1e999"])
+    def test_non_finite_json_numbers_rejected(self, token):
+        text = ('{"schema": "repro.faults/1", "node_losses": '
+                f'[{{"node_id": 1, "at": {token}}}]}}')
+        with pytest.raises(FaultPlanError, match="JSON"):
+            FaultPlan.from_json(text)
+
+    def test_overflowing_seed_rejected(self):
+        with pytest.raises(FaultPlanError, match="malformed"):
+            FaultPlan.from_dict({"schema": PLAN_SCHEMA,
+                                 "seed": float("inf")})
+
+    def test_non_finite_plan_is_not_written(self):
+        plan = FaultPlan(node_losses=[NodeLoss(node_id=0, at=float("inf"))])
+        with pytest.raises(FaultPlanError, match="JSON"):
+            plan.to_json()
 
 
 class TestCannedPlans:

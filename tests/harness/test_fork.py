@@ -1,10 +1,9 @@
-"""Copy-on-write fork engine: determinism, divergences, and babysitting.
+"""Copy-on-write what-if engine: determinism, divergences, and babysitting.
 
 The contract under test (see ``repro.harness.fork``):
 
-* forked children produce results **byte-identical** to from-scratch runs
-  (the golden-log suite additionally diffs the event-log bytes);
-* the what-if fork path and its sequential fallback are interchangeable;
+* the what-if fork path and its sequential fallback are interchangeable,
+  result for result;
 * crashed / hung / silently-dying children are retried and quarantined
   with the same semantics as the durable runner.
 """
@@ -19,15 +18,10 @@ from repro.harness.fork import (
     AlternativeError,
     ForkBarrierNotReached,
     fork_available,
-    fork_map_runs,
     parse_alternative,
     run_whatif,
 )
-from repro.harness.parallel import (
-    QuarantinedConfigError,
-    RunConfig,
-    map_runs,
-)
+from repro.harness.parallel import QuarantinedConfigError
 from repro.harness.supervise import supervise
 from repro.simulation.randomness import RandomStreams
 
@@ -111,54 +105,6 @@ class TestForkMap:
         [result] = supervise([_Item("flaky")], child, max_attempts=3,
                              backoff=0.01)
         assert result == "recovered"
-
-
-@needs_fork
-class TestForkMapRuns:
-    def _configs(self, **common):
-        return [
-            RunConfig(workload="terasort", policy=("static", threads),
-                      key=threads, workload_kwargs=WK, **common)
-            for threads in (32, 8, 2)
-        ]
-
-    def test_matches_map_runs_exactly(self):
-        configs = self._configs()
-        sequential = map_runs(configs, 1)
-        forked = fork_map_runs(configs)
-        for seq, fork in zip(sequential, forked):
-            assert seq.key == fork.key
-            assert seq.runtime == fork.runtime
-            assert seq.recorder.to_dict() == fork.recorder.to_dict()
-
-    def test_fault_divergence_matches(self):
-        from repro.faults.plan import node_loss_plan
-
-        doc = node_loss_plan(node_id=1, at=20.0).to_dict()
-        configs = [
-            RunConfig(workload="terasort", policy=("static", threads),
-                      key=threads, workload_kwargs=WK, fault_plan_doc=doc)
-            for threads in (32, 8)
-        ]
-        for seq, fork in zip(map_runs(configs, 1), fork_map_runs(configs)):
-            assert seq.runtime == fork.runtime
-            assert seq.recorder.to_dict() == fork.recorder.to_dict()
-
-    def test_heterogeneous_prefix_rejected(self):
-        configs = [
-            RunConfig(workload="terasort", key=1, workload_kwargs=WK),
-            RunConfig(workload="terasort", key=2,
-                      workload_kwargs={"scale": SCALE * 2}),
-        ]
-        with pytest.raises(ValueError, match="share the run prefix"):
-            fork_map_runs(configs)
-
-    def test_child_writes_event_log(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        configs = [RunConfig(workload="terasort", key="t", workload_kwargs=WK,
-                             events_path=str(path))]
-        fork_map_runs(configs)
-        assert path.exists() and path.stat().st_size > 0
 
 
 class TestParseAlternative:
@@ -305,8 +251,7 @@ class TestWhatIfCli:
 
         out = tmp_path / "whatif.json"
         code = main(["whatif", "terasort", "--at", "15", "--scale",
-                     str(SCALE), "--alt", "pool=8", "--no-fork",
-                     "--out", str(out)])
+                     str(SCALE), "--alt", "pool=8", "--out", str(out)])
         assert code == 0
         shown = capsys.readouterr().out
         assert "continue" in shown and "pool=8" in shown
@@ -338,6 +283,6 @@ class TestWhatIfCli:
         from repro.cli import main
 
         code = main(["whatif", "terasort", "--at", "999999", "--scale",
-                     str(SCALE), "--no-fork"])
+                     str(SCALE)])
         assert code == 1
         assert "beyond the end" in capsys.readouterr().err

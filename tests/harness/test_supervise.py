@@ -2,9 +2,9 @@
 
 The same cases run in-process (``map_runs``, ``parallel=1``), in forked
 children one at a time (``map_runs`` with a watchdog) and two at a time
-(``map_runs``, ``parallel=2``), and on the prefix-sharing fork engine
-(``fork_map_runs``): transient failures are retried, persistent ones are
-quarantined and journaled, and a stopped sweep resumes byte-identically.
+(``map_runs``, ``parallel=2``): transient failures are retried, persistent
+ones are quarantined and journaled, and a stopped sweep resumes
+byte-identically.
 """
 
 import os
@@ -12,11 +12,9 @@ import time
 
 import pytest
 
-import repro.harness.fork as fork_mod
 import repro.harness.parallel as parallel_mod
 import repro.harness.supervise as supervise_mod
 from repro.engine.metrics import RunRecorder
-from repro.harness.fork import fork_map_runs
 from repro.harness.journal import SweepJournal, config_fingerprint
 from repro.harness.parallel import (
     QuarantinedConfigError,
@@ -57,18 +55,13 @@ MODES = {
     "forked-1": lambda configs, **kw: map_runs(
         configs, parallel=1, timeout=kw.pop("timeout", 60.0), **kw),
     "forked-2": lambda configs, **kw: map_runs(configs, parallel=2, **kw),
-    "fork-prefix": lambda configs, **kw: fork_map_runs(configs, **kw),
 }
-FORKED = ["forked-1", "forked-2", "fork-prefix"]
+FORKED = ["forked-1", "forked-2"]
 
 
-def _install(monkeypatch, mode, body):
-    """Make every run of ``mode`` execute ``body(config)`` instead."""
-    if mode == "fork-prefix":
-        monkeypatch.setattr(fork_mod, "_execute_divergence",
-                            lambda workload, ctx, config: body(config))
-    else:
-        monkeypatch.setattr(parallel_mod, "execute_run_config", body)
+def _install(monkeypatch, body):
+    """Make every run execute ``body(config)`` instead."""
+    monkeypatch.setattr(parallel_mod, "execute_run_config", body)
 
 
 @pytest.mark.parametrize("mode", list(MODES))
@@ -82,7 +75,7 @@ class TestFailureContract:
                 raise RuntimeError("transient")
             return _fake_summary(config)
 
-        _install(monkeypatch, mode, flaky)
+        _install(monkeypatch, flaky)
         [summary] = MODES[mode](_configs(1), backoff=0.0)
         assert summary.key == 1
         assert flag.exists()
@@ -92,7 +85,7 @@ class TestFailureContract:
         def broken(config):
             raise RuntimeError("always broken")
 
-        _install(monkeypatch, mode, broken)
+        _install(monkeypatch, broken)
         journal = SweepJournal(str(tmp_path / "sweep.journal"))
         with pytest.raises(QuarantinedConfigError) as info:
             MODES[mode](_configs(1), journal=journal, max_attempts=2,
@@ -108,7 +101,7 @@ class TestFailureContract:
                 raise RuntimeError("nope")
             return _fake_summary(config)
 
-        _install(monkeypatch, mode, broken_one)
+        _install(monkeypatch, broken_one)
         results = MODES[mode](_configs(2), max_attempts=1, backoff=0.0,
                               allow_quarantine=True)
         assert results[0] is None
@@ -118,7 +111,7 @@ class TestFailureContract:
         # Bigger than any pipe buffer: the parent must drain while the
         # child writes.
         blob = {"x": "x" * (4 << 20)}
-        _install(monkeypatch, mode,
+        _install(monkeypatch,
                  lambda config: _fake_summary(config, blob))
         [summary] = MODES[mode](_configs(1))
         assert summary.demand_profile == blob
@@ -142,7 +135,7 @@ class TestChildDeath:
         def dies(config):
             os._exit(3)  # no exception, no result
 
-        _install(monkeypatch, mode, dies)
+        _install(monkeypatch, dies)
         with pytest.raises(QuarantinedConfigError, match="exit code 3"):
             MODES[mode](_configs(1), max_attempts=2, backoff=0.0)
 
@@ -150,7 +143,7 @@ class TestChildDeath:
         def hangs(config):
             time.sleep(60.0)
 
-        _install(monkeypatch, mode, hangs)
+        _install(monkeypatch, hangs)
         start = time.monotonic()
         [result] = MODES[mode](_configs(1), timeout=0.2, max_attempts=1,
                                allow_quarantine=True)
@@ -193,9 +186,7 @@ class TestWithoutFork:
         configs = _configs(2)
         forked = map_runs(configs, parallel=2)
         monkeypatch.setattr(supervise_mod, "fork_available", lambda: False)
-        monkeypatch.setattr(fork_mod, "fork_available", lambda: False)
         for results in (map_runs(configs, parallel=2),
-                        fork_map_runs(configs, parallel=2),
                         supervise(configs, parallel_mod.execute_run_config,
                                   parallel=2)):
             assert ([summary_to_doc(s) for s in results]

@@ -23,6 +23,23 @@ def test_timeout_rejects_negative_delay():
         sim.timeout(-1.0)
 
 
+def test_nan_times_are_rejected():
+    # NaN compares False against everything, so a `delay < 0` check let it
+    # into the heap, where it stamped events with ts NaN.
+    nan = float("nan")
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.call_in(nan, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.timeout(nan)
+    with pytest.raises(SimulationError):
+        sim.call_at(nan, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.run(until=nan)
+    sim.run()
+    assert sim.now == 0.0  # nothing was queued
+
+
 def test_process_receives_timeout_value():
     sim = Simulator()
     seen = []

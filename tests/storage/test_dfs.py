@@ -57,6 +57,13 @@ class TestCreate:
         with pytest.raises(ValueError):
             dfs.create("/bad", -5.0)
 
+    def test_nan_size_rejected(self):
+        # An infinite size is rejected by the same check; it is not
+        # exercised here because an unchecked create() never returns.
+        dfs = make_dfs()
+        with pytest.raises(ValueError, match="finite"):
+            dfs.create("/bad", float("nan"))
+
     def test_unknown_writer_rejected(self):
         dfs = make_dfs(nodes=2, replication=1)
         with pytest.raises(ValueError):

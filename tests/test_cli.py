@@ -122,14 +122,6 @@ class TestJsonMode:
         # Round trip: serialising again yields the same document.
         assert json.loads(json.dumps(doc)) == doc
 
-    def test_run_fork_json_matches_in_process(self, capsys):
-        argv = ["run", "wordcount", "--scale", "0.02", "--nodes", "2",
-                "--json"]
-        assert main(argv) == 0
-        plain = capsys.readouterr().out
-        assert main(argv + ["--fork"]) == 0
-        assert capsys.readouterr().out == plain
-
     def test_sweep_json(self, capsys):
         code = main(["sweep", "wordcount", "--scale", "0.02", "--nodes", "2",
                      "--cores", "4", "--json"])
@@ -352,6 +344,71 @@ class TestBadInputs:
             main(["serve", "--plan", "plan.json", *flag])
         assert info.value.code == 2
         assert f"argument {flag[0]}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "wordcount", "--nodes", "0"],
+        ["run", "wordcount", "--policy", "static", "--threads", "0"],
+        ["run", "wordcount", "--profile-interval", "0"],
+        ["run", "wordcount", "--profile-interval", "nan"],
+        ["run", "wordcount", "--scale", "nan"],
+        ["sweep", "wordcount", "--scale", "nan"],
+        ["whatif", "wordcount", "--at", "nan"],
+        ["serve", "--plan", "plan.json", "--nodes", "0"],
+        ["bench", "--tolerance", "nan"],
+    ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
+    def test_bad_flag_values_rejected_by_parser(self, argv, capsys):
+        # These once started the run and failed inside it (exit 1), or,
+        # for a NaN scale, retried and quarantined sweep points; a NaN
+        # bench tolerance passed every regression.
+        small = [] if argv[0] in ("serve", "bench") else ["--scale", "0.02"]
+        with pytest.raises(SystemExit) as info:
+            main(argv[:2] + small + argv[2:])
+        assert info.value.code == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_infinite_scale_exits_2_without_running(self):
+        # Unchecked, an infinite scale made DistributedFileSystem.create
+        # append blocks forever; run it in a child with a memory cap and a
+        # timeout so a regression fails instead of hanging the suite.
+        import os
+        import resource
+        import subprocess
+        import sys
+
+        def cap_memory():
+            limit = 1 << 30
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "run", "terasort", "--scale",
+             "inf"],
+            env=env, capture_output=True, text=True, timeout=120,
+            preexec_fn=cap_memory)
+        assert proc.returncode == 2, proc.stderr
+        assert "--scale: must be finite" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["history", "profile", "validate"])
+    def test_empty_event_log_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        assert main([command, str(path)]) == 2
+        assert "holds no events" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["faults", "generate", "node-loss", "--at", "-5"],
+        ["faults", "generate", "node-loss", "--at", "nan"],
+        ["chaos", "generate", "node-churn", "--at", "-3"],
+        ["arrivals", "generate", "poisson", "--rate", "-1"],
+        ["arrivals", "generate", "poisson", "--tenants", "0"],
+        ["arrivals", "generate", "poisson", "--scale", "nan"],
+    ], ids=lambda argv: " ".join(argv))
+    def test_generators_write_only_loadable_plans(self, argv, tmp_path,
+                                                  capsys):
+        out = tmp_path / "plan.json"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert "error: invalid" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_whatif_missing_alternative_plan_exits_2(self, tmp_path, capsys):
         code = main(["whatif", "wordcount", "--scale", "0.02", "--nodes",

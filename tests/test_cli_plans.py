@@ -1,9 +1,11 @@
 """Malformed fault and arrival plans exit 2 with a message, never a traceback.
 
 Each regression case below once escaped the loaders as a ``TypeError`` or
-``ValueError`` (a traceback, or exit 1).  The fuzz tests mutate one field of
-a valid plan to an arbitrary JSON value and drive the CLI's ``show``
-commands, which must then accept the plan (exit 0) or reject it (exit 2).
+``ValueError`` (a traceback, or exit 1), or was accepted with a NaN in it.
+The fuzz tests mutate one field of a valid plan to an arbitrary JSON value
+(``NaN`` and ``Infinity`` tokens included) and drive the CLI's ``show``
+commands, which must then accept the plan (exit 0) or reject it (exit 2);
+a plan they accept must serialise as strict JSON.
 """
 
 import copy
@@ -14,6 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.faults.plan import FaultPlan
+from repro.workloads.arrivals import ArrivalPlan
 
 FAULTS_V2 = {
     "schema": "repro.faults/2",
@@ -101,6 +105,16 @@ class TestMalformedFaultPlans:
         path = write(tmp_path, {"schema": "repro.faults/1", "seed": "abc"})
         self.assert_rejected(["faults", "show", path], capsys)
 
+    @pytest.mark.parametrize("command", [
+        ["faults", "show"], ["chaos", "show"],
+        ["run", "terasort", "--scale", "0.02", "--nodes", "2", "--faults"],
+    ], ids=["faults-show", "chaos-show", "run"])
+    def test_nan_node_loss_time(self, command, tmp_path, capsys):
+        # Once accepted: the run then finished late, with "ts":NaN events.
+        path = write(tmp_path, mutated(FAULTS_V2, ("node_losses", 0, "at"),
+                                       float("nan")))
+        self.assert_rejected([*command, path], capsys)
+
 
 class TestMalformedArrivalPlans:
     def assert_rejected(self, doc, tmp_path, capsys):
@@ -126,6 +140,12 @@ class TestMalformedArrivalPlans:
     def test_string_number(self, path, tmp_path, capsys):
         self.assert_rejected(mutated(ARRIVALS, path, "x"), tmp_path, capsys)
 
+    def test_nan_scale(self, tmp_path, capsys):
+        self.assert_rejected(
+            mutated(ARRIVALS, ("tenants", 0, "mix", 0, "scale"),
+                    float("nan")),
+            tmp_path, capsys)
+
     def test_runaway_rate(self, tmp_path, capsys):
         """A rate too high for simulated time to advance is rejected, not
         expanded forever."""
@@ -147,7 +167,7 @@ def field_paths(doc, prefix=()):
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers()
-    | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    | st.floats() | st.text(),
     lambda children: (st.lists(children, max_size=3)
                       | st.dictionaries(st.text(), children, max_size=3)),
     max_leaves=5,
@@ -162,11 +182,17 @@ FUZZ = settings(max_examples=150, deadline=None,
 @given(path=st.sampled_from(field_paths(FAULTS_V2)), value=JSON_VALUES)
 def test_fault_plan_fuzz(command, path, value, tmp_path):
     plan = write(tmp_path, mutated(FAULTS_V2, path, value))
-    assert main([command, "show", plan]) in (0, 2)
+    code = main([command, "show", plan])
+    assert code in (0, 2)
+    if code == 0:
+        json.dumps(FaultPlan.load(plan).to_dict(), allow_nan=False)
 
 
 @FUZZ
 @given(path=st.sampled_from(field_paths(ARRIVALS)), value=JSON_VALUES)
 def test_arrival_plan_fuzz(path, value, tmp_path):
     plan = write(tmp_path, mutated(ARRIVALS, path, value))
-    assert main(["arrivals", "show", plan]) in (0, 2)
+    code = main(["arrivals", "show", plan])
+    assert code in (0, 2)
+    if code == 0:
+        json.dumps(ArrivalPlan.load(plan).to_dict(), allow_nan=False)

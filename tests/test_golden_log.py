@@ -59,27 +59,6 @@ class TestGoldenLogs:
         assert fresh == _golden_bytes("terasort_s005_seed42_nodeloss.jsonl")
 
 
-class TestForkedGoldenLogs:
-    """The fork engine's correctness contract: a run that diverges in a
-    copy-on-write child after the shared setup prefix must write the SAME
-    BYTES as a from-scratch run -- against the committed goldens, so fork
-    and non-fork paths are held to one reference."""
-
-    def test_forked_event_log_bit_identical(self, tmp_path, capsys):
-        fresh = _run_and_read(tmp_path, ["--fork"])
-        assert fresh == _golden_bytes("terasort_s005_seed42.jsonl")
-
-    def test_forked_node_loss_bit_identical(self, tmp_path, capsys):
-        # The fault plan is a *divergence* on the fork path: the injector
-        # is wired in the child, not in the shared prefix.
-        plan = REPO_ROOT / "examples" / "faults" / "node-loss.json"
-        if not plan.exists():
-            pytest.skip("node-loss example plan not present")
-        fresh = _run_and_read(tmp_path, ["--fork", "--faults", str(plan)])
-        assert fresh == _golden_bytes("terasort_s005_seed42_nodeloss.jsonl")
-
-
-
 class TestServeGoldenReport:
     """A chaos-free serve under both admission limits must reproduce the
     committed ``repro.service/1`` report byte for byte.  The plan sheds

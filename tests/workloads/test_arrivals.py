@@ -178,6 +178,20 @@ class TestValidation:
         with pytest.raises(ArrivalPlanError, match="JSON"):
             ArrivalPlan.from_json("{not json")
 
+    @pytest.mark.parametrize("scale", [float("inf"), float("nan")])
+    def test_rejects_non_finite_scale(self, scale):
+        with pytest.raises(ArrivalPlanError, match="finite"):
+            JobTemplate(workload="terasort", scale=scale).validate()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity",
+                                       "1e999"])
+    def test_rejects_non_finite_json_numbers(self, token):
+        text = json.dumps(two_tenant_plan().to_dict()).replace(
+            '"horizon": 500.0', f'"horizon": {token}')
+        assert token in text
+        with pytest.raises(ArrivalPlanError, match="JSON"):
+            ArrivalPlan.from_json(text)
+
     def test_rejects_empty_mix(self):
         with pytest.raises(ArrivalPlanError, match="mix"):
             TenantSpec(name="t", mix=()).validate(None)

@@ -1,5 +1,7 @@
 """Structural checks of the synthetic workloads (cheap, scaled-down runs)."""
 
+import math
+
 import pytest
 
 from repro.workloads import WORKLOADS, Workload, get_workload
@@ -41,6 +43,13 @@ class TestCatalog:
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
             get_workload("terasort", scale=0.0)
+
+    @pytest.mark.parametrize("scale", [math.inf, math.nan])
+    def test_non_finite_scale_rejected(self, scale):
+        # An infinite scale once reached DistributedFileSystem.create,
+        # which appended blocks forever; NaN failed later, mid-run.
+        with pytest.raises(ValueError, match="finite"):
+            get_workload("terasort", scale=scale)
 
     def test_paper_amplification_ratios(self):
         # Table 2's reported ratios, sanity-encoded on the classes.
