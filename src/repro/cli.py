@@ -9,7 +9,6 @@ Examples::
     python -m repro compare pagerank --scale 0.5 --parallel 2
     python -m repro sweep terasort --device ssd --trace sweep.json
     python -m repro sweep terasort --scale 0.1 --parallel 0   # one per core
-    python -m repro bench --smoke --check benchmarks/perf/baseline.json
     python -m repro history out.jsonl
     python -m repro list
 
@@ -108,28 +107,10 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="N",
                        help="attempts per point before quarantine "
                             "(default 3; needs --journal to persist)")
-    sweep.add_argument("--stop-after", type=int, default=None, metavar="N",
+    sweep.add_argument("--stop-after", type=_positive_int, default=None,
+                       metavar="N",
                        help="stop (exit 3) after N newly computed points; "
                             "for testing crash/resume behaviour")
-
-    bench = sub.add_parser(
-        "bench", help="kernel/e2e/sweep performance suite (see PERFORMANCE.md)"
-    )
-    bench.add_argument("--out", metavar="PATH", default="BENCH_kernel.json",
-                       help="where to write the results document")
-    bench.add_argument("--smoke", action="store_true",
-                       help="tiny inputs and single repeats (CI mode)")
-    bench.add_argument("--parallel", type=int, default=0, metavar="N",
-                       help="workers for the sweep benchmark (0 = all cores)")
-    bench.add_argument("--only", metavar="NAME", action="append", default=None,
-                       help="run only the named benchmark (repeatable)")
-    bench.add_argument("--check", metavar="BASELINE.json", default=None,
-                       help="fail on >25%% regression vs a baseline document")
-    bench.add_argument("--tolerance", type=_non_negative_float, default=0.25,
-                       help="allowed fractional regression for --check")
-    bench.add_argument("--json", action="store_true",
-                       help="print the results document as JSON to stdout "
-                            "(--check output moves to stderr)")
 
     faults = sub.add_parser(
         "faults", help="fault-plan utilities (see FAULTS.md)"
@@ -240,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="replay an event log through the engine invariant checkers",
     )
     validate.add_argument("eventlog", help="JSONL event log from --events")
-    validate.add_argument("--max-failures", type=int, default=4,
+    validate.add_argument("--max-failures", type=_positive_int, default=4,
                           metavar="N",
                           help="spark.task.maxFailures for the retry-budget "
                                "check (default 4)")
@@ -278,7 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     whatif.add_argument("--seed", type=int, default=42)
     whatif.add_argument("--faults", metavar="PLAN.json", default=None,
                         help="base fault plan for the shared prefix")
-    whatif.add_argument("--parallel", type=int, default=1, metavar="N",
+    whatif.add_argument("--parallel", type=_non_negative_int, default=1,
+                        metavar="N",
                         help="forked children to run at once (0 = one per "
                              "core)")
     whatif.add_argument("--out", metavar="PATH", default=None,
@@ -404,7 +386,7 @@ def _common_args(parser: argparse.ArgumentParser) -> None:
 
 def _parallel_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--parallel", type=int, default=1, metavar="N",
+        "--parallel", type=_non_negative_int, default=1, metavar="N",
         help="fan independent runs out over N worker processes "
              "(0 = one per core); results are deterministic either way")
 
@@ -889,75 +871,6 @@ def cmd_whatif(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    from repro.harness.bench import check_regression, run_suite
-
-    # With --json the document itself goes to stdout, so the human-facing
-    # table/summary chatter moves to stderr and stays pipeline-safe.
-    out = sys.stderr if args.json else sys.stdout
-    doc = run_suite(smoke=args.smoke, parallel=args.parallel,
-                    only=args.only)
-    atomic_write_json(args.out, doc)
-    rows = []
-    for name, result in sorted(doc["benchmarks"].items()):
-        if result.get("skipped"):
-            rows.append((name, f"skipped: {result['skipped']}", "-"))
-            continue
-        merit = result.get("events_per_sec") or result.get("runs_per_min") or 0
-        unit = "events/s" if result.get("events_per_sec") else "runs/min"
-        wall = result.get("wall_s", result.get("parallel_wall_s", 0.0))
-        rows.append((name, f"{merit:,.0f} {unit}", f"{wall:.3f}"))
-    print(render_table(["benchmark", "figure of merit", "wall (s)"], rows,
-                       title=f"repro bench [{doc['mode']}] -> {args.out}"),
-          file=out)
-    sweep = doc["benchmarks"].get("sweep")
-    if sweep is not None:
-        print(f"sweep: {sweep['points']} points, {sweep['workers']} worker(s), "
-              f"speedup {sweep['speedup']:.2f}x over sequential", file=out)
-    fork_sweep = doc["benchmarks"].get("fork_sweep")
-    if fork_sweep is not None and fork_sweep.get("forked_wall_s"):
-        print(f"fork sweep: {fork_sweep['points']} futures forked at "
-              f"t={fork_sweep['fork_at_s']:.0f}s, speedup "
-              f"{fork_sweep['speedup']:.2f}x over sequential re-simulation",
-              file=out)
-    overhead = doc["benchmarks"].get("profiler_overhead")
-    if overhead is not None:
-        print(f"profiler overhead: {overhead['overhead_frac']:+.1%} wall "
-              f"time vs untraced (scale {overhead['scale']})", file=out)
-    status = 0
-    if args.check:
-        with open(args.check, "r", encoding="utf-8") as handle:
-            baseline = json.load(handle)
-        failures = check_regression(doc, baseline, tolerance=args.tolerance)
-        if failures:
-            # Standard perf-gate retry: a real regression reproduces on a
-            # fresh measurement, a scheduler-noise spike does not.  Only
-            # the failing benchmark(s) are re-measured -- re-running the
-            # whole suite would give every *passing* benchmark a fresh
-            # chance to flake and cost minutes on a one-benchmark blip.
-            failing = sorted({f.split(":", 1)[0] for f in failures})
-            print(f"\nbelow baseline on first pass, re-measuring "
-                  f"{', '.join(failing)}: {'; '.join(failures)}",
-                  file=sys.stderr)
-            retry = run_suite(smoke=args.smoke, parallel=args.parallel,
-                              only=failing)
-            doc["benchmarks"].update(retry["benchmarks"])
-            atomic_write_json(args.out, doc)
-            failures = check_regression(doc, baseline,
-                                        tolerance=args.tolerance)
-        if failures:
-            print(f"\nPERF REGRESSION vs {args.check}:", file=sys.stderr)
-            for failure in failures:
-                print(f"  {failure}", file=sys.stderr)
-            status = 1
-        else:
-            print(f"\nno regression vs {args.check} "
-                  f"(tolerance {args.tolerance:.0%})", file=out)
-    if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
-    return status
-
-
 class BadEventLogError(Exception):
     """A missing or malformed event log: exit 2 (CLI.md "Exit codes")."""
 
@@ -1319,7 +1232,6 @@ COMMANDS = {
     "compare": cmd_compare,
     "faults": cmd_faults,
     "chaos": cmd_chaos,
-    "bench": cmd_bench,
     "history": cmd_history,
     "profile": cmd_profile,
     "validate": cmd_validate,

@@ -374,8 +374,8 @@ class Simulator:
         :meth:`_schedule` and :meth:`call_in` are the only two queue-push
         sites, and each increments the same sequence counter exactly once
         per push -- deferred calls are counted consistently with events,
-        so deltas give the kernel throughput that ``repro bench`` reports
-        as events/second.
+        so deltas give the kernel throughput that the kernel benchmarks
+        report as events/second.
         """
         return self._sequence
 

@@ -3,8 +3,8 @@
 The guard: the tests must leave the checkout's tracked files alone.
 
 Tests write their outputs under ``tmp_path``.  A test that writes into the
-repository instead (for example ``repro bench`` without ``--out``, which
-defaults to the tracked ``BENCH_kernel.json``) makes ``git status`` differ
+repository instead (for example a ``--out`` or ``--events`` path left
+pointing at a tracked file) makes ``git status`` differ
 after the run, and this guard turns that into an error.  Outside a git
 checkout, or without git, the guard does nothing.
 """

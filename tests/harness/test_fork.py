@@ -147,16 +147,50 @@ class TestWhatIf:
         assert report.baseline.runtime == plain.runtime
 
     @needs_fork
-    def test_forked_matches_sequential_exactly(self):
-        forked = run_whatif("terasort", at=15.0, alternatives=self.ALTS,
-                            use_fork=True, workload_kwargs=WK)
-        sequential = run_whatif("terasort", at=15.0, alternatives=self.ALTS,
-                                use_fork=False, workload_kwargs=WK)
-        assert forked.forked and not sequential.forked
-        for fork, seq in zip(forked.summaries, sequential.summaries):
-            assert fork.key == seq.key
-            assert fork.runtime == seq.runtime
-            assert fork.recorder.to_dict() == seq.recorder.to_dict()
+    def test_forked_matches_sequential_exactly(self, monkeypatch):
+        from repro.harness import runner
+
+        # Second input: a warm-up-heavy 8-member reseed ensemble forked at
+        # 85% of the runtime, the case where sharing the prefix pays most.
+        runtime = runner.run_workload("terasort", workload_kwargs=WK).runtime
+        late = 0.85 * runtime
+        ensemble = [Alternative(key=f"reseed={index}", kind="reseed",
+                                value=str(index)) for index in range(8)]
+
+        real_build_context = runner.build_context
+        built = []
+
+        def spy(*args, **kwargs):
+            built.append(real_build_context(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(runner, "build_context", spy)
+        for at, alternatives in ((15.0, self.ALTS), (late, ensemble)):
+            built.clear()
+            forked = run_whatif("terasort", at=at, alternatives=alternatives,
+                                use_fork=True, workload_kwargs=WK)
+            # The parent stops at the barrier; its children inherit it.
+            [parent] = built
+            prefix_events = parent.sim.events_scheduled
+            built.clear()
+            sequential = run_whatif("terasort", at=at,
+                                    alternatives=alternatives,
+                                    use_fork=False, workload_kwargs=WK)
+            assert len(built) == len(alternatives)
+            run_events = [ctx.sim.events_scheduled for ctx in built]
+            assert forked.forked and not sequential.forked
+            assert ({**forked.to_dict(), "forked": None}
+                    == {**sequential.to_dict(), "forked": None})
+            for fork, seq in zip(forked.summaries, sequential.summaries):
+                assert fork.key == seq.key
+                assert fork.runtime == seq.runtime
+                assert fork.recorder.to_dict() == seq.recorder.to_dict()
+
+        # Forking simulates the ensemble's shared prefix once instead of
+        # once per member: counted in scheduled events, not wall time.
+        forked_events = prefix_events + sum(
+            events - prefix_events for events in run_events)
+        assert sum(run_events) / forked_events >= 1.5
 
     def test_barrier_beyond_run_end_raises(self):
         with pytest.raises(ForkBarrierNotReached, match="beyond the end"):

@@ -68,6 +68,23 @@ class TestLiveOfflineIdentity:
         assert run.ctx.profiling is True
 
 
+class TestNoObserverEffect:
+    @pytest.mark.parametrize("workload", ["terasort", "pagerank"])
+    @pytest.mark.parametrize("policy", ["default", "dynamic"])
+    def test_profiling_leaves_the_simulation_unchanged(self, workload,
+                                                       policy):
+        kwargs = dict(policy=policy, workload_kwargs={"scale": 0.02})
+        plain = run_workload(workload, **kwargs)
+        profiled = run_workload(workload, tracer=Tracer(
+            sinks=[ProfilerSink()]), **kwargs)
+        finish_trace(profiled)
+        assert profiled.ctx.profiling and not plain.ctx.profiling
+        assert profiled.runtime == plain.runtime
+        assert profiled.stage_durations() == plain.stage_durations()
+        assert (profiled.ctx.sim.events_scheduled
+                == plain.ctx.sim.events_scheduled)
+
+
 class TestProfileDocument:
     def test_schema_and_top_level_shape(self, profiled_run):
         _run, events_path, _live_path = profiled_run

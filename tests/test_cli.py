@@ -354,13 +354,21 @@ class TestBadInputs:
         ["sweep", "wordcount", "--scale", "nan"],
         ["whatif", "wordcount", "--at", "nan"],
         ["serve", "--plan", "plan.json", "--nodes", "0"],
-        ["bench", "--tolerance", "nan"],
+        ["sweep", "wordcount", "--parallel", "-1"],
+        ["compare", "wordcount", "--parallel", "-1"],
+        ["serve", "--plan", "plan.json", "--parallel", "-1"],
+        ["whatif", "wordcount", "--at", "5", "--parallel", "-1"],
+        ["sweep", "wordcount", "--stop-after", "-1"],
+        ["sweep", "wordcount", "--stop-after", "0"],
+        ["validate", "log.jsonl", "--max-failures", "-3"],
     ], ids=lambda argv: " ".join(argv[:1] + argv[-2:]))
     def test_bad_flag_values_rejected_by_parser(self, argv, capsys):
         # These once started the run and failed inside it (exit 1), or,
-        # for a NaN scale, retried and quarantined sweep points; a NaN
-        # bench tolerance passed every regression.
-        small = [] if argv[0] in ("serve", "bench") else ["--scale", "0.02"]
+        # for a NaN scale, retried and quarantined sweep points; a
+        # stop-after below 1 stopped after one point (exit 3), and a
+        # negative max-failures reported every log OK.
+        small = ([] if argv[0] in ("serve", "validate")
+                 else ["--scale", "0.02"])
         with pytest.raises(SystemExit) as info:
             main(argv[:2] + small + argv[2:])
         assert info.value.code == 2
@@ -627,19 +635,3 @@ class TestChaosCommand:
         assert "admission" not in resilience["shed"]
         assert sum(resilience["shed"].values()) == doc["totals"]["rejected"]
         assert doc["totals"]["rejected"] > 0
-
-
-class TestBenchJson:
-    def test_bench_json_emits_doc(self, capsys, tmp_path):
-        path = str(tmp_path / "bench.json")
-        assert main(["bench", "--smoke", "--only", "kernel_fairshare",
-                     "--out", path]) == 0
-        capsys.readouterr()
-        assert main(["bench", "--smoke", "--only", "kernel_fairshare",
-                     "--json", "--out", path]) == 0
-        out = capsys.readouterr().out
-        doc = json.loads(out)
-        assert "kernel_fairshare" in doc["benchmarks"]
-        assert doc["benchmarks"]["kernel_fairshare"]["events_per_sec"] > 0
-        with open(path, encoding="utf-8") as handle:
-            assert json.load(handle) == doc
