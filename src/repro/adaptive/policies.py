@@ -45,11 +45,6 @@ class AdaptivePolicy(ExecutorPolicy):
         )
         return cmin, cmax, tolerance
 
-    @property
-    def control_loop(self) -> Optional[AdaptiveControlLoop]:
-        """The current stage's MAPE-K loop (for inspection/tests)."""
-        return self._loop
-
     def on_stage_start(self, executor, stage) -> int:
         cmin, cmax, tolerance = self.bounds_for(executor)
         self._loop = AdaptiveControlLoop(executor, stage, cmin, cmax,

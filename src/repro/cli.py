@@ -23,15 +23,16 @@ switches the report from tables to a machine-readable JSON document.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import os
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.atomicio import atomic_write_json
 from repro.faults.plan import (
-    CANNED_CHAOS,
     CANNED_PLANS,
     FaultPlan,
     FaultPlanError,
@@ -123,73 +124,49 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--out", metavar="PATH", default=None,
                           help="output path (default: stdout)")
     generate.add_argument("--at", type=float, default=None,
-                          help="fault time in simulated seconds")
+                          help="fault time, or first episode start, in "
+                               "simulated seconds")
     generate.add_argument("--node", type=int, default=None,
                           help="target node id")
     generate.add_argument("--executor", type=int, default=None,
                           help="target executor id (executor-loss)")
     generate.add_argument("--duration", type=float, default=None,
-                          help="episode length (disk-degrade / stragglers)")
+                          help="episode length in simulated seconds")
     generate.add_argument("--factor", type=float, default=None,
-                          help="speed multiplier during the episode")
+                          help="speed multiplier (disk-degrade / "
+                               "stragglers) or arrival-rate multiplier "
+                               "(surge / overload)")
     generate.add_argument("--probability", type=float, default=None,
-                          help="per-attempt crash probability (task-crashes)")
+                          help="per-attempt crash (task-crashes) or poison "
+                               "(poison-tenant) probability")
     generate.add_argument("--max-crashes", type=int, default=None,
                           help="total crash budget (task-crashes)")
+    generate.add_argument("--count", type=int, default=None,
+                          help="number of episodes (node-churn / slot-flaps)")
+    generate.add_argument("--every", type=float, default=None,
+                          help="episode period in simulated seconds")
+    generate.add_argument("--tenant", default=None,
+                          help="target tenant ('*' matches all; "
+                               "poison-tenant / surge)")
+    generate.add_argument("--max-poisoned", type=int, default=None,
+                          help="total poison budget (poison-tenant)")
     generate.add_argument("--plan-seed", type=int, default=0,
                           help="seed for the plan's pseudo-random decisions")
     generate.add_argument("--no-speculation", action="store_true",
                           help="stragglers: do not enable speculation")
+    generate.add_argument("--retries", type=int, default=None,
+                          help="override the per-job retry budget "
+                               "(cluster-scope kinds)")
+    generate.add_argument("--deadline", type=float, default=None,
+                          help="override the per-job deadline, seconds "
+                               "after arrival (cluster-scope kinds)")
+    generate.add_argument("--max-queue", type=int, default=None,
+                          help="override the admission queue-length limit "
+                               "(cluster-scope kinds)")
     show = faults_sub.add_parser(
         "show", help="validate a fault-plan file and summarise it"
     )
     show.add_argument("plan", help="fault plan JSON (see FAULTS.md)")
-
-    chaos = sub.add_parser(
-        "chaos",
-        help="cluster-scope chaos plans for 'repro serve --faults' "
-             "(see FAULTS.md, 'Cluster failure model')",
-    )
-    chaos_sub = chaos.add_subparsers(dest="chaos_command", required=True)
-    cgen = chaos_sub.add_parser(
-        "generate", help="write a canned repro.faults/2 chaos plan as JSON"
-    )
-    cgen.add_argument("kind", choices=sorted(CANNED_CHAOS))
-    cgen.add_argument("--out", metavar="PATH", default=None,
-                      help="output path (default: stdout)")
-    cgen.add_argument("--node", type=int, default=None,
-                      help="target node id (node-churn / slot-flaps / "
-                           "overload)")
-    cgen.add_argument("--at", type=float, default=None,
-                      help="first episode start in simulated seconds")
-    cgen.add_argument("--duration", type=float, default=None,
-                      help="episode length in simulated seconds")
-    cgen.add_argument("--count", type=int, default=None,
-                      help="number of episodes (node-churn / slot-flaps)")
-    cgen.add_argument("--every", type=float, default=None,
-                      help="episode period in simulated seconds")
-    cgen.add_argument("--factor", type=float, default=None,
-                      help="arrival-rate multiplier (surge / overload)")
-    cgen.add_argument("--tenant", default=None,
-                      help="target tenant ('*' matches all; poison-tenant / "
-                           "surge)")
-    cgen.add_argument("--probability", type=float, default=None,
-                      help="per-attempt poison probability (poison-tenant)")
-    cgen.add_argument("--max-poisoned", type=int, default=None,
-                      help="total poison budget (poison-tenant)")
-    cgen.add_argument("--plan-seed", type=int, default=0,
-                      help="seed for backoff/cool-down/surge draws")
-    cgen.add_argument("--retries", type=int, default=None,
-                      help="override the per-job retry budget")
-    cgen.add_argument("--deadline", type=float, default=None,
-                      help="override the per-job deadline (seconds after "
-                           "arrival)")
-    cgen.add_argument("--max-queue", type=int, default=None,
-                      help="override the admission queue-length limit")
-    cshow = chaos_sub.add_parser(
-        "show", help="validate a chaos plan and summarise its cluster scope"
-    )
-    cshow.add_argument("plan", help="fault plan JSON (repro.faults/2)")
 
     history = sub.add_parser(
         "history", help="reconstruct a finished run from its event log"
@@ -686,139 +663,111 @@ def _emit_plan(plan, out: Optional[str], what: str) -> int:
     return 0
 
 
+#: ``faults generate`` flag -> builder keyword; a kind's builder takes only
+#: the flags that apply to it, and the others are ignored.
+PLAN_FLAGS = {
+    "node": "node_id", "executor": "executor_id", "at": "at",
+    "duration": "duration", "factor": "factor",
+    "probability": "probability", "max_crashes": "max_crashes",
+    "count": "count", "every": "every", "tenant": "tenant",
+    "max_poisoned": "max_poisoned",
+}
+#: ``faults generate`` flag -> :class:`ProtectionConfig` field it overrides.
+PROTECTION_FLAGS = {
+    "retries": "max_retries", "deadline": "deadline", "max_queue": "max_queue",
+}
+
+
 def cmd_faults(args) -> int:
     if args.faults_command == "show":
-        plan = FaultPlan.load(args.plan)  # load() validates
-        counts = {
-            "task_crashes": len(plan.task_crashes),
-            "executor_losses": len(plan.executor_losses),
-            "node_losses": len(plan.node_losses),
-            "disk_degradations": len(plan.disk_degradations),
-            "stragglers": len(plan.stragglers),
-        }
-        print(f"valid fault plan (seed {plan.seed})")
-        for name, count in counts.items():
-            if count:
-                print(f"  {name}: {count}")
-        if plan.crash_rate is not None:
-            print(f"  crash_rate: p={plan.crash_rate.probability} "
-                  f"max={plan.crash_rate.max_crashes}")
-        if plan.speculation is not None:
-            spec = plan.speculation
-            print(f"  speculation: enabled={spec.enabled} "
-                  f"multiplier={spec.multiplier} quantile={spec.quantile}")
-        if plan.cluster is not None:
-            cluster = plan.cluster
-            print(f"  cluster: {len(cluster.node_churn)} churn episode(s), "
-                  f"{len(cluster.slot_flaps)} slot flap(s), "
-                  f"{len(cluster.poison)} poison rule(s), "
-                  f"{len(cluster.surges)} surge(s) "
-                  f"(see 'repro chaos show')")
-        if plan.is_empty:
-            print("  (empty: no faults will be injected)")
+        _show_fault_plan(FaultPlan.load(args.plan))  # load() validates
         return 0
 
-    # generate: map the generic flags onto the chosen builder's kwargs.
-    option_names = {
-        "node-loss": {"node": "node_id", "at": "at"},
-        "executor-loss": {"executor": "executor_id", "at": "at"},
-        "task-crashes": {"probability": "probability",
-                         "max_crashes": "max_crashes"},
-        "disk-degrade": {"node": "node_id", "at": "at",
-                         "duration": "duration", "factor": "factor"},
-        "stragglers": {"node": "node_id", "at": "at",
-                       "duration": "duration", "factor": "factor"},
-    }[args.kind]
+    builder = CANNED_PLANS[args.kind]
+    params = inspect.signature(builder).parameters
     kwargs = {"seed": args.plan_seed}
-    for flag, param in option_names.items():
+    for flag, param in PLAN_FLAGS.items():
         value = getattr(args, flag)
-        if value is not None:
+        if value is not None and param in params:
             kwargs[param] = value
-    if args.kind == "stragglers" and args.no_speculation:
+    if args.no_speculation and "speculation" in params:
         kwargs["speculation"] = False
-    return _emit_plan(CANNED_PLANS[args.kind](**kwargs), args.out,
-                      f"{args.kind} plan")
-
-
-def cmd_chaos(args) -> int:
-    from dataclasses import replace
-
-    if args.chaos_command == "show":
-        plan = FaultPlan.load(args.plan)  # load() validates
-        if plan.cluster is None:
-            print(f"valid fault plan (seed {plan.seed}) with no cluster "
-                  f"scope; see 'repro faults show'")
-            return 0
-        cluster = plan.cluster
-        print(f"valid chaos plan (seed {plan.seed})")
-        for churn in cluster.node_churn:
-            until = ("forever" if churn.duration is None
-                     else f"for {churn.duration:g}s")
-            print(f"  node-churn: node {churn.node_id} down at "
-                  f"{churn.down_at:g}s {until}")
-        for flap in cluster.slot_flaps:
-            print(f"  slot-flap: node {flap.node_id} drained at "
-                  f"{flap.at:g}s for {flap.duration:g}s")
-        for rule in cluster.poison:
-            print(f"  poison: tenant {rule.tenant} p={rule.probability:g} "
-                  f"budget {rule.max_poisoned} at {rule.at_fraction:g} of "
-                  f"runtime")
-        for surge in cluster.surges:
-            scope = "all tenants" if surge.tenant is None else surge.tenant
-            print(f"  surge: x{surge.factor:g} for {scope} at "
-                  f"{surge.at:g}s for {surge.duration:g}s")
-        protection = cluster.protection
-        guards = [f"retries {protection.max_retries}",
-                  f"backoff {protection.backoff_base:g}s "
-                  f"cap {protection.backoff_cap:g}s"]
-        if protection.deadline is not None:
-            guards.append(f"deadline {protection.deadline:g}s")
-        if protection.slo_latency is not None:
-            guards.append(f"slo {protection.slo_latency:g}s")
-        if protection.max_queue is not None:
-            guards.append(f"max-queue {protection.max_queue}")
-        if protection.max_wait is not None:
-            guards.append(f"max-wait {protection.max_wait:g}s")
-        if protection.breaker_failures is not None:
-            guards.append(f"breaker K={protection.breaker_failures} "
-                          f"cool-down {protection.breaker_cooldown:g}s")
-        if protection.degrade_queue is not None:
-            guards.append(f"degrade at queue {protection.degrade_queue} "
-                          f"to x{protection.degrade_factor:g} slots")
-        print(f"  protection: {', '.join(guards)}")
-        return 0
-
-    # generate: map the generic flags onto the chosen builder's kwargs.
-    option_names = {
-        "node-churn": {"node": "node_id", "at": "at", "duration": "duration",
-                       "count": "count", "every": "every"},
-        "slot-flaps": {"node": "node_id", "at": "at", "duration": "duration",
-                       "count": "count", "every": "every"},
-        "poison-tenant": {"tenant": "tenant", "probability": "probability",
-                          "max_poisoned": "max_poisoned"},
-        "surge": {"at": "at", "duration": "duration", "factor": "factor",
-                  "tenant": "tenant"},
-        "overload": {"node": "node_id", "at": "at", "duration": "duration",
-                     "factor": "factor"},
-    }[args.kind]
-    kwargs = {"seed": args.plan_seed}
-    for flag, param in option_names.items():
-        value = getattr(args, flag)
-        if value is not None:
-            kwargs[param] = value
-    plan = CANNED_CHAOS[args.kind](**kwargs)
-    overrides = {}
-    if args.retries is not None:
-        overrides["max_retries"] = args.retries
-    if args.deadline is not None:
-        overrides["deadline"] = args.deadline
-    if args.max_queue is not None:
-        overrides["max_queue"] = args.max_queue
+    plan = builder(**kwargs)
+    overrides = {
+        name: getattr(args, flag)
+        for flag, name in PROTECTION_FLAGS.items()
+        if getattr(args, flag) is not None
+    }
     if overrides:
+        if plan.cluster is None:
+            raise FaultPlanError(
+                f"--retries, --deadline and --max-queue set cluster-scope "
+                f"protection; {args.kind} is an engine-scope plan")
         protection = replace(plan.cluster.protection, **overrides)
         plan = replace(plan,
                        cluster=replace(plan.cluster, protection=protection))
-    return _emit_plan(plan, args.out, f"{args.kind} chaos plan")
+    return _emit_plan(plan, args.out, f"{args.kind} plan")
+
+
+def _show_fault_plan(plan: FaultPlan) -> None:
+    counts = {
+        "task_crashes": len(plan.task_crashes),
+        "executor_losses": len(plan.executor_losses),
+        "node_losses": len(plan.node_losses),
+        "disk_degradations": len(plan.disk_degradations),
+        "stragglers": len(plan.stragglers),
+    }
+    print(f"valid fault plan (seed {plan.seed})")
+    for name, count in counts.items():
+        if count:
+            print(f"  {name}: {count}")
+    if plan.crash_rate is not None:
+        print(f"  crash_rate: p={plan.crash_rate.probability} "
+              f"max={plan.crash_rate.max_crashes}")
+    if plan.speculation is not None:
+        spec = plan.speculation
+        print(f"  speculation: enabled={spec.enabled} "
+              f"multiplier={spec.multiplier} quantile={spec.quantile}")
+    if plan.is_empty:
+        print("  (empty: no faults will be injected)")
+    if plan.cluster is None:
+        return
+    cluster = plan.cluster
+    for churn in cluster.node_churn:
+        until = ("forever" if churn.duration is None
+                 else f"for {churn.duration:g}s")
+        print(f"  node-churn: node {churn.node_id} down at "
+              f"{churn.down_at:g}s {until}")
+    for flap in cluster.slot_flaps:
+        print(f"  slot-flap: node {flap.node_id} drained at "
+              f"{flap.at:g}s for {flap.duration:g}s")
+    for rule in cluster.poison:
+        print(f"  poison: tenant {rule.tenant} p={rule.probability:g} "
+              f"budget {rule.max_poisoned} at {rule.at_fraction:g} of "
+              f"runtime")
+    for surge in cluster.surges:
+        scope = "all tenants" if surge.tenant is None else surge.tenant
+        print(f"  surge: x{surge.factor:g} for {scope} at "
+              f"{surge.at:g}s for {surge.duration:g}s")
+    protection = cluster.protection
+    guards = [f"retries {protection.max_retries}",
+              f"backoff {protection.backoff_base:g}s "
+              f"cap {protection.backoff_cap:g}s"]
+    if protection.deadline is not None:
+        guards.append(f"deadline {protection.deadline:g}s")
+    if protection.slo_latency is not None:
+        guards.append(f"slo {protection.slo_latency:g}s")
+    if protection.max_queue is not None:
+        guards.append(f"max-queue {protection.max_queue}")
+    if protection.max_wait is not None:
+        guards.append(f"max-wait {protection.max_wait:g}s")
+    if protection.breaker_failures is not None:
+        guards.append(f"breaker K={protection.breaker_failures} "
+                      f"cool-down {protection.breaker_cooldown:g}s")
+    if protection.degrade_queue is not None:
+        guards.append(f"degrade at queue {protection.degrade_queue} "
+                      f"to x{protection.degrade_factor:g} slots")
+    print(f"  protection: {', '.join(guards)}")
 
 
 def cmd_whatif(args) -> int:
@@ -1231,7 +1180,6 @@ COMMANDS = {
     "sweep": cmd_sweep,
     "compare": cmd_compare,
     "faults": cmd_faults,
-    "chaos": cmd_chaos,
     "history": cmd_history,
     "profile": cmd_profile,
     "validate": cmd_validate,

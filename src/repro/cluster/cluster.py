@@ -90,10 +90,6 @@ class Cluster:
     def node(self, node_id: int) -> Node:
         return self.nodes[node_id]
 
-    @property
-    def alive_node_ids(self) -> List[int]:
-        return [node.node_id for node in self.nodes if node.alive]
-
     def total_disk_bytes(self) -> float:
         """Bytes moved through every disk (Table 2's cluster I/O activity)."""
         return sum(node.disk.total_bytes for node in self.nodes)

@@ -129,10 +129,6 @@ class RDD:
     def narrow_parents(self) -> List["RDD"]:
         return [d.rdd for d in self.deps if isinstance(d, NarrowDependency)]
 
-    @property
-    def shuffle_deps(self) -> List[ShuffleDependency]:
-        return [d for d in self.deps if isinstance(d, ShuffleDependency)]
-
     # -- size propagation -----------------------------------------------------
 
     def partition_size(self, split: int) -> SizeInfo:

@@ -238,9 +238,6 @@ class MapOutputTracker:
         state = self._state(shuffle_id)
         return [m for m in range(state.num_maps) if m not in state.statuses]
 
-    def has_shuffle(self, shuffle_id: int) -> bool:
-        return shuffle_id in self._shuffles
-
     # -- reduce-side queries (valid once the map stage completed) ------------
 
     def reduce_size(self, shuffle_id: int, reduce_id: int) -> SizeInfo:

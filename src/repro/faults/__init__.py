@@ -22,7 +22,6 @@ events, no extra trace output).
 
 from repro.faults.injector import FaultInjector, hash01
 from repro.faults.plan import (
-    CANNED_CHAOS,
     CANNED_PLANS,
     PLAN_SCHEMA,
     PLAN_SCHEMA_V2,
@@ -44,7 +43,6 @@ from repro.faults.plan import (
 )
 
 __all__ = [
-    "CANNED_CHAOS",
     "CANNED_PLANS",
     "PLAN_SCHEMA",
     "PLAN_SCHEMA_V2",

@@ -650,7 +650,7 @@ class FaultPlan:
         atomic_write_text(path, self.to_json() + "\n")
 
 
-# -- canned plans (CLI ``repro faults generate``) ------------------------------------
+# -- canned engine-scope plans (``repro run --faults``) ------------------------------
 
 
 def node_loss_plan(node_id: int = 1, at: float = 30.0, seed: int = 0) -> FaultPlan:
@@ -700,16 +700,7 @@ def straggler_plan(node_id: int = 1, at: float = 10.0, duration: float = 120.0,
     )
 
 
-CANNED_PLANS = {
-    "node-loss": node_loss_plan,
-    "executor-loss": executor_loss_plan,
-    "task-crashes": task_crash_plan,
-    "disk-degrade": disk_degrade_plan,
-    "stragglers": straggler_plan,
-}
-
-
-# -- canned cluster chaos plans (CLI ``repro chaos generate``) -----------------------
+# -- canned cluster-scope plans (``repro serve --faults``) ---------------------------
 
 
 def node_churn_plan(node_id: int = 1, at: float = 100.0,
@@ -781,7 +772,14 @@ def overload_plan(node_id: int = 1, at: float = 100.0,
     )
 
 
-CANNED_CHAOS = {
+#: kind -> builder for ``repro faults generate KIND``; the first five are
+#: engine-scope, the rest cluster-scope.
+CANNED_PLANS = {
+    "node-loss": node_loss_plan,
+    "executor-loss": executor_loss_plan,
+    "task-crashes": task_crash_plan,
+    "disk-degrade": disk_degrade_plan,
+    "stragglers": straggler_plan,
     "node-churn": node_churn_plan,
     "slot-flaps": slot_flap_plan,
     "poison-tenant": poison_tenant_plan,

@@ -274,12 +274,7 @@ def run_whatif(
         for alternative in alternatives:
             ctx = _context()
             ctx.fork_hook_at = at
-
-            def hook(c, alternative=alternative):
-                c.sim.after_fork(str(alternative.key))
-                alternative.apply(c)
-
-            ctx.fork_hook = hook
+            ctx.fork_hook = alternative.apply
             run = workload.run(ctx)
             if ctx.fork_hook is not None:
                 raise ForkBarrierNotReached(
@@ -293,9 +288,7 @@ def run_whatif(
     def _diverge(alternative: Alternative):
         # Executed in the child, on the parent's suspended stack: apply
         # the divergence and resume the simulation by returning.
-        ctx = _live_ctx[0]
-        ctx.sim.after_fork(str(alternative.key))
-        alternative.apply(ctx)
+        alternative.apply(_live_ctx[0])
         return CONTINUE
 
     def hook(ctx):

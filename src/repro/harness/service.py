@@ -399,9 +399,13 @@ def _build_report(
 def validate_report(doc: Dict[str, Any]) -> None:
     """Cheap structural check of a ``repro.service/1`` document.
 
-    Used by the CI serve job and tests; raises :class:`ValueError` on the
-    first problem found.
+    Checks the schema, the required fields and the fairness range here and
+    the cluster invariants through
+    :func:`repro.validation.cluster.validate_service_report`; raises
+    :class:`ValueError` on the first problem found.
     """
+    from repro.validation.cluster import validate_service_report
+
     if doc.get("schema") != REPORT_SCHEMA:
         raise ValueError(
             f"unsupported schema {doc.get('schema')!r} "
@@ -412,19 +416,8 @@ def validate_report(doc: Dict[str, Any]) -> None:
                   "latency", "tenants", "jobs"):
         if field not in doc:
             raise ValueError(f"report missing field {field!r}")
-    totals = doc["totals"]
-    resilience = doc.get("resilience") or {}
-    aborted = resilience.get("aborted", 0)
-    if totals["submitted"] != totals["completed"] + totals["rejected"] + aborted:
-        raise ValueError(
-            f"job conservation violated: submitted {totals['submitted']} != "
-            f"completed {totals['completed']} + rejected {totals['rejected']}"
-            f" + aborted {aborted}"
-        )
-    if resilience and sum(resilience["shed"].values()) != totals["rejected"]:
-        raise ValueError(
-            f"shed reasons sum to {sum(resilience['shed'].values())} but "
-            f"{totals['rejected']} jobs were rejected"
-        )
     if not 0.0 <= doc["fairness_index"] <= 1.0 + 1e-9:
         raise ValueError(f"fairness index out of range: {doc['fairness_index']}")
+    violations = validate_service_report(doc).violations
+    if violations:
+        raise ValueError(f"{violations[0].invariant}: {violations[0].message}")

@@ -275,13 +275,16 @@ def collect_run_metrics(ctx) -> Dict[str, Dict[str, Any]]:
     for node_id in fabric.node_ids:
         for direction, link in (("out", fabric.egress(node_id)),
                                 ("in", fabric.ingress(node_id))):
-            name = f"node.{node_id}.nic.{direction}"
-            metrics.gauge(f"{name}.bytes").set(link.bytes_transferred)
+            metrics.gauge(nic_metric(node_id, direction, "bytes")).set(
+                link.bytes_transferred
+            )
             utilisation = (
                 link.bytes_transferred / (link.capacity * runtime)
                 if runtime > 0 else 0.0
             )
-            metrics.gauge(f"{name}.utilization").set(utilisation)
+            metrics.gauge(nic_metric(node_id, direction, "utilization")).set(
+                utilisation
+            )
             total_nic += link.bytes_transferred
     metrics.gauge("network.bytes_total").set(total_nic)
     metrics.gauge("scheduler.control_messages").set(

@@ -85,12 +85,6 @@ class MemorySink(TraceSink):
     def write(self, event: TraceEvent) -> None:
         self.events.append(event)
 
-    def by_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def by_cat(self, cat: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.cat == cat]
-
 
 class JsonLinesSink(TraceSink):
     """Spark-style JSONL event log.

@@ -19,7 +19,6 @@ paper ran on (see DESIGN.md section 2).
 
 from repro.simulation.core import (
     AllOf,
-    AnyOf,
     Event,
     Interrupt,
     Process,
@@ -37,7 +36,6 @@ from repro.simulation.resources import (
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "CpuResource",
     "Event",
     "FairShareResource",

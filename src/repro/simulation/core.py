@@ -283,31 +283,6 @@ class AllOf(Event):
         return collect
 
 
-class AnyOf(Event):
-    """Fires when the first child event fires; value is that event's value."""
-
-    # Adds no state of its own, but without an explicit (empty) __slots__
-    # Python would silently re-add a per-instance __dict__ that the parent's
-    # __slots__ exists to avoid.
-    __slots__ = ()
-
-    def __init__(self, sim: "Simulator", events: Iterable[Event]) -> None:
-        super().__init__(sim)
-        events = list(events)
-        if not events:
-            raise SimulationError("AnyOf requires at least one event")
-        for event in events:
-            event.add_callback(self._collect)
-
-    def _collect(self, event: Event) -> None:
-        if self._triggered:
-            return
-        if event.ok:
-            self.succeed(event.value)
-        else:
-            self.fail(event.value)
-
-
 class Simulator:
     """The discrete-event loop.
 
@@ -334,11 +309,6 @@ class Simulator:
         self._now = 0.0
         self._queue: List[tuple] = []
         self._sequence = 0
-        self._fork_hooks: List[Callable[[str], None]] = []
-        #: Divergence key set by :meth:`after_fork`; ``None`` in a simulator
-        #: that has never crossed a fork barrier.  Diagnostic only -- it
-        #: must never feed back into the timeline.
-        self.forked_from: Optional[str] = None
         self._tracer: Optional[Any] = None
         #: Cached ``tracer is not None and tracer.enabled``, so the untraced
         #: hot path (one check per process spawn) costs a single boolean
@@ -397,9 +367,6 @@ class Simulator:
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
 
-    def any_of(self, events: Iterable[Event]) -> AnyOf:
-        return AnyOf(self, events)
-
     def call_at(self, when: float, callback: Callable[[], None]) -> Event:
         """Run ``callback()`` at absolute simulated time ``when``."""
         if not when >= self._now:
@@ -453,30 +420,6 @@ class Simulator:
             raise target._value
 
     # -- snapshot/fork support --------------------------------------------
-
-    def on_fork(self, hook: Callable[[str], None]) -> None:
-        """Register ``hook(child_key)`` to run in a forked child.
-
-        Hooks fire inside :meth:`after_fork`, in registration order, once
-        per OS-level copy-on-write child the fork engine spawns from this
-        simulator (see :mod:`repro.harness.fork`).  Embedders use this for
-        divergence bookkeeping that must happen before the child schedules
-        anything -- e.g. reseeding named random streams for experiments
-        that *want* divergent futures.  By default nothing is registered,
-        so a forked child replays the exact timeline a from-scratch run of
-        the same configuration would produce.
-        """
-        self._fork_hooks.append(hook)
-
-    def after_fork(self, child_key: str) -> None:
-        """Run post-fork hooks; called in the child right after ``os.fork``.
-
-        Deterministic: the same ``child_key`` always produces the same hook
-        effects, so a forked run can be reproduced from scratch.
-        """
-        self.forked_from = child_key
-        for hook in self._fork_hooks:
-            hook(child_key)
 
     def fork_barrier(self, until: float, stop: Optional["Event"] = None) -> bool:
         """Run the shared prefix up to the divergence point.

@@ -270,12 +270,6 @@ class FairShareResource:
         counters["occupancy_integral"] += self._occupied(len(jobs)) * dt
         return counters
 
-    def utilization_between(self, busy_before: float, elapsed: float) -> float:
-        """Helper for samplers: busy fraction given a previous busy_time."""
-        if elapsed <= 0:
-            return 0.0
-        return max(0.0, min(1.0, (self.stats.busy_time - busy_before) / elapsed))
-
     # -- mechanics ---------------------------------------------------------
     #
     # Every membership change is one pass over the active set.  Bit identity

@@ -248,17 +248,6 @@ class StorageDevice(FairShareResource):
                 op=op,
             )
 
-    def sample_io_counters(self) -> Dict[str, float]:
-        """Profiler-probe view: extrapolated counters with a read/write
-        split, computed without mutating device state (see
-        :meth:`~repro.simulation.resources.FairShareResource.
-        sample_counters`)."""
-        counters = self.sample_counters()
-        tags = counters.pop("work_by_tag")
-        counters["bytes_read"] = tags.get("read", 0.0)
-        counters["bytes_written"] = tags.get("write", 0.0)
-        return counters
-
     @property
     def bytes_read(self) -> float:
         """Bytes read so far (continuous; call sync() for instant accuracy)."""

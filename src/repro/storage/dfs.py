@@ -31,9 +31,6 @@ class BlockLocation:
     size: float
     replicas: Sequence[int]
 
-    def is_local_to(self, node_id: int) -> bool:
-        return node_id in self.replicas
-
 
 @dataclass
 class DfsFile:

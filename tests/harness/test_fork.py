@@ -268,16 +268,6 @@ class TestForkBarrier:
         with pytest.raises(SimulationError, match="past"):
             sim.fork_barrier(1.0)
 
-    def test_after_fork_runs_hooks(self):
-        from repro.simulation.core import Simulator
-
-        sim = Simulator()
-        seen = []
-        sim.on_fork(seen.append)
-        sim.after_fork("child-1")
-        assert seen == ["child-1"]
-        assert sim.forked_from == "child-1"
-
 
 class TestWhatIfCli:
     def test_table_and_report_file(self, tmp_path, capsys):

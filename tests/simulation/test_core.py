@@ -149,19 +149,6 @@ def test_all_of_empty_fires_immediately():
     assert event.value == []
 
 
-def test_any_of_fires_on_first():
-    sim = Simulator()
-    results = []
-
-    def proc():
-        value = yield sim.any_of([sim.timeout(3.0, "slow"), sim.timeout(1.0, "fast")])
-        results.append((sim.now, value))
-
-    sim.process(proc())
-    sim.run(until=10.0)
-    assert results == [(1.0, "fast")]
-
-
 def test_run_until_stops_before_future_events():
     sim = Simulator()
     fired = []

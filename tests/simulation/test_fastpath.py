@@ -262,7 +262,7 @@ class TestUniformRate:
 class TestSlotsAudit:
     def test_event_hierarchy_defines_slots_everywhere(self):
         """No Event subclass may silently re-introduce a per-instance
-        __dict__ (the AnyOf bug this PR fixes)."""
+        __dict__."""
         from repro.simulation import core
 
         classes = [core.Event]
@@ -276,9 +276,3 @@ class TestSlotsAudit:
                 f"{cls.__name__} is missing __slots__"
             )
             classes.extend(cls.__subclasses__())
-
-    def test_anyof_has_no_instance_dict(self):
-        sim = Simulator()
-        any_of = sim.any_of([sim.timeout(1.0)])
-        with pytest.raises(AttributeError):
-            any_of.arbitrary_attribute = 1

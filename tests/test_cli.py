@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import _thread_counts, build_parser, main
+from repro.faults.plan import CANNED_PLANS, FaultPlan
 from repro.harness.parallel import suffix_path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -40,6 +41,13 @@ class TestParser:
     def test_command_required(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
+
+    def test_chaos_command_removed(self, capsys):
+        # Cluster-scope plans are generated and shown by `repro faults`.
+        with pytest.raises(SystemExit) as info:
+            main(["chaos", "generate", "node-churn"])
+        assert info.value.code == 2
+        assert "invalid choice: 'chaos'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -406,7 +414,8 @@ class TestBadInputs:
     @pytest.mark.parametrize("argv", [
         ["faults", "generate", "node-loss", "--at", "-5"],
         ["faults", "generate", "node-loss", "--at", "nan"],
-        ["chaos", "generate", "node-churn", "--at", "-3"],
+        ["faults", "generate", "node-churn", "--at", "-3"],
+        ["faults", "generate", "node-loss", "--retries", "3"],
         ["arrivals", "generate", "poisson", "--rate", "-1"],
         ["arrivals", "generate", "poisson", "--tenants", "0"],
         ["arrivals", "generate", "poisson", "--scale", "nan"],
@@ -535,10 +544,20 @@ class TestChaosCommand:
                      "--out", path]) == 0
         return path
 
-    def test_chaos_generate_stdout_is_valid_v2_plan(self, capsys):
-        from repro.faults.plan import PLAN_SCHEMA_V2, FaultPlan
+    @pytest.mark.parametrize("kind", sorted(CANNED_PLANS))
+    def test_every_canned_kind_generates_and_shows(self, kind, tmp_path,
+                                                   capsys):
+        path = str(tmp_path / "plan.json")
+        assert main(["faults", "generate", kind, "--out", path]) == 0
+        assert main(["faults", "show", path]) == 0
+        plan = FaultPlan.load(path)
+        assert FaultPlan.from_dict(plan.to_dict()) == plan
+        assert plan.to_dict() == CANNED_PLANS[kind]().to_dict()
 
-        assert main(["chaos", "generate", "node-churn", "--node", "1",
+    def test_chaos_generate_stdout_is_valid_v2_plan(self, capsys):
+        from repro.faults.plan import PLAN_SCHEMA_V2
+
+        assert main(["faults", "generate", "node-churn", "--node", "1",
                      "--at", "50", "--duration", "100"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema"] == PLAN_SCHEMA_V2
@@ -546,7 +565,7 @@ class TestChaosCommand:
         assert plan.cluster.node_churn[0].node_id == 1
 
     def test_chaos_generate_protection_overrides(self, capsys):
-        assert main(["chaos", "generate", "overload", "--retries", "5",
+        assert main(["faults", "generate", "overload", "--retries", "5",
                      "--deadline", "90", "--max-queue", "7"]) == 0
         doc = json.loads(capsys.readouterr().out)
         protection = doc["cluster"]["protection"]
@@ -556,9 +575,9 @@ class TestChaosCommand:
 
     def test_chaos_show_summarises_cluster_scope(self, tmp_path, capsys):
         path = str(tmp_path / "chaos.json")
-        assert main(["chaos", "generate", "overload", "--out", path]) == 0
+        assert main(["faults", "generate", "overload", "--out", path]) == 0
         capsys.readouterr()
-        assert main(["chaos", "show", path]) == 0
+        assert main(["faults", "show", path]) == 0
         out = capsys.readouterr().out
         assert "node-churn" in out
         assert "surge" in out
@@ -568,25 +587,29 @@ class TestChaosCommand:
         path = str(tmp_path / "engine.json")
         assert main(["faults", "generate", "node-loss", "--out", path]) == 0
         capsys.readouterr()
-        assert main(["chaos", "show", path]) == 0
-        assert "no cluster scope" in capsys.readouterr().out
+        assert main(["faults", "show", path]) == 0
+        assert capsys.readouterr().out == (
+            "valid fault plan (seed 0)\n  node_losses: 1\n")
 
     def test_chaos_show_missing_file_exits_2(self, tmp_path, capsys):
-        assert main(["chaos", "show", str(tmp_path / "no.json")]) == 2
+        assert main(["faults", "show", str(tmp_path / "no.json")]) == 2
         assert "invalid fault plan" in capsys.readouterr().err
 
     def test_faults_show_mentions_cluster_section(self, tmp_path, capsys):
         path = str(tmp_path / "chaos.json")
-        assert main(["chaos", "generate", "node-churn", "--out", path]) == 0
+        assert main(["faults", "generate", "node-churn", "--out", path]) == 0
         capsys.readouterr()
         assert main(["faults", "show", path]) == 0
-        assert "cluster:" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            "valid fault plan (seed 0)\n"
+            "  node-churn: node 1 down at 100s for 200s\n"
+            "  protection: retries 3, backoff 2s cap 60s\n")
 
     def test_serve_with_chaos_plan_reports_resilience(self, tmp_path,
                                                       capsys):
         plan = self._plan(tmp_path)
         chaos = str(tmp_path / "chaos.json")
-        assert main(["chaos", "generate", "node-churn", "--node", "0",
+        assert main(["faults", "generate", "node-churn", "--node", "0",
                      "--at", "20", "--duration", "100",
                      "--out", chaos]) == 0
         out_path = str(tmp_path / "report.json")
@@ -621,7 +644,7 @@ class TestChaosCommand:
                      "--workload", "wordcount", "--scale", "0.02",
                      "--out", plan]) == 0
         chaos = str(tmp_path / "chaos.json")
-        assert main(["chaos", "generate", "node-churn", "--node", "0",
+        assert main(["faults", "generate", "node-churn", "--node", "0",
                      "--at", "20", "--duration", "100", "--max-queue", "3",
                      "--out", chaos]) == 0
         capsys.readouterr()

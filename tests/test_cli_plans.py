@@ -81,7 +81,6 @@ def write(tmp_path, doc):
 
 def test_base_plans_are_valid(tmp_path):
     assert main(["faults", "show", write(tmp_path, FAULTS_V2)]) == 0
-    assert main(["chaos", "show", write(tmp_path, FAULTS_V2)]) == 0
     assert main(["arrivals", "show", write(tmp_path, ARRIVALS)]) == 0
 
 
@@ -106,9 +105,9 @@ class TestMalformedFaultPlans:
         self.assert_rejected(["faults", "show", path], capsys)
 
     @pytest.mark.parametrize("command", [
-        ["faults", "show"], ["chaos", "show"],
+        ["faults", "show"],
         ["run", "terasort", "--scale", "0.02", "--nodes", "2", "--faults"],
-    ], ids=["faults-show", "chaos-show", "run"])
+    ], ids=["faults-show", "run"])
     def test_nan_node_loss_time(self, command, tmp_path, capsys):
         # Once accepted: the run then finished late, with "ts":NaN events.
         path = write(tmp_path, mutated(FAULTS_V2, ("node_losses", 0, "at"),
@@ -177,12 +176,11 @@ FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
-@pytest.mark.parametrize("command", ["faults", "chaos"])
 @FUZZ
 @given(path=st.sampled_from(field_paths(FAULTS_V2)), value=JSON_VALUES)
-def test_fault_plan_fuzz(command, path, value, tmp_path):
+def test_fault_plan_fuzz(path, value, tmp_path):
     plan = write(tmp_path, mutated(FAULTS_V2, path, value))
-    code = main([command, "show", plan])
+    code = main(["faults", "show", plan])
     assert code in (0, 2)
     if code == 0:
         json.dumps(FaultPlan.load(plan).to_dict(), allow_nan=False)
