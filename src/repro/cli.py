@@ -664,7 +664,7 @@ def _emit_plan(plan, out: Optional[str], what: str) -> int:
 
 
 #: ``faults generate`` flag -> builder keyword; a kind's builder takes only
-#: the flags that apply to it, and the others are ignored.
+#: the flags that apply to it, and any other flag given is an error.
 PLAN_FLAGS = {
     "node": "node_id", "executor": "executor_id", "at": "at",
     "duration": "duration", "factor": "factor",
@@ -686,12 +686,22 @@ def cmd_faults(args) -> int:
     builder = CANNED_PLANS[args.kind]
     params = inspect.signature(builder).parameters
     kwargs = {"seed": args.plan_seed}
+    unused = []
     for flag, param in PLAN_FLAGS.items():
         value = getattr(args, flag)
-        if value is not None and param in params:
-            kwargs[param] = value
-    if args.no_speculation and "speculation" in params:
-        kwargs["speculation"] = False
+        if value is not None:
+            if param in params:
+                kwargs[param] = value
+            else:
+                unused.append("--" + flag.replace("_", "-"))
+    if args.no_speculation:
+        if "speculation" in params:
+            kwargs["speculation"] = False
+        else:
+            unused.append("--no-speculation")
+    if unused:
+        raise FaultPlanError(
+            f"{args.kind} does not take {', '.join(unused)}")
     plan = builder(**kwargs)
     overrides = {
         name: getattr(args, flag)

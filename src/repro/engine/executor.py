@@ -16,8 +16,8 @@ already-running tasks always finish.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from itertools import zip_longest
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.engine.metrics import PoolEvent, StageRecord, TaskMetrics
 from repro.engine.policy import DefaultPolicy, ExecutorPolicy
@@ -34,22 +34,18 @@ from repro.engine.task import (
 )
 
 
+_GAP = object()
+
+
 def _round_robin(lists: List[List[Tuple]]) -> List[Tuple]:
     """Merge several chunk lists by taking one element from each in turn."""
-    merged: List[Tuple] = []
-    cursors = [0] * len(lists)
-    remaining = sum(len(chunks) for chunks in lists)
-    while remaining:
-        for index, chunks in enumerate(lists):
-            if cursors[index] < len(chunks):
-                merged.append(chunks[cursors[index]])
-                cursors[index] += 1
-                remaining -= 1
-    return merged
+    if len(lists) == 1:
+        return lists[0]
+    return [chunk for row in zip_longest(*lists, fillvalue=_GAP)
+            for chunk in row if chunk is not _GAP]
 
 
-@dataclass(frozen=True)
-class _IoOp:
+class _IoOp(NamedTuple):
     """One physical I/O operation of a task, before chunking."""
 
     kind: str  # dfs_read | shuffle_fetch | shuffle_write | dfs_write
@@ -82,6 +78,9 @@ class Executor:
         self.stage_tasks_completed = 0
         self.current_stage: Optional[Stage] = None
         self._record: Optional[StageRecord] = None
+        #: The registry counters every finished task bumps, resolved on
+        #: first use (a counter first appears when a task first bumps it).
+        self._task_counters: Optional[Tuple] = None
 
     # -- sensors ---------------------------------------------------------------
 
@@ -236,8 +235,9 @@ class Executor:
         after reads, as they do in map (read input -> spill) and result
         (fetch -> sort -> save) tasks alike.
         """
-        chunk_bytes = float(self.ctx.conf.get("repro.task.chunk.bytes"))
-        max_chunks = int(self.ctx.conf.get("repro.task.max.chunks"))
+        conf = self.ctx.conf
+        chunk_bytes = float(conf.get("repro.task.chunk.bytes"))
+        max_chunks = int(conf.get("repro.task.max.chunks"))
         total_io = sum(op.size for op in ops)
         if total_io <= 0:
             return [("cpu", cpu_seconds, None)] if cpu_seconds > 0 else []
@@ -246,33 +246,35 @@ class Executor:
         # shaped tasks launched together drift out of phase, as real threads
         # do.  Without this, same-size tasks alternate I/O and CPU in perfect
         # lockstep and the disk idles during the synchronised CPU bursts.
-        jitter = self.ctx.streams.stream("chunk-jitter")
+        # Draws are ``random.uniform(0.6, 1.4)`` spelled out: same floats.
+        draw = self.ctx.streams.stream("chunk-jitter").random
 
-        def chunks_of(op: _IoOp) -> List[Tuple]:
-            count = max(1, int(math.ceil(op.size / effective_chunk)))
-            weights = [jitter.uniform(0.6, 1.4) for _ in range(count)]
-            scale = op.size / sum(weights)
-            return [(op.kind, w * scale, op.src_node) for w in weights]
-
-        read_lists = [
-            chunks_of(op) for op in ops
-            if op.kind in ("dfs_read", "shuffle_fetch")
-        ]
-        write_lists = [
-            chunks_of(op) for op in ops
-            if op.kind in ("shuffle_write", "dfs_write")
-        ]
-        if read_lists:
-            offset = interleave_offset % len(read_lists)
+        read_lists: List[List[Tuple]] = []
+        write_lists: List[List[Tuple]] = []
+        for lists, kinds in ((read_lists, ("dfs_read", "shuffle_fetch")),
+                             (write_lists, ("shuffle_write", "dfs_write"))):
+            for kind, size, src_node in ops:
+                if kind not in kinds:
+                    continue
+                count = max(1, math.ceil(size / effective_chunk))
+                if count == 1:  # the sum of one weight is that weight
+                    w = 0.6 + (1.4 - 0.6) * draw()
+                    lists.append([(kind, w * (size / w), src_node)])
+                    continue
+                weights = [0.6 + (1.4 - 0.6) * draw() for _ in range(count)]
+                scale = size / sum(weights)
+                lists.append([(kind, w * scale, src_node) for w in weights])
+        offset = interleave_offset % len(read_lists) if read_lists else 0
+        if offset:
             read_lists = read_lists[offset:] + read_lists[:offset]
         io_chunks = _round_robin(read_lists) + _round_robin(write_lists)
-        cpu_weights = [jitter.uniform(0.6, 1.4) for _ in io_chunks]
+        cpu_weights = [0.6 + (1.4 - 0.6) * draw() for _ in io_chunks]
+        if not cpu_seconds > 0:
+            return io_chunks
         cpu_scale = cpu_seconds / sum(cpu_weights)
         pieces: List[Tuple] = []
         for chunk, weight in zip(io_chunks, cpu_weights):
-            pieces.append(chunk)
-            if cpu_seconds > 0:
-                pieces.append(("cpu", weight * cpu_scale, None))
+            pieces += (chunk, ("cpu", weight * cpu_scale, None))
         return pieces
 
     # -- data-plane completion work -----------------------------------------------
@@ -414,7 +416,7 @@ class _TaskRun:
         ctx = executor.ctx
         task = self.task
         plan = task.plan
-        self.launch_time = self.sim.now
+        self.launch_time = self.sim._now
         self.io_wait = 0.0
         tracer = ctx.tracer
         if tracer.enabled:
@@ -478,7 +480,7 @@ class _TaskRun:
                 executor_id=executor.executor_id,
                 bytes=amount, src_node=src_node,
             )
-        self.io_start = self.sim.now
+        self.io_start = self.sim._now
         self._start_io(kind, amount, src_node)
 
     def _start_io(self, kind: str, size: float,
@@ -563,7 +565,7 @@ class _TaskRun:
             return
         executor = self.executor
         ctx = executor.ctx
-        wait = self.sim.now - self.io_start
+        wait = self.sim._now - self.io_start
         amount = self.chunks[self.index - 1][1]
         self.io_wait += wait
         executor.io_wait_accum += wait
@@ -617,7 +619,7 @@ class _TaskRun:
             executor_id=executor.executor_id,
             node_id=executor.node.node_id,
             launch_time=launch_time,
-            finish_time=sim.now,
+            finish_time=sim._now,
             cpu_seconds=plan.cpu_seconds,
             io_wait_seconds=io_wait,
             disk_read_bytes=sum(r.size for r in plan.dfs_reads),
@@ -638,9 +640,16 @@ class _TaskRun:
             ctx.tracer.end(self.task_span, io_wait=io_wait,
                            io_bytes=metrics.total_io_bytes)
         registry = ctx.metrics
-        registry.counter("tasks.completed").inc()
-        registry.counter("io.task_bytes").inc(metrics.total_io_bytes)
-        registry.counter("io.wait_seconds").inc(io_wait)
+        counters = executor._task_counters
+        if counters is None:
+            counters = executor._task_counters = (
+                registry.counter("tasks.completed"),
+                registry.counter("io.task_bytes"),
+                registry.counter("io.wait_seconds"),
+            )
+        counters[0].inc()
+        counters[1].inc(metrics.total_io_bytes)
+        counters[2].inc(io_wait)
         if ctx.profiling:
             # Distribution metrics ride the same registry as the counters
             # above, but only when a demand profiler is attached -- the

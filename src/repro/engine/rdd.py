@@ -157,21 +157,22 @@ class RDD:
 
     def cpu_cost(self, split: int) -> float:
         """CPU seconds this operator alone spends producing partition ``split``."""
-        processed = self._processed_size(split)
-        return (
-            processed.records * self.cpu_per_record
-            + processed.bytes * self.cpu_per_byte
-        )
+        records, nbytes = self._processed(split)
+        return records * self.cpu_per_record + nbytes * self.cpu_per_byte
 
-    def _processed_size(self, split: int) -> SizeInfo:
-        """The volume this operator iterates over (its input, by default)."""
+    def _processed(self, split: int) -> Tuple[float, float]:
+        """Records and bytes this operator iterates over (its input, by
+        default), summed in dependency order."""
         parents = self.narrow_parents
-        if parents:
-            total = SizeInfo(0.0, 0.0)
-            for parent in parents:
-                total = total + parent.partition_size(split)
-            return total
-        return self.partition_size(split)
+        if not parents:
+            size = self.partition_size(split)
+            return size.records, size.bytes
+        records = nbytes = 0.0
+        for parent in parents:
+            size = parent.partition_size(split)
+            records += size.records
+            nbytes += size.bytes
+        return records, nbytes
 
     # -- real computation ------------------------------------------------------
 
@@ -547,6 +548,10 @@ class MapLikeRDD(RDD):
             self.records_factor, self.bytes_factor
         )
 
+    def _processed(self, split: int) -> Tuple[float, float]:
+        size = self.parent.partition_size(split)
+        return 0.0 + size.records, 0.0 + size.bytes  # the one-parent sum
+
     def compute(self, split: int) -> List[Any]:
         return self.transform(self.parent.iterator(split))
 
@@ -581,8 +586,9 @@ class ShuffledRDD(RDD):
             self.dep.reduce_records_factor, self.dep.reduce_bytes_factor
         )
 
-    def _processed_size(self, split: int) -> SizeInfo:
-        return self.fetched_size(split)
+    def _processed(self, split: int) -> Tuple[float, float]:
+        return self.ctx.map_output_tracker.reduce_totals(
+            self.dep.shuffle_id, split)
 
     def compute(self, split: int) -> List[Any]:
         records = self.ctx.map_output_tracker.fetch_real(self.dep.shuffle_id, split)
@@ -636,30 +642,23 @@ class CoGroupedRDD(RDD):
     def is_materialized(self) -> bool:
         return all(parent.is_materialized for parent in self.parents)
 
-    def _parent_inputs(self, split: int) -> List[SizeInfo]:
-        sizes = []
-        for dep in self.deps:
-            if isinstance(dep, ShuffleDependency):
-                sizes.append(
-                    self.ctx.map_output_tracker.reduce_size(dep.shuffle_id, split)
-                )
-            else:
-                sizes.append(dep.rdd.partition_size(split))
-        return sizes
-
     def _compute_size(self, split: int) -> SizeInfo:
         if self.is_materialized:
             return estimate_partition(self.iterator(split))
-        total = SizeInfo(0.0, 0.0)
-        for size in self._parent_inputs(split):
-            total = total + size
-        return total
+        return SizeInfo(*self._processed(split))
 
-    def _processed_size(self, split: int) -> SizeInfo:
-        total = SizeInfo(0.0, 0.0)
-        for size in self._parent_inputs(split):
-            total = total + size
-        return total
+    def _processed(self, split: int) -> Tuple[float, float]:
+        records = nbytes = 0.0
+        for dep in self.deps:
+            if isinstance(dep, ShuffleDependency):
+                dep_records, dep_bytes = self.ctx.map_output_tracker.reduce_totals(
+                    dep.shuffle_id, split)
+            else:
+                size = dep.rdd.partition_size(split)
+                dep_records, dep_bytes = size.records, size.bytes
+            records += dep_records
+            nbytes += dep_bytes
+        return records, nbytes
 
     def compute(self, split: int) -> List[Any]:
         groups: Dict[Any, Tuple[List[Any], ...]] = {}
@@ -708,9 +707,6 @@ class UnionRDD(RDD):
     def _compute_size(self, split: int) -> SizeInfo:
         parent, parent_split = self.parent_split(split)
         return parent.partition_size(parent_split)
-
-    def _processed_size(self, split: int) -> SizeInfo:
-        return self._compute_size(split)
 
     def cpu_cost(self, split: int) -> float:
         return 0.0  # union moves no data and does no work of its own

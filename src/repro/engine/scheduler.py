@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.engine.metrics import StageRecord
 from repro.engine.rdd import ShuffleDependency
-from repro.engine.stage import Stage, build_task_plan
+from repro.engine.stage import Stage, build_task_plans
 from repro.engine.task import (
     PoolResized,
     Task,
@@ -164,6 +164,8 @@ class TaskScheduler:
         self._assigned: Dict[int, int] = {}
         self._run: Optional[_StageRun] = None
         self._recovery: Optional[_Recovery] = None
+        #: ``scheduler.tasks_launched``, resolved at the first launch.
+        self._launched = None
 
     @property
     def busy(self) -> bool:
@@ -200,10 +202,7 @@ class TaskScheduler:
             # this stage's plans until the recovery wave restores them.
             tasks = None
         else:
-            tasks = [
-                Task(stage, split, build_task_plan(self.ctx, stage, split))
-                for split in range(stage.num_tasks)
-            ]
+            tasks = self._plan_tasks(stage, range(stage.num_tasks))
         run = _StageRun(stage, tasks, record, sim.event())
         self._run = run
         conf = self.ctx.conf
@@ -234,6 +233,13 @@ class TaskScheduler:
         # First wave of launches goes out after one control-plane hop.
         sim.call_in(self.channel.latency, self._assign)
         return run.done
+
+    def _plan_tasks(self, stage: Stage, splits) -> List[Task]:
+        """Fresh tasks for ``splits`` of ``stage``, planned against the
+        tracker and cache state of this instant."""
+        splits = list(splits)
+        plans = build_task_plans(self.ctx, stage, splits)
+        return [Task(stage, split, plan) for split, plan in zip(splits, plans)]
 
     def _assign(self) -> None:
         run = self._run
@@ -277,7 +283,9 @@ class TaskScheduler:
         self.channel.send(
             executor.launch_task, TaskAttempt(task, attempt, speculative)
         )
-        self.ctx.metrics.counter("scheduler.tasks_launched").inc()
+        if self._launched is None:
+            self._launched = self.ctx.metrics.counter("scheduler.tasks_launched")
+        self._launched.inc()
 
     def _assign_recovery(self) -> None:
         rec = self._recovery
@@ -316,7 +324,9 @@ class TaskScheduler:
     # -- executor messages ------------------------------------------------------------
 
     def handle_message(self, message) -> None:
-        if isinstance(message, PoolResized):
+        if isinstance(message, TaskFinished):
+            self._on_task_finished(message)
+        elif isinstance(message, PoolResized):
             executor = self.ctx.executors[message.executor_id]
             if not executor.alive:
                 return
@@ -333,8 +343,6 @@ class TaskScheduler:
                 )
             self.ctx.metrics.counter("scheduler.resize_messages").inc()
             self._assign()
-        elif isinstance(message, TaskFinished):
-            self._on_task_finished(message)
         elif isinstance(message, TaskFailed):
             self._on_task_failed(message)
         else:
@@ -459,10 +467,7 @@ class TaskScheduler:
     def _enqueue_retry(self, run: _StageRun, partition: int) -> None:
         """Rebuild the plan (tracker/DFS state may have moved) and requeue."""
         run.retries_pending -= 1
-        task = Task(
-            run.stage, partition, build_task_plan(self.ctx, run.stage, partition)
-        )
-        run.manager.add(task)
+        run.manager.add(self._plan_tasks(run.stage, [partition])[0])
 
     def _requeue(self, run: _StageRun, partition: int) -> None:
         """Relaunch a partition whose attempt was killed (not its fault)."""
@@ -643,10 +648,8 @@ class TaskScheduler:
             if not ready:
                 still_waiting.append((stage, partitions))
                 continue
-            for split in sorted(partitions):
-                rec.manager.add(
-                    Task(stage, split, build_task_plan(self.ctx, stage, split))
-                )
+            for task in self._plan_tasks(stage, sorted(partitions)):
+                rec.manager.add(task)
         rec.waves = still_waiting
 
     def _on_recovery_finished(self, message: TaskFinished) -> None:
@@ -664,6 +667,8 @@ class TaskScheduler:
         self.ctx.map_output_tracker.register_map_output(
             task.stage.shuffle_dep.shuffle_id, message.map_status
         )
+        # Recomputed: if this output is lost again, it is needed again.
+        rec.scheduled.discard(key)
         rec.outstanding -= 1
         self._promote_ready_waves()
         if rec.outstanding == 0 and not rec.waves:
@@ -692,10 +697,7 @@ class TaskScheduler:
                 f"last reason: {message.reason}",
             )
             return
-        rec.manager.add(Task(
-            task.stage, task.partition,
-            build_task_plan(self.ctx, task.stage, task.partition),
-        ))
+        rec.manager.add(self._plan_tasks(task.stage, [task.partition])[0])
         self._assign()
 
     def _finish_recovery(self, rec: _Recovery) -> None:
@@ -708,22 +710,15 @@ class TaskScheduler:
             return
         if run.tasks_pending_build:
             run.tasks_pending_build = False
-            for split in range(run.stage.num_tasks):
-                run.manager.add(Task(
-                    run.stage, split,
-                    build_task_plan(self.ctx, run.stage, split),
-                ))
+            for task in self._plan_tasks(run.stage, range(run.stage.num_tasks)):
+                run.manager.add(task)
         else:
             # Queued tasks planned their shuffle fetches before the loss;
             # rebuild them against the recovered map-output locations.
             pending = sorted(run.manager.pending_partitions())
             if pending:
-                fresh = TaskSetManager([
-                    Task(run.stage, split,
-                         build_task_plan(self.ctx, run.stage, split))
-                    for split in pending
-                ])
-                run.manager = fresh
+                run.manager = TaskSetManager(
+                    self._plan_tasks(run.stage, pending))
         for partition in run.blocked:
             self._enqueue_retry(run, partition)
         run.blocked = []

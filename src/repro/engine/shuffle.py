@@ -18,7 +18,7 @@ derived from it after the map stage completes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine.sizing import SizeInfo
 
@@ -122,11 +122,9 @@ class _ShuffleState:
             self.reducer_bytes[reducer] += size.bytes
             per_node[reducer] += size.bytes
 
-    def reduce_size(self, reducer: int) -> SizeInfo:
-        return SizeInfo(
-            self.reducer_records[reducer] + self.uniform_records,
-            self.reducer_bytes[reducer] + self.uniform_bytes,
-        )
+    def reduce_totals(self, reducer: int) -> Tuple[float, float]:
+        return (self.reducer_records[reducer] + self.uniform_records,
+                self.reducer_bytes[reducer] + self.uniform_bytes)
 
     def fetch_plan(self, reducer: int) -> List[tuple]:
         per_node: Dict[int, float] = dict(self.node_uniform_bytes)
@@ -242,11 +240,22 @@ class MapOutputTracker:
 
     def reduce_size(self, shuffle_id: int, reduce_id: int) -> SizeInfo:
         """Total records/bytes reduce task ``reduce_id`` will fetch."""
-        return self._require_complete(shuffle_id).reduce_size(reduce_id)
+        return SizeInfo(*self.reduce_totals(shuffle_id, reduce_id))
+
+    def reduce_totals(self, shuffle_id: int,
+                      reduce_id: int) -> Tuple[float, float]:
+        """:meth:`reduce_size` as a ``(records, bytes)`` pair."""
+        return self._require_complete(shuffle_id).reduce_totals(reduce_id)
 
     def fetch_plan(self, shuffle_id: int, reduce_id: int) -> List[tuple]:
         """``[(source_node_id, bytes), ...]`` aggregated per source node."""
         return self._require_complete(shuffle_id).fetch_plan(reduce_id)
+
+    def uniform_fetch_plan(self, shuffle_id: int) -> Optional[List[tuple]]:
+        """The fetch plan every reducer shares when all map outputs split
+        uniformly, else ``None``."""
+        state = self._require_complete(shuffle_id)
+        return None if state.node_reducer_bytes else state.fetch_plan(0)
 
     def fetch_real(self, shuffle_id: int, reduce_id: int) -> List[Any]:
         """Concatenate the materialised bucket contents for a reducer."""

@@ -1,16 +1,16 @@
 """Stages and per-task execution plans.
 
 A stage is a pipeline of narrowly-dependent RDDs executed as one wave of
-tasks.  :func:`build_task_plan` walks the stage's pipeline for one partition
-and produces the :class:`TaskPlan` the executor turns into simulated I/O and
-CPU phases -- the bridge between the logical RDD program and the physical
-resource model.
+tasks.  :func:`build_task_plans` walks the stage's pipeline and produces,
+per partition, the :class:`TaskPlan` the executor turns into simulated I/O
+and CPU phases -- the bridge between the logical RDD program and the
+physical resource model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.engine.actions import Action
 from repro.engine.rdd import (
@@ -22,8 +22,7 @@ from repro.engine.rdd import (
 )
 
 
-@dataclass(frozen=True)
-class DfsRead:
+class DfsRead(NamedTuple):
     """One DFS input read: volume plus the nodes holding replicas."""
 
     size: float
@@ -126,55 +125,90 @@ class Stage:
         return f"Stage({self.stage_id}, {kind}, rdd={self.rdd.name}, tasks={self.num_tasks})"
 
 
-def build_task_plan(ctx, stage: Stage, split: int) -> TaskPlan:
-    """Derive the physical plan for task ``split`` of ``stage``.
+def build_task_plans(ctx, stage: Stage, splits: Iterable[int]) -> List[TaskPlan]:
+    """Derive the physical plans for tasks ``splits`` of ``stage``.
 
     Must run after all parent stages completed (shuffle fetch plans are read
-    from the map-output tracker).
+    from the map-output tracker).  Unless the pipeline holds a cached RDD
+    or a ``UnionRDD``, every task visits the same RDDs in the same order,
+    so the lineage is walked once for all splits.  Nothing is kept across
+    calls: tracker and cache state move between re-plans.
     """
-    plan = TaskPlan(stage_id=stage.stage_id, partition=split)
-    visited = set()
-
-    def visit(rdd: RDD, part: int) -> None:
-        if (rdd.id, part) in visited:
-            # Reached through two narrow branches (e.g. PageRank's join of
-            # ``links`` with ranks derived from ``links``): the first
-            # computation is block-cached within the task, so the partition
-            # is charged once.
-            return
-        visited.add((rdd.id, part))
-        if rdd.cached and ctx.cache_manager.has(rdd.id, part):
-            # Served from executor memory: no I/O, negligible CPU.
-            return
-        if isinstance(rdd, UnionRDD):
-            parent, parent_split = rdd.parent_split(part)
-            visit(parent, parent_split)
-            return
-        plan.cpu_seconds += rdd.cpu_cost(part)
-        if isinstance(rdd, HadoopRDD):
-            plan.dfs_reads.append(
-                DfsRead(rdd.input_bytes(part), rdd.preferred_nodes(part))
-            )
-        for dep in rdd.deps:
-            if isinstance(dep, ShuffleDependency):
-                plan.shuffle_fetches.extend(
-                    ctx.map_output_tracker.fetch_plan(dep.shuffle_id, part)
+    splits = list(splits)
+    if not splits:
+        return []
+    conf = ctx.conf
+    write_cost = float(conf.get("repro.cpu.shuffle.write.per.byte"))
+    output_cost = float(conf.get("repro.cpu.output.write.per.byte"))
+    read_cost = float(conf.get("repro.cpu.shuffle.read.per.byte"))
+    tracker = ctx.map_output_tracker
+    steps = shared = None
+    if not any(rdd.cached or isinstance(rdd, UnionRDD)
+               for rdd in stage.pipeline_rdds()):
+        steps = _walk(ctx, stage.rdd, splits[0], set(), [])
+        uniform = [tracker.uniform_fetch_plan(node)
+                   for node, _part in steps if type(node) is int]
+        if None not in uniform:  # every task fetches the same list
+            shared = [fetch for fetches in uniform for fetch in fetches]
+            shared_read = sum(size for _node, size in shared)
+    shuffle_dep = stage.shuffle_dep
+    action = stage.action
+    plans = []
+    for split in splits:
+        plan = TaskPlan(stage_id=stage.stage_id, partition=split)
+        cpu = 0.0
+        for node, part in (steps if steps is not None
+                           else _walk(ctx, stage.rdd, split, set(), [])):
+            if steps is not None:
+                part = split
+            if type(node) is int:
+                if shared is None:
+                    plan.shuffle_fetches.extend(tracker.fetch_plan(node, part))
+                continue
+            cpu += node.cpu_cost(part)
+            if isinstance(node, HadoopRDD):
+                plan.dfs_reads.append(
+                    DfsRead(node.input_bytes(part), node.preferred_nodes(part))
                 )
-            else:
-                visit(dep.rdd, part)
+        plan.cpu_seconds = cpu
+        if shared:
+            plan.shuffle_fetches = list(shared)
+        if shuffle_dep is not None:
+            plan.shuffle_write_bytes = (
+                shuffle_dep.rdd.partition_size(split).bytes
+                * shuffle_dep.map_bytes_factor
+            )
+            plan.cpu_seconds += plan.shuffle_write_bytes * write_cost
+        if action is not None:
+            plan.output_write_bytes = action.output_bytes(stage.rdd, split)
+            plan.cpu_seconds += plan.output_write_bytes * output_cost
+        read = (shared_read if shared is not None
+                else sum(size for _node, size in plan.shuffle_fetches))
+        plan.cpu_seconds += read * read_cost
+        plans.append(plan)
+    return plans
 
-    visit(stage.rdd, split)
-    if stage.shuffle_dep is not None:
-        plan.shuffle_write_bytes = stage.shuffle_dep.map_output_size(split).bytes
-        plan.cpu_seconds += plan.shuffle_write_bytes * float(
-            ctx.conf.get("repro.cpu.shuffle.write.per.byte")
-        )
-    if stage.action is not None:
-        plan.output_write_bytes = stage.action.output_bytes(stage.rdd, split)
-        plan.cpu_seconds += plan.output_write_bytes * float(
-            ctx.conf.get("repro.cpu.output.write.per.byte")
-        )
-    plan.cpu_seconds += sum(size for _node, size in plan.shuffle_fetches) * float(
-        ctx.conf.get("repro.cpu.shuffle.read.per.byte")
-    )
-    return plan
+
+def _walk(ctx, rdd: RDD, part: int, visited: set, steps: list) -> list:
+    """One task's depth-first visit order: ``(rdd, part)`` computes that
+    partition, ``(shuffle_id, part)`` fetches its share of a shuffle."""
+    if (rdd.id, part) in visited:
+        # Reached through two narrow branches (e.g. PageRank's join of
+        # ``links`` with ranks derived from ``links``): the first
+        # computation is block-cached within the task, so the partition
+        # is charged once.
+        return steps
+    visited.add((rdd.id, part))
+    if rdd.cached and ctx.cache_manager.has(rdd.id, part):
+        # Served from executor memory: no I/O, negligible CPU.
+        return steps
+    if isinstance(rdd, UnionRDD):
+        parent, parent_split = rdd.parent_split(part)
+        return _walk(ctx, parent, parent_split, visited, steps)
+    steps.append((rdd, part))
+    for dep in rdd.deps:
+        if isinstance(dep, ShuffleDependency):
+            steps.append((dep.shuffle_id, part))
+        else:
+            _walk(ctx, dep.rdd, part, visited, steps)
+    return steps

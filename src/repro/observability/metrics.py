@@ -259,15 +259,17 @@ def collect_run_metrics(ctx) -> Dict[str, Dict[str, Any]]:
     for node in ctx.cluster.nodes:
         node.disk.sync()
         node.cpu.sync()
-        prefix = f"node.{node.node_id}"
-        metrics.gauge(f"{prefix}.disk.bytes_read").set(node.disk.bytes_read)
-        metrics.gauge(f"{prefix}.disk.bytes_written").set(
+        node_id = node.node_id
+        metrics.gauge(node_metric(node_id, "disk.bytes_read")).set(
+            node.disk.bytes_read
+        )
+        metrics.gauge(node_metric(node_id, "disk.bytes_written")).set(
             node.disk.bytes_written
         )
-        metrics.gauge(f"{prefix}.disk.busy_seconds").set(
+        metrics.gauge(node_metric(node_id, "disk.busy_seconds")).set(
             node.disk.stats.busy_time
         )
-        metrics.gauge(f"{prefix}.cpu.core_seconds").set(
+        metrics.gauge(node_metric(node_id, "cpu.core_seconds")).set(
             node.cpu.stats.occupancy_integral
         )
     fabric = ctx.cluster.fabric

@@ -12,6 +12,7 @@ ties in the event queue are broken by insertion order.
 from __future__ import annotations
 
 import heapq
+from heapq import heappush
 from typing import Any, Callable, Generator, Iterable, List, Optional
 
 
@@ -388,8 +389,8 @@ class Simulator:
         """
         if not delay >= 0:
             raise SimulationError(f"call_in delay must be >= 0, got {delay!r}")
-        self._sequence += 1
-        heapq.heappush(self._queue, (self._now + delay, self._sequence, fn, args))
+        seq = self._sequence = self._sequence + 1
+        heappush(self._queue, (self._now + delay, seq, fn, args))
 
     # -- execution --------------------------------------------------------
 

@@ -83,7 +83,6 @@ class Job:
         then: Callable[["Job"], None],
         event: Optional[Event] = None,
     ) -> None:
-        sim = resource.sim
         self.resource = resource
         self.work = work
         self.remaining = work
@@ -91,11 +90,12 @@ class Job:
         self.attrs = attrs
         self.then = then
         self.event = event
-        self.submitted_at = sim._now
+        self.submitted_at = resource.sim._now
         #: The rate-independent part of the completion threshold: residual
         #: work this small counts as done whatever the job's rate.  Fixed by
         #: the job's size, so it is computed once here rather than per wake.
-        self.done_below = max(_ABSOLUTE_EPS, work * _RELATIVE_EPS)
+        below = work * _RELATIVE_EPS
+        self.done_below = below if below > _ABSOLUTE_EPS else _ABSOLUTE_EPS
 
     @property
     def elapsed(self) -> float:
@@ -125,6 +125,12 @@ class FairShareResource:
         self._jobs: List[Job] = []
         self._last_update = sim.now
         self._wake_generation = 0
+        #: The least remaining work over the active set as the last pass
+        #: left it, so a pass at the same instant needs no rescan.
+        self._least = math.inf
+        #: Capacity units the active set can occupy at most (see
+        #: :meth:`_occupied`).
+        self._occupancy_cap = 1
         # The scalar fast path is only sound when rates() and uniform_rate()
         # describe the same policy.  A subclass that overrides rates() without
         # overriding uniform_rate() (a custom, possibly non-uniform curve)
@@ -187,7 +193,8 @@ class FairShareResource:
             return job
         least = self._advance()
         self._admit(job)
-        self._reschedule(least if least < job.work else job.work)
+        self._least = least = least if least < job.work else job.work
+        self._reschedule(least)
         return job
 
     def _admit(self, job: Job) -> None:
@@ -296,7 +303,7 @@ class FairShareResource:
             return math.inf
         if dt <= 0:
             # Same instant as the last pass: nothing moved since then.
-            return min([job.remaining for job in jobs])
+            return self._least
         n = len(jobs)
         uniform = self.uniform_rate(n) if self._uniform_hook else None
         rates = None if uniform is not None else self.rates(jobs)
@@ -335,17 +342,19 @@ class FairShareResource:
         stats.busy_time += dt
         stats.work_done += moved
         stats.concurrency_integral += n * dt
-        stats.occupancy_integral += self._occupied(n) * dt
+        cap = self._occupancy_cap
+        stats.occupancy_integral += (n if n < cap else cap) * dt
+        self._least = least
         return least
 
     def _occupied(self, active: int) -> float:
         """Capacity units in use while ``active`` jobs are served.
 
-        The default (1.0) means "the device is busy"; :class:`CpuResource`
-        overrides this to count occupied cores so samplers can report
-        mpstat-style utilisation.
+        The default cap (1) means "the device is busy"; :class:`CpuResource`
+        caps at its core count so samplers can report mpstat-style
+        utilisation.
         """
-        return 1.0 if active else 0.0
+        return float(min(active, self._occupancy_cap))
 
     def _reschedule(self, least: float) -> None:
         """Schedule the next wake-up; ``least`` is the least remaining work
@@ -435,7 +444,10 @@ class FairShareResource:
             stats.busy_time += dt
             stats.work_done += moved
             stats.concurrency_integral += n * dt
-            stats.occupancy_integral += self._occupied(n) * dt
+            cap = self._occupancy_cap
+            stats.occupancy_integral += (n if n < cap else cap) * dt
+        # Before the hooks run: a hook may submit here at this instant.
+        self._least = least
         if finished:
             for job in finished:
                 # Credit the sub-threshold residual before zeroing it:
@@ -481,18 +493,31 @@ class CpuResource(FairShareResource):
         if cores <= 0:
             raise SimulationError(f"cores must be positive, got {cores}")
         super().__init__(sim, name, capacity=float(cores))
-        self.cores = cores
+        self.cores = self._occupancy_cap = cores
+        #: :meth:`uniform_rate` keyed by active count; setting
+        #: ``speed_factor`` clears it.
+        self._rate_memo: Dict[int, float] = {}
         self.speed_factor = speed_factor
 
+    @property
+    def speed_factor(self) -> float:
+        return self._speed_factor
+
+    @speed_factor.setter
+    def speed_factor(self, value: float) -> None:
+        self._speed_factor = value
+        self._rate_memo.clear()
+
     def rates(self, jobs: List[Job]) -> Dict[Job, float]:
-        per_job = min(1.0, self.cores / len(jobs)) * self.speed_factor
+        per_job = self.uniform_rate(len(jobs))
         return {job: per_job for job in jobs}
 
     def uniform_rate(self, n: int) -> Optional[float]:
-        return min(1.0, self.cores / n) * self.speed_factor
-
-    def _occupied(self, active: int) -> float:
-        return float(min(active, self.cores))
+        rate = self._rate_memo.get(n)
+        if rate is None:
+            rate = self._rate_memo[n] = (
+                min(1.0, self.cores / n) * self._speed_factor)
+        return rate
 
     def utilization(self, occupancy_before: float, elapsed: float) -> float:
         """CPU usage as mpstat would report it: occupied core-seconds over

@@ -151,11 +151,12 @@ class StorageDevice(FairShareResource):
 
     @speed_factor.setter
     def speed_factor(self, value: float) -> None:
-        # The memoised rates are priced at the old factor (fault-injection
-        # disk-degrade episodes rescale it mid-run).
+        # The memoised rates and latencies are priced at the old factor
+        # (fault-injection disk-degrade episodes rescale it mid-run).
         self._speed_factor = value
         for memo in self._rate_memo.values():
             memo.clear()
+        self._latency = {op: self.profile.latency(op) / value for op in OPS}
 
     def submit(self, work: float, tag: str = "",
                then: Optional[Callable[[Job], None]] = None,
@@ -204,10 +205,13 @@ class StorageDevice(FairShareResource):
         """
         counts = self._op_counts
         if not counts["write"]:
-            return self.group_rate("read", n)
-        if not counts["read"]:
-            return self.group_rate("write", n)
-        return None
+            op = "read"
+        elif not counts["read"]:
+            op = "write"
+        else:
+            return None
+        rate = self._rate_memo[op].get(n)
+        return rate if rate is not None else self.group_rate(op, n)
 
     def request(self, size: float, op: str,
                 then: Optional[Callable[[float], None]] = None,
@@ -229,8 +233,8 @@ class StorageDevice(FairShareResource):
         if then is None:
             event = self.sim.event()
             then = event.succeed
-        latency = self.profile.latency(op) / self.speed_factor
-        self.sim.call_in(latency, self._start_transfer, size, op, then)
+        self.sim.call_in(self._latency[op], self._start_transfer, size, op,
+                         then)
         return event
 
     def _start_transfer(self, size: float, op: str,

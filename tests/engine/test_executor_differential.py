@@ -173,6 +173,27 @@ class TestLostInput:
         assert fresh["registry"] == old["registry"]
 
 
+class TestSecondLossDuringRecovery:
+    """A map output that a recovery wave recomputed and that is lost again
+    before the wave ends is recomputed once more, not left missing."""
+
+    def test_twice_lost_outputs_are_recomputed(self):
+        plan = FaultPlan(
+            node_losses=[NodeLoss(node_id=1, at=21.0)],
+            executor_losses=[ExecutorLoss(executor_id=0,
+                                          at=34.9718045825842)],
+            task_crashes=[TaskCrash(stage_ordinal=1, partition=4, attempt=1,
+                                    at_fraction=0.08)],
+        )
+        fresh = _storm_run(plan, "default", reference=False)
+        old = _storm_run(plan, "default", reference=True)
+        assert isinstance(fresh["outcome"], dict)  # the job completed
+        recomputed = fresh["registry"]["faults.recomputed_partitions"]
+        assert recomputed["value"] == 3 + 6  # maps 1 and 7 twice
+        assert fresh["log"] == old["log"]
+        assert fresh["registry"] == old["registry"]
+
+
 class TestNoObjectsPerAttempt:
     """A fault-free run allocates no Process, Event or AllOf per attempt."""
 

@@ -416,6 +416,11 @@ class TestBadInputs:
         ["faults", "generate", "node-loss", "--at", "nan"],
         ["faults", "generate", "node-churn", "--at", "-3"],
         ["faults", "generate", "node-loss", "--retries", "3"],
+        ["faults", "generate", "node-loss", "--executor", "3", "--tenant",
+         "x", "--count", "4"],
+        ["faults", "generate", "task-crashes", "--node", "1"],
+        ["faults", "generate", "disk-degrade", "--no-speculation"],
+        ["faults", "generate", "node-churn", "--max-poisoned", "2"],
         ["arrivals", "generate", "poisson", "--rate", "-1"],
         ["arrivals", "generate", "poisson", "--tenants", "0"],
         ["arrivals", "generate", "poisson", "--scale", "nan"],
@@ -426,6 +431,14 @@ class TestBadInputs:
         assert main([*argv, "--out", str(out)]) == 2
         assert "error: invalid" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_faults_generate_names_flags_the_kind_does_not_take(self,
+                                                                capsys):
+        code = main(["faults", "generate", "node-loss", "--executor", "3",
+                     "--tenant", "x", "--count", "4", "--at", "5"])
+        assert code == 2
+        assert ("node-loss does not take --executor, --count, --tenant"
+                in capsys.readouterr().err)
 
     def test_whatif_missing_alternative_plan_exits_2(self, tmp_path, capsys):
         code = main(["whatif", "wordcount", "--scale", "0.02", "--nodes",
