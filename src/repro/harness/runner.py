@@ -180,43 +180,44 @@ def static_sweep(
     children (:func:`repro.harness.parallel.map_runs`) and the mapping's
     values are picklable :class:`~repro.harness.parallel.RunSummary`
     objects instead of live :class:`~repro.workloads.WorkloadRun`\\ s --
-    same runtimes, same stage records, no simulator.  Event/trace outputs
-    then come from ``events_path_factory(threads)`` /
-    ``trace_path_factory(threads)`` (in-process ``tracer_factory`` objects
-    cannot cross the process boundary).
+    same runtimes, same stage records, no simulator.  In-process
+    ``tracer_factory`` objects cannot cross the process boundary; at any
+    ``parallel``, ``events_path_factory(threads)`` /
+    ``trace_path_factory(threads)`` / ``profile_path_factory(threads)``
+    name per-point output files instead, written the same either way.
     """
-    if parallel > 1:
-        from repro.harness.parallel import RunConfig, map_runs
+    from repro.harness.parallel import RunConfig, build_run_tracer, map_runs
 
-        if tracer_factory is not None:
-            raise ValueError(
-                "tracer_factory requires sequential execution; use "
-                "events_path_factory/trace_path_factory with parallel sweeps"
-            )
+    def config(threads: int, **fields: Any) -> RunConfig:
+        def path(factory):
+            return factory(threads) if factory else None
+
+        return RunConfig(
+            workload=workload if isinstance(workload, str) else workload.name,
+            policy=("static", threads), key=threads,
+            events_path=path(events_path_factory),
+            trace_path=path(trace_path_factory),
+            profile_path=path(profile_path_factory),
+            profile_interval=profile_interval, **fields,
+        )
+
+    if tracer_factory is not None and (
+            parallel > 1 or events_path_factory or trace_path_factory
+            or profile_path_factory):
+        raise ValueError(
+            "tracer_factory requires sequential execution without "
+            "events_path_factory/trace_path_factory/profile_path_factory"
+        )
+    if parallel > 1:
         if not isinstance(workload, str):
             raise ValueError("parallel sweeps require a workload name")
         fault_plan = cluster_kwargs.pop("fault_plan", None)
         configs = [
-            RunConfig(
-                workload=workload,
-                policy=("static", threads),
-                key=threads,
-                workload_kwargs=workload_kwargs or {},
-                conf_overrides=conf_overrides or {},
-                cluster_kwargs=cluster_kwargs,
-                fault_plan_doc=fault_plan.to_dict() if fault_plan else None,
-                events_path=(
-                    events_path_factory(threads) if events_path_factory else None
-                ),
-                trace_path=(
-                    trace_path_factory(threads) if trace_path_factory else None
-                ),
-                profile_path=(
-                    profile_path_factory(threads)
-                    if profile_path_factory else None
-                ),
-                profile_interval=profile_interval,
-            )
+            config(threads,
+                   workload_kwargs=workload_kwargs or {},
+                   conf_overrides=conf_overrides or {},
+                   cluster_kwargs=cluster_kwargs,
+                   fault_plan_doc=fault_plan.to_dict() if fault_plan else None)
             for threads in thread_counts
         ]
         return {summary.key: summary
@@ -224,7 +225,10 @@ def static_sweep(
 
     runs: Dict[int, WorkloadRun] = {}
     for threads in thread_counts:
-        tracer = tracer_factory(threads) if tracer_factory else None
+        if tracer_factory is not None:
+            tracer = tracer_factory(threads)
+        else:
+            tracer, _profiler = build_run_tracer(config(threads))
         runs[threads] = run_workload(
             workload,
             policy=("static", threads),

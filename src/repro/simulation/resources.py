@@ -71,7 +71,7 @@ class Job:
 
     __slots__ = (
         "resource", "work", "remaining", "tag", "attrs", "then", "event",
-        "submitted_at", "done_below",
+        "done_below",
     )
 
     def __init__(
@@ -90,16 +90,11 @@ class Job:
         self.attrs = attrs
         self.then = then
         self.event = event
-        self.submitted_at = resource.sim._now
         #: The rate-independent part of the completion threshold: residual
         #: work this small counts as done whatever the job's rate.  Fixed by
         #: the job's size, so it is computed once here rather than per wake.
         below = work * _RELATIVE_EPS
         self.done_below = below if below > _ABSOLUTE_EPS else _ABSOLUTE_EPS
-
-    @property
-    def elapsed(self) -> float:
-        return self.resource.sim.now - self.submitted_at
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -128,6 +123,15 @@ class FairShareResource:
         #: The least remaining work over the active set as the last pass
         #: left it, so a pass at the same instant needs no rescan.
         self._least = math.inf
+        #: The active set's pricing as :meth:`_reschedule` kept it: the
+        #: shared rate, or (``_rate`` None) the per-job rates.  Only a
+        #: membership change, which re-plans, or a ``speed_factor`` setter,
+        #: which clears both, can change it.
+        self._rate: Optional[float] = None
+        self._rates: Optional[Dict[Job, float]] = None
+        #: The largest ``done_below`` of any job admitted so far: residual
+        #: work above it and above ``rate * 1e-6`` cannot be complete.
+        self._below_cap = _ABSOLUTE_EPS
         #: Capacity units the active set can occupy at most (see
         #: :meth:`_occupied`).
         self._occupancy_cap = 1
@@ -141,6 +145,9 @@ class FairShareResource:
             cls.rates is FairShareResource.rates
             or cls.uniform_rate is not FairShareResource.uniform_rate
         )
+        # The default hooks are inlined into the passes.
+        self._hooked = (cls._admit is not FairShareResource._admit
+                        or cls._retire is not FairShareResource._retire)
 
     # -- rate policy -------------------------------------------------------
 
@@ -181,7 +188,7 @@ class FairShareResource:
         """
         if work < 0:
             raise SimulationError(f"negative work: {work}")
-        if not math.isfinite(work):
+        if not work < math.inf:
             raise SimulationError(f"work must be finite, got {work}")
         event = None
         if then is None:
@@ -191,8 +198,17 @@ class FairShareResource:
         if work == 0:
             then(job)
             return job
-        least = self._advance()
-        self._admit(job)
+        if self._jobs:
+            least = self._advance()
+        else:
+            self._last_update = self.sim._now
+            least = math.inf
+        if self._hooked:
+            self._admit(job)
+        else:
+            self._jobs.append(job)
+        if job.done_below > self._below_cap:
+            self._below_cap = job.done_below
         self._least = least = least if least < job.work else job.work
         self._reschedule(least)
         return job
@@ -281,12 +297,29 @@ class FairShareResource:
     #
     # Every membership change is one pass over the active set.  Bit identity
     # with the three-loop reference (advance, completion test, horizon scan;
-    # tests/simulation/reference_kernel.py) rests on three facts: per-job
+    # tests/simulation/reference_kernel.py) rests on these facts: per-job
     # float expressions and the order of the accumulations are unchanged;
     # the horizon minimum is the least remaining work divided by the shared
     # rate, and correctly rounded division by a positive constant is
     # monotone; sub-threshold residuals are credited after the advance
-    # totals, in list order, as the separate completion loop did.
+    # totals, in list order, as the separate completion loop did.  A shared
+    # step no larger than the least remaining work clamps no job, so each
+    # job moves by exactly ``step`` and, correctly rounded subtraction being
+    # monotone too, the new least is ``least - step``.  A pass reuses the
+    # pricing :meth:`_reschedule` kept for the same set.
+    #
+    # Tag accounting is batched per *run* of equal tags (untagged jobs form
+    # runs of ``""``, which are never written): the dict is read when the
+    # run starts and written when it ends.  Flushing and re-reading keeps
+    # the float, so an identity test on the tag is enough, and the keys
+    # still appear in the order the tags first appear.
+
+    def _price(self) -> None:
+        """Keep the active set's shared rate, or its per-job rates."""
+        jobs = self._jobs
+        uniform = self.uniform_rate(len(jobs)) if self._uniform_hook else None
+        self._rate = uniform
+        self._rates = None if uniform is not None else self.rates(jobs)
 
     def _advance(self) -> float:
         """Price the time since the last update into every active job.
@@ -304,41 +337,48 @@ class FairShareResource:
         if dt <= 0:
             # Same instant as the last pass: nothing moved since then.
             return self._least
-        n = len(jobs)
-        uniform = self.uniform_rate(n) if self._uniform_hook else None
-        rates = None if uniform is not None else self.rates(jobs)
+        if self._rate is None and self._rates is None:
+            self._price()
+        uniform = self._rate
         step = 0.0 if uniform is None else uniform * dt
         stats = self.stats
         work_by_tag = stats.work_by_tag
         moved = 0.0
-        least = math.inf
-        # Tag accounting is batched per *run* of equal tags: the dict is
-        # read once when the tag changes and written once when it changes
-        # back (or at the end), instead of a get+set per job.  The
-        # accumulation order is unchanged, so every float -- and thus
-        # every bit of the event log -- matches the per-job version.
         run_tag = ""
         run_total = 0.0
-        for job in jobs:
-            if rates is not None:
-                step = rates[job] * dt
-            remaining = job.remaining
-            done = step if step <= remaining else remaining
-            remaining -= done
-            job.remaining = remaining
-            moved += done
-            if remaining < least:
-                least = remaining
-            tag = job.tag
-            if tag:
-                if tag != run_tag:
+        if uniform is not None and step <= self._least:
+            least = self._least - step
+            for job in jobs:
+                job.remaining -= step
+                moved += step
+                if job.tag is not run_tag:
                     if run_tag:
                         work_by_tag[run_tag] = run_total
-                    run_tag = tag
-                    run_total = work_by_tag.get(tag, 0.0)
+                    run_tag = job.tag
+                    run_total = work_by_tag.get(run_tag, 0.0)
+                run_total += step
+        else:
+            rates = self._rates
+            least = math.inf
+            for job in jobs:
+                if rates is not None:
+                    step = rates[job] * dt
+                remaining = job.remaining
+                done = step if step <= remaining else remaining
+                remaining -= done
+                job.remaining = remaining
+                moved += done
+                if remaining < least:
+                    least = remaining
+                if job.tag is not run_tag:
+                    if run_tag:
+                        work_by_tag[run_tag] = run_total
+                    run_tag = job.tag
+                    run_total = work_by_tag.get(run_tag, 0.0)
                 run_total += done
         if run_tag:
             work_by_tag[run_tag] = run_total
+        n = len(jobs)
         stats.busy_time += dt
         stats.work_done += moved
         stats.concurrency_integral += n * dt
@@ -363,45 +403,51 @@ class FairShareResource:
         jobs = self._jobs
         if not jobs:
             return
+        # :meth:`_price`, inline: this runs on every membership change.
         uniform = self.uniform_rate(len(jobs)) if self._uniform_hook else None
+        self._rate = uniform
         horizon = math.inf
         if uniform is not None:
+            self._rates = None
             if uniform > 0:
                 horizon = least / uniform
         else:
-            rates = self.rates(jobs)
+            self._rates = rates = self.rates(jobs)
             for job in jobs:
                 rate = rates[job]
-                if rate <= 0:
-                    continue
-                horizon = min(horizon, job.remaining / rate)
-        if not math.isfinite(horizon):
+                if rate > 0:
+                    until = job.remaining / rate
+                    if until < horizon:
+                        horizon = until
+        if not horizon < math.inf:
             raise SimulationError(
                 f"resource {self.name!r} has active jobs but zero service rate"
             )
         # Floor the horizon above the float resolution of the clock: a job
         # with a sliver of residual work must not schedule a wake-up that
         # fails to advance `now`, or the loop would spin forever.
-        floor = self.sim._now * 1e-11
-        if floor < 1e-9:
-            floor = 1e-9
-        self.sim.call_in(horizon if horizon > floor else floor,
-                         self._on_wake, self._wake_generation)
+        sim = self.sim
+        if not (horizon > 1e-9 and horizon > sim._now * 1e-11):
+            horizon = max(1e-9, sim._now * 1e-11)
+        sim.call_in(horizon, self._on_wake, self._wake_generation)
 
     def _on_wake(self, generation: int) -> None:
-        """Advance, retire finished jobs and re-plan, in one pass."""
+        """Advance, retire finished jobs and re-plan, in one pass.
+
+        A live wake at the instant of the last pass (a ``sync`` just ran)
+        steps every job by ``0.0``, which changes no float: each job went
+        through a pass that moved time after the wake was planned, so its
+        tag is already a ``work_by_tag`` key.
+        """
         if generation != self._wake_generation:
             return  # superseded by a later membership change
         jobs = self._jobs
         now = self.sim._now
         dt = now - self._last_update
         self._last_update = now
-        advancing = dt > 0
-        n = len(jobs)
-        uniform = self.uniform_rate(n) if self._uniform_hook else None
-        rates = None if uniform is not None else self.rates(jobs)
-        step = 0.0 if uniform is None else uniform * dt
-        eps = 0.0 if uniform is None else uniform * 1e-6
+        if self._rate is None and self._rates is None:
+            self._price()
+        uniform = self._rate
         stats = self.stats
         work_by_tag = stats.work_by_tag
         moved = 0.0
@@ -409,43 +455,68 @@ class FairShareResource:
         run_tag = ""
         run_total = 0.0
         finished: List[Job] = []
-        survivors: List[Job] = []
-        for job in jobs:
-            remaining = job.remaining
-            if rates is not None:
+        # A job is done when its residual work is negligible either
+        # relative to its size or in time-to-finish terms (< 1 us):
+        # ``remaining <= max(done_below, rate * 1e-6)``.
+        if uniform is not None:
+            step = uniform * dt
+            eps = uniform * 1e-6
+            # Residual work above ``cap`` was neither clamped nor is done.
+            cap = self._below_cap if self._below_cap > eps else eps
+            for job in jobs:
+                remaining = job.remaining - step
+                if remaining > cap:
+                    done = step
+                    job.remaining = remaining
+                    if remaining < least:
+                        least = remaining
+                else:
+                    remaining = job.remaining
+                    done = step if step <= remaining else remaining
+                    remaining -= done
+                    job.remaining = remaining
+                    below = job.done_below
+                    if remaining <= (below if below >= eps else eps):
+                        finished.append(job)
+                    elif remaining < least:
+                        least = remaining
+                moved += done
+                if job.tag is not run_tag:
+                    if run_tag:
+                        work_by_tag[run_tag] = run_total
+                    run_tag = job.tag
+                    run_total = work_by_tag.get(run_tag, 0.0)
+                run_total += done
+        else:
+            rates = self._rates
+            for job in jobs:
                 rate = rates[job]
                 step = rate * dt
-                eps = rate * 1e-6
-            if advancing:
+                remaining = job.remaining
                 done = step if step <= remaining else remaining
                 remaining -= done
                 job.remaining = remaining
                 moved += done
-                tag = job.tag
-                if tag:
-                    if tag != run_tag:
-                        if run_tag:
-                            work_by_tag[run_tag] = run_total
-                        run_tag = tag
-                        run_total = work_by_tag.get(tag, 0.0)
-                    run_total += done
-            # A job is done when its residual work is negligible either
-            # relative to its size or in time-to-finish terms (< 1 us).
-            below = job.done_below
-            if remaining <= (below if below >= eps else eps):
-                finished.append(job)
-            else:
-                survivors.append(job)
-                if remaining < least:
+                if job.tag is not run_tag:
+                    if run_tag:
+                        work_by_tag[run_tag] = run_total
+                    run_tag = job.tag
+                    run_total = work_by_tag.get(run_tag, 0.0)
+                run_total += done
+                below = job.done_below
+                eps = rate * 1e-6
+                if remaining <= (below if below >= eps else eps):
+                    finished.append(job)
+                elif remaining < least:
                     least = remaining
-        if advancing:
-            if run_tag:
-                work_by_tag[run_tag] = run_total
-            stats.busy_time += dt
-            stats.work_done += moved
-            stats.concurrency_integral += n * dt
-            cap = self._occupancy_cap
-            stats.occupancy_integral += (n if n < cap else cap) * dt
+        if run_tag:
+            work_by_tag[run_tag] = run_total
+        n = len(jobs)
+        stats.busy_time += dt
+        stats.work_done += moved
+        stats.concurrency_integral += n * dt
+        cap = self._occupancy_cap
+        stats.occupancy_integral += (n if n < cap else cap) * dt
         # Before the hooks run: a hook may submit here at this instant.
         self._least = least
         if finished:
@@ -462,9 +533,15 @@ class FairShareResource:
                     if tag:
                         work_by_tag[tag] = work_by_tag.get(tag, 0.0) + residual
                 job.remaining = 0.0
-            self._jobs = survivors
+            # In place, in order (the order is the accumulation order):
+            # the survivors are the jobs with work left.
+            if len(finished) == 1:
+                jobs.remove(finished[0])
+            else:
+                jobs[:] = [job for job in jobs if job.remaining]
             stats.jobs_completed += len(finished)
-            self._retire(finished)
+            if self._hooked:
+                self._retire(finished)
             for job in finished:
                 job.then(job)
         self._reschedule(least)
@@ -507,6 +584,7 @@ class CpuResource(FairShareResource):
     def speed_factor(self, value: float) -> None:
         self._speed_factor = value
         self._rate_memo.clear()
+        self._rate = self._rates = None
 
     def rates(self, jobs: List[Job]) -> Dict[Job, float]:
         per_job = self.uniform_rate(len(jobs))

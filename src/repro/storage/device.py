@@ -156,6 +156,7 @@ class StorageDevice(FairShareResource):
         self._speed_factor = value
         for memo in self._rate_memo.values():
             memo.clear()
+        self._rate = self._rates = None
         self._latency = {op: self.profile.latency(op) / value for op in OPS}
 
     def submit(self, work: float, tag: str = "",
@@ -241,8 +242,10 @@ class StorageDevice(FairShareResource):
                         then: Callable[[float], None]) -> None:
         sim = self.sim
         # The job's completion queues one entry that calls ``then``: the
-        # relay hop between the job and the request completing.
-        self.submit(size, op, lambda _job: sim.call_in(0.0, then, size), op=op)
+        # relay hop between the job and the request completing.  ``op`` was
+        # checked by :meth:`request`, so the base submit takes the job.
+        FairShareResource.submit(
+            self, size, op, lambda _job: sim.call_in(0.0, then, size), op=op)
         tracer = self.tracer
         if tracer is not None and tracer.enabled:
             depth = self.active_jobs

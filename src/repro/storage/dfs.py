@@ -17,6 +17,7 @@ against :class:`repro.storage.device.StorageDevice` and the network fabric.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -185,12 +186,20 @@ class DistributedFileSystem:
             raise ValueError(f"num_partitions must be positive: {num_partitions}")
         dfs_file = self.status(path)
         per_partition = dfs_file.size / num_partitions
+        blocks = dfs_file.blocks
+        # Blocks stay in index order (fail_node rebuilds them in place), so
+        # block starts rise, and so do starts plus a full block (an upper
+        # bound of each end): the blocks a partition can overlap are the
+        # one range between the two bisections.
+        starts = [block.index * self.block_size for block in blocks]
+        limits = [begin + self.block_size for begin in starts]
         assignments = []
         for i in range(num_partitions):
             start = i * per_partition
             end = start + per_partition
             preferred: List[int] = []
-            for block in dfs_file.blocks:
+            first = bisect_right(limits, start)
+            for block in blocks[first:bisect_left(starts, end, first)]:
                 block_start = block.index * self.block_size
                 block_end = block_start + block.size
                 if block_end > start and block_start < end:

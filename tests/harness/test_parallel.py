@@ -152,6 +152,39 @@ class TestStaticSweepParallel:
         assert sorted(sizes) == list(range(reference.num_stages))
         assert all(threads in (4, 2) for threads in sizes.values())
 
+    def test_sequential_sweep_writes_what_parallel_writes(self, tmp_path):
+        """Per-point event logs, traces and demand profiles are byte for
+        byte the same at ``parallel=1`` and ``parallel=2``."""
+        written = {}
+        for parallel in (1, 2):
+            out = tmp_path / f"p{parallel}"
+            out.mkdir()
+            static_sweep(
+                "wordcount", thread_counts=(4, 2),
+                workload_kwargs={"scale": 0.02}, num_nodes=2,
+                parallel=parallel,
+                events_path_factory=lambda t, out=out: str(out / f"t{t}.jsonl"),
+                trace_path_factory=lambda t, out=out: str(out / f"t{t}.json"),
+                profile_path_factory=lambda t, out=out: str(
+                    out / f"t{t}.profile.json"),
+                profile_interval=0.5,
+            )
+            written[parallel] = {path.name: path.read_bytes()
+                                 for path in sorted(out.iterdir())}
+        assert sorted(written[1]) == sorted(
+            f"t{t}{ext}" for t in (4, 2)
+            for ext in (".jsonl", ".json", ".profile.json"))
+        assert written[1] == written[2]
+
+    def test_tracer_factory_excludes_path_factories(self, tmp_path):
+        with pytest.raises(ValueError, match="tracer_factory"):
+            static_sweep(
+                "wordcount",
+                thread_counts=(2,),
+                tracer_factory=lambda threads: None,
+                events_path_factory=lambda t: str(tmp_path / f"t{t}.jsonl"),
+            )
+
     def test_tracer_factory_incompatible_with_parallel(self):
         with pytest.raises(ValueError, match="tracer_factory"):
             static_sweep(

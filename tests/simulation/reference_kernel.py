@@ -12,7 +12,8 @@ became one pass over a resource's jobs:
 * :class:`ReferenceStorageDevice` recomputes ``group_rate`` on every call,
   counts an op in before the advance, counts it out in a wrapper around
   each job's completion hook, and rescans the live set when both counts
-  are set.
+  are set.  Its ``_start_transfer`` submits through that counting
+  ``submit``, which the production transfer path skips.
 
 The bodies are copied from the earlier code, with only the hooks the
 removed vector backend needed (``_new_job``/``_admit``) inlined.  The
@@ -250,6 +251,20 @@ class ReferenceStorageDevice(ReferenceFairShareResource, StorageDevice):
         job = super().submit(work, tag, release, **attrs)
         job.event = event
         return job
+
+    def _start_transfer(self, size: float, op: str,
+                        then: Callable[[float], None]) -> None:
+        # Through this class's submit, which counts the op in.
+        sim = self.sim
+        self.submit(size, op, lambda _job: sim.call_in(0.0, then, size), op=op)
+        tracer = self.tracer
+        if tracer is not None and tracer.enabled:
+            depth = self.active_jobs
+            tracer.counter(
+                "device", self.name, float(depth),
+                efficiency=self.profile.efficiency(op, max(1, depth)),
+                op=op,
+            )
 
     def group_rate(self, op: str, n: int) -> float:
         return (

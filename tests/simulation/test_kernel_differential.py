@@ -9,8 +9,12 @@ as its values, and the event order and ``events_scheduled`` exactly.
 Storms mix every path the fused loops touch: uniform and per-job rates
 (CPU, equal split, mixed read/write devices, an unstructured ``rates()``
 subclass), zero-work jobs, zero-delay bursts, interrupts mid-service,
-``call_in`` ties against kernel wake-ups, ``sync()`` mid-service, and
-``speed_factor`` changes followed by ``notify_rates_changed``.
+``call_in`` ties against kernel wake-ups, ``sync()`` mid-service,
+``speed_factor`` changes with and without ``notify_rates_changed``,
+bursts of 20-40 jobs (deep sets; identical sizes finish in one wake;
+read/write mixes that flip), and submits queued at the instant of a
+wake-up.  Mutation checks plant the faults the fast paths invite and
+require the storms to catch them.
 
 The hypothesis storms take their budget from the active profile (100
 examples by default); ``tests/conftest.py`` registers ``kernel-ci`` with
@@ -80,8 +84,11 @@ def _hex(value):
     return value
 
 
-def run_storm(kernel, plan, split_at=None):
-    """Replay ``plan`` on one kernel; returns everything observable."""
+def run_storm(kernel, plan, split_at=None, prepare=None):
+    """Replay ``plan`` on one kernel; returns everything observable.
+
+    ``prepare(resources)``, if given, runs once the resources exist (the
+    mutation checks below plant a fault through it)."""
     sim_cls, fair_cls, cpu_cls, disk_cls, skew_cls = KERNELS[kernel]
     sim = sim_cls()
     resources = {
@@ -91,6 +98,8 @@ def run_storm(kernel, plan, split_at=None):
         "ssd": disk_cls(sim, "ssd", SSD_PROFILE, speed_factor=1.3),
         "skew": skew_cls(sim, "skew", capacity=4.0),
     }
+    if prepare is not None:
+        prepare(resources)
     trace = []
 
     def note(label, idx):
@@ -127,6 +136,19 @@ def run_storm(kernel, plan, split_at=None):
                 for size in (work, work + delta):
                     submit(where, size, "pair", label).event.add_callback(
                         note("pair", idx))
+            elif kind == "burst":
+                # ``count`` jobs at one instant, of ``work * (1 + spread *
+                # i)`` (spread 0.0: identical jobs, which finish in one
+                # wake); on a device, label "mix" makes every third a write.
+                _, where, count, work, spread, label = action
+                for i in range(count):
+                    if label == "mix":
+                        op = "write" if i % 3 == 0 else "read"
+                        job = submit(where, work * (1.0 + spread * i), op, op)
+                    else:
+                        job = submit(where, work * (1.0 + spread * i), label,
+                                     label)
+                    job.event.add_callback(note("burst", idx))
             elif kind == "request":
                 _, where, size, op = action
                 resources[where].request(size, op).add_callback(
@@ -150,6 +172,24 @@ def run_storm(kernel, plan, split_at=None):
                 resource.sync()
                 resource.speed_factor *= factor
                 resource.notify_rates_changed()
+            elif kind == "race":
+                # On an idle ``fair``, a submit queued ahead of the lone
+                # job's wake-up, at its instant: the pass steps that job
+                # by about its whole remaining work, either side of it.
+                _, work, second = action
+                fair = resources["fair"]
+                if not fair.active_jobs:
+                    sim.call_in(work / fair.capacity, submit, "fair", second,
+                                "race", "")
+                submit("fair", work, "race", "").event.add_callback(
+                    note("race", idx))
+            elif kind == "quiet-speed":
+                # Synced first, as documented, but with no re-plan: the
+                # pending wake-up keeps its horizon and the next pass
+                # prices at the new rate.
+                _, where, factor = action
+                resources[where].sync()
+                resources[where].speed_factor *= factor
             elif kind == "sample":
                 counters = resources[action[1]].sample_counters()
                 trace.append((sim.now, "sample", idx, counters))
@@ -226,6 +266,16 @@ _actions = st.one_of(
     st.tuples(st.just("speed"), st.sampled_from(["cpu", "hdd", "ssd"]),
               st.sampled_from([0.25, 0.5, 2.0, 4.0, 1.0 / 3.0])),
     st.tuples(st.just("sample"), st.sampled_from(RESOURCES)),
+    st.tuples(st.just("burst"), st.sampled_from(["fair", "cpu"]),
+              st.integers(20, 40), _work, st.sampled_from([0.0, 1e-3, 0.05]),
+              st.sampled_from(["", "map", "spill"])),
+    st.tuples(st.just("burst"), st.sampled_from(["hdd", "ssd"]),
+              st.integers(20, 40), _work.map(lambda w: w * MiB),
+              st.sampled_from([0.0, 0.05]),
+              st.sampled_from(["read", "write", "mix"])),
+    st.tuples(st.just("quiet-speed"), st.sampled_from(["cpu", "hdd", "ssd"]),
+              st.sampled_from([0.5, 2.0, 1.0 / 3.0])),
+    st.tuples(st.just("race"), _work, _work),
 )
 
 
@@ -294,6 +344,129 @@ class TestSeededStorms:
             assert stats[name]["jobs_completed"] > 10
         assert stats["skew"]["jobs_completed"] > 0
         assert all(entry["active"] == 0 for entry in stats.values())
+
+
+def _burst_plan(seed, actions=50):
+    """Deep sets and many finishes per wake: bursts of 20-40 jobs (often
+    identical), read/write mixes that flip as their jobs finish, and
+    speed changes between membership changes."""
+    rng = random.Random(seed)
+    plan = []
+    for _ in range(actions):
+        roll = rng.random()
+        if roll < 0.3:
+            where = rng.choice(["fair", "cpu", "hdd", "ssd"])
+            disk = where in ("hdd", "ssd")
+            plan.append(("burst", where, rng.randint(20, 40),
+                         rng.uniform(0.5, 4.0) * (MiB if disk else 1.0),
+                         rng.choice([0.0, 0.0, 1e-3, 0.05]),
+                         rng.choice(["read", "write", "mix"] if disk
+                                    else ["map", "spill", ""])))
+        elif roll < 0.55:
+            plan.append(("wait", rng.uniform(0.001, 0.3)))
+        elif roll < 0.70:
+            plan.append(("submit", rng.choice(["fair", "cpu"]),
+                         rng.uniform(0.1, 2.0), "reduce"))
+        elif roll < 0.80:
+            plan.append(("submit", rng.choice(["hdd", "ssd"]),
+                         rng.uniform(1.0, 8.0) * MiB,
+                         rng.choice(["read", "write"])))
+        elif roll < 0.86:
+            plan.append(("quiet-speed", rng.choice(["cpu", "hdd", "ssd"]),
+                         rng.choice([0.5, 2.0])))
+        elif roll < 0.92:
+            plan.append(("race", rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)))
+        else:
+            plan.append(("speed", rng.choice(["cpu", "hdd", "ssd"]),
+                         rng.choice([0.5, 2.0])))
+    return plan
+
+
+BURST_PLANS = [_burst_plan(seed) for seed in range(4)]
+
+
+def _race_plan(seed, races=200):
+    """Submits at the instant of a lone job's wake-up, each time on an
+    idle resource: about half step past the job's remaining work and must
+    clamp, the rest must not (the boundary of ``_advance``'s fast path)."""
+    rng = random.Random(seed)
+    plan = []
+    for _ in range(races):
+        plan.append(("race", rng.uniform(0.1, 3.0), rng.uniform(0.1, 3.0)))
+        plan.append(("wait", rng.uniform(0.5, 1.0)))
+    return plan
+
+
+class TestBurstStorms:
+    @pytest.mark.parametrize("plan", BURST_PLANS)
+    def test_bursts_match_reference(self, plan):
+        assert_kernels_agree(plan)
+
+    def test_wake_instant_races_match_reference(self):
+        assert_kernels_agree(_race_plan(5))
+
+    def test_bursts_reach_the_fast_paths(self, monkeypatch):
+        """Sets of 20+ jobs and wakes that finish several jobs at once."""
+        seen = {"deepest": 0, "multi": 0}
+        wake = FairShareResource._on_wake
+
+        def spy(self, generation):
+            before = len(self._jobs)
+            live = generation == self._wake_generation
+            wake(self, generation)
+            if live:
+                seen["deepest"] = max(seen["deepest"], before)
+                seen["multi"] += before - len(self._jobs) > 1
+
+        monkeypatch.setattr(FairShareResource, "_on_wake", spy)
+        run_storm("fused", BURST_PLANS[0])
+        assert seen["deepest"] >= 20 and seen["multi"] >= 5
+
+
+class _SwapRemoveList(list):
+    """An active set whose removals do not keep the survivors' order."""
+
+    def remove(self, item):
+        index = self.index(item)
+        self[index] = self[-1]
+        del self[-1]
+
+    def __setitem__(self, key, value):
+        if isinstance(key, slice):
+            value = list(value)[::-1]
+        super().__setitem__(key, value)
+
+
+class TestMutationsAreCaught:
+    """Faults the fast paths invite must make the storms disagree."""
+
+    @staticmethod
+    def _caught(prepare=None):
+        return any(
+            run_storm("fused", plan, prepare=prepare)
+            != run_storm("reference", plan)
+            for plan in BURST_PLANS
+        )
+
+    def test_reordering_removal_is_caught(self):
+        def plant(resources):
+            for resource in resources.values():
+                resource._jobs = _SwapRemoveList(resource._jobs)
+
+        assert self._caught(plant)
+
+    def test_kept_rate_not_cleared_is_caught(self, monkeypatch):
+        for cls in (CpuResource, StorageDevice):
+            prop = cls.speed_factor
+
+            def setter(self, value, fset=prop.fset):
+                kept = self._rate, self._rates
+                fset(self, value)
+                self._rate, self._rates = kept
+
+            monkeypatch.setattr(cls, "speed_factor",
+                                property(prop.fget, setter))
+        assert self._caught()
 
 
 class TestDeepChurn:
