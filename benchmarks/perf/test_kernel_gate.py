@@ -9,7 +9,10 @@ resources in isolation, so these three programs stay here:
   streams on per-node disks and CPUs, with control-plane messages over a
   :class:`~repro.simulation.resources.LatencyChannel`;
 * ``kernel_fairshare`` -- deep fair-share queues with membership churn;
-* ``kernel_storm`` -- raw timeout dispatch, including zero-delay storms.
+* ``kernel_storm`` -- raw ``call_in`` dispatch, including zero-delay storms.
+
+The programs drive the kernel the way the engine does: continuations on
+``call_in`` and on the resources' completion hooks.
 
 Each is timed best-of-3 in *events per wall-clock second* and must stay
 within ``TOLERANCE`` of its floor in ``baseline.json`` (a per-program
@@ -65,7 +68,8 @@ def _terasort_kernel_run(num_nodes: int, tasks_per_node: int,
     inputs have, so completions spread out in time and every advance
     re-prices a deep fair-share queue -- the event mix of terasort's I/O
     stages at the top of the thread ladder, without the engine layers, so
-    it isolates exactly the fair-share kernel's paths.
+    it isolates exactly the fair-share kernel's paths.  The next wave
+    starts once every task of the current one has finished.
     """
     sim = Simulator()
     nodes = [
@@ -75,30 +79,41 @@ def _terasort_kernel_run(num_nodes: int, tasks_per_node: int,
     ]
     channel = LatencyChannel(sim, latency=0.001)
     completions: List[int] = []
+    #: Every task's chunk walk: (kind, amount before skew).
+    walk = ([("read", 32 * MiB)] * 3 + [("cpu", 2.0)]
+            + [("write", 24 * MiB)] * 2)
+    per_wave = num_nodes * tasks_per_node
+    live = [0]
 
-    def task(index: int, cpu: CpuResource, disk: StorageDevice):
+    def step(index: int, position: int) -> None:
+        """Submit chunk ``position`` of task ``index``, or finish it."""
+        if position == len(walk):
+            channel.send(completions.append, 1)
+            live[0] -= 1
+            if not live[0]:
+                sim.call_in(0.0, start_wave, index // per_wave + 1)
+            return
+        cpu, disk = nodes[(index // tasks_per_node) % num_nodes]
         # Knuth-hash skew: deterministic, evenly spread in [0.75, 1.25).
         scale = 0.75 + 0.5 * ((index * 2654435761 % 1024) / 1024.0)
-        for _ in range(3):
-            yield disk.request(scale * 32 * MiB, "read")
-        yield cpu.submit(scale * 2.0, tag="cpu").event
-        for _ in range(2):
-            yield disk.request(scale * 24 * MiB, "write")
-        channel.send(completions.append, 1)
+        kind, amount = walk[position]
 
-    def driver():
-        index = 0
-        for _wave in range(waves):
-            procs = []
-            for cpu, disk in nodes:
-                for _ in range(tasks_per_node):
-                    procs.append(
-                        sim.process(task(index, cpu, disk), name="task")
-                    )
-                    index += 1
-            yield sim.all_of(procs)
+        def resume(_done) -> None:
+            sim.call_in(0.0, step, index, position + 1)
 
-    sim.process(driver(), name="driver")
+        if kind == "cpu":
+            cpu.submit(scale * amount, "cpu", resume)
+        else:
+            disk.request(scale * amount, kind, resume)
+
+    def start_wave(wave: int) -> None:
+        if wave == waves:
+            return
+        live[0] = per_wave
+        for index in range(wave * per_wave, (wave + 1) * per_wave):
+            sim.call_in(0.0, step, index, 0)
+
+    sim.call_in(0.0, start_wave, 0)
     sim.run()
     expected = num_nodes * tasks_per_node * waves
     if len(completions) != expected:
@@ -112,7 +127,7 @@ def _fairshare_churn_run(jobs: int, waves: int) -> int:
     """Deep fair-share queues with membership churn, isolated.
 
     ``jobs`` workers pile onto one massively oversubscribed CPU; submits
-    are staggered (every 16th worker arrives after a small timeout) so the
+    are staggered (every 16th worker arrives after a small delay) so the
     resource repeatedly prices partial advances over a deep queue, and
     each worker re-submits ``waves`` times so completions interleave with
     arrivals.  Distinct per-worker works spread completions out -- the
@@ -122,20 +137,24 @@ def _fairshare_churn_run(jobs: int, waves: int) -> int:
     cpu = CpuResource(sim, "cpu", cores=8)
     completions: List[int] = []
 
-    def worker(index: int):
+    def worker(index: int, left: int) -> None:
+        """Submit the next of ``left`` bursts, or finish."""
+        if not left:
+            completions.append(index)
+            return
         work = 1.0 + 0.001 * ((index * 7919) % 97)
         tag = "spill" if index % 2 else "shuffle"
-        for _ in range(waves):
-            yield cpu.submit(work, tag=tag).event
-        completions.append(index)
+        cpu.submit(work, tag,
+                   lambda _job: sim.call_in(0.0, worker, index, left - 1))
 
-    def driver():
-        for index in range(jobs):
-            sim.process(worker(index), name="worker")
+    def drive(first: int) -> None:
+        for index in range(first, jobs):
+            sim.call_in(0.0, worker, index, waves)
             if index % 16 == 15:
-                yield sim.timeout(0.0005)
+                sim.call_in(0.0005, drive, index + 1)
+                return
 
-    sim.process(driver(), name="driver")
+    sim.call_in(0.0, drive, 0)
     sim.run()
     if len(completions) != jobs:
         raise RuntimeError(
@@ -144,17 +163,17 @@ def _fairshare_churn_run(jobs: int, waves: int) -> int:
     return sim.events_scheduled
 
 
-def _storm_run(processes: int, hops: int) -> int:
-    """Raw dispatch: timeout ping-pong including zero-delay storms."""
+def _storm_run(chains: int, hops: int) -> int:
+    """Raw dispatch: ``call_in`` chains, including zero-delay storms."""
     sim = Simulator()
 
-    def pinger(index: int):
-        delay = 0.0001 * (index % 5)  # every 5th process is a zero-delay storm
-        for _ in range(hops):
-            yield sim.timeout(delay)
+    def ping(delay: float, left: int) -> None:
+        if left:
+            sim.call_in(delay, ping, delay, left - 1)
 
-    for index in range(processes):
-        sim.process(pinger(index), name="pinger")
+    for index in range(chains):
+        # Every 5th chain is a zero-delay storm.
+        sim.call_in(0.0, ping, 0.0001 * (index % 5), hops)
     sim.run()
     return sim.events_scheduled
 
@@ -166,7 +185,7 @@ KERNELS: Dict[str, Callable[[], int]] = {
     "kernel_terasort": lambda: _terasort_kernel_run(
         num_nodes=4, tasks_per_node=64, waves=2),
     "kernel_fairshare": lambda: _fairshare_churn_run(jobs=256, waves=2),
-    "kernel_storm": lambda: _storm_run(processes=100, hops=200),
+    "kernel_storm": lambda: _storm_run(chains=100, hops=200),
 }
 
 
@@ -244,14 +263,13 @@ def test_only_a_failing_reading_is_measured_again():
 def test_terasort_kernel_run_counts_events():
     events = _terasort_kernel_run(num_nodes=2, tasks_per_node=4, waves=2)
     # Lower bound: every task needs >= 6 I/O + 1 CPU + 1 message, each
-    # at least one queue entry, plus process bootstraps.
+    # at least one queue entry, plus task starts.
     assert events > 2 * 4 * 2 * 8
 
 
 def test_storm_run_counts_events():
-    events = _storm_run(processes=10, hops=5)
-    # Each hop is one timeout + one resume bookkeeping entry at minimum.
-    assert events >= 10 * 5
+    # One start and one entry per hop for each chain.
+    assert _storm_run(chains=10, hops=5) == 10 * (1 + 5)
 
 
 @pytest.mark.parametrize("name", sorted(KERNELS))

@@ -25,6 +25,7 @@ from repro.engine.shuffle import MapOutputTracker
 from repro.engine.sizing import SizeInfo, estimate_size
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import NULL_TRACER, Tracer
+from repro.simulation.core import Event
 from repro.storage.dfs import DistributedFileSystem
 
 PolicyFactory = Callable[[Executor], ExecutorPolicy]
@@ -201,14 +202,32 @@ class SparkContext:
 
     def _execute_job(self, rdd: RDD, action: Action) -> Any:
         stages = self.dag.build_stages(rdd, action)
+        sim = self.sim
+        handle = sim.event()
+        span = (sim.tracer.begin("process", f"job-{rdd.name}")
+                if sim.trace_enabled else -1)
+        pending = iter(stages)
 
-        def job():
-            results = None
-            for stage in stages:
-                results = yield self.scheduler.run_stage(stage)
-            return results
+        def advance(done: Optional[Event]) -> None:
+            """Run the next stage once ``done`` (the last one's) fires; the
+            handle fires with the final stage's results or first failure."""
+            try:
+                if done is not None and not done.ok:
+                    raise done.value
+                stage = next(pending, None)
+                if stage is not None:
+                    self.scheduler.run_stage(stage).add_callback(advance)
+                    return
+            except Exception as exc:  # the job fails with it
+                if span >= 0:
+                    sim.tracer.end(span, error=repr(exc))
+                handle.fail(exc)
+                return
+            if span >= 0:
+                sim.tracer.end(span)
+            handle.succeed(None if done is None else done.value)
 
-        handle = self.sim.process(job(), name=f"job-{rdd.name}")
+        sim.call_in(0.0, advance, None)
         if self.fork_hook is not None:
             # Fire the divergence barrier inside the job that spans its
             # time point; a job that finishes first leaves the hook armed

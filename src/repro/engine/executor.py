@@ -139,10 +139,13 @@ class Executor:
         """Driver -> executor: run one task (arrives via the control channel).
 
         Accepts a bare :class:`Task` (implicitly attempt 0) or a
-        :class:`TaskAttempt` carrying a retry/speculative attempt id.
+        :class:`TaskAttempt` carrying a retry/speculative attempt id.  A
+        launch the driver cancelled while it was in flight is dropped.
         """
         if isinstance(message, Task):
             message = TaskAttempt(message)
+        if message.cancelled:
+            return
         task = message.task
         attempt = message.attempt
         key = (task.stage.stage_id, task.partition, attempt)
@@ -335,7 +338,9 @@ class _TaskRun:
     the parts of a multi-request I/O chunk still outstanding.
 
     Order invariant: the queue sees the entries a generator process per
-    attempt would have made, at the same instants and in the same order,
+    attempt would have made (the form kept as the reference in
+    ``tests/engine/reference_executor.py``), at the same instants and in
+    the same order,
     so same-instant ties break identically and event logs stay byte for
     byte the same.  Every event the generator form succeeded becomes one
     ``call_in(0.0, ...)`` at the same point, running what that event's

@@ -100,6 +100,11 @@ class RDD:
     reads_input = False
     writes_output = False
 
+    #: True when real records can be produced for this lineage.  Lineage
+    #: and input datasets are fixed at construction, so each subclass's
+    #: constructor sets it once.
+    is_materialized: bool
+
     def __init__(
         self,
         ctx,
@@ -175,11 +180,6 @@ class RDD:
         return records, nbytes
 
     # -- real computation ------------------------------------------------------
-
-    @property
-    def is_materialized(self) -> bool:
-        """True when real records can be produced for this lineage."""
-        raise NotImplementedError
 
     def compute(self, split: int) -> List[Any]:
         raise NotImplementedError
@@ -456,10 +456,7 @@ class HadoopRDD(RDD):
         self.path = path
         self._splits = ctx.dfs.split_for_partitions(path, num_partitions)
         self._dataset = ctx.datasets.describe(path)
-
-    @property
-    def is_materialized(self) -> bool:
-        return self._dataset.records_available
+        self.is_materialized = self._dataset.records_available
 
     def preferred_nodes(self, split: int) -> Tuple[int, ...]:
         self._check_split(split)
@@ -495,10 +492,7 @@ class ParallelizedRDD(RDD):
         self._slices: List[List[Any]] = [
             data[i::num_partitions] for i in range(num_partitions)
         ]
-
-    @property
-    def is_materialized(self) -> bool:
-        return True
+        self.is_materialized = True
 
     def _compute_size(self, split: int) -> SizeInfo:
         return estimate_partition(self._slices[split])
@@ -536,10 +530,7 @@ class MapLikeRDD(RDD):
         self.transform = transform
         self.records_factor = records_factor
         self.bytes_factor = bytes_factor
-
-    @property
-    def is_materialized(self) -> bool:
-        return self.parent.is_materialized
+        self.is_materialized = parent.is_materialized
 
     def _compute_size(self, split: int) -> SizeInfo:
         if self.is_materialized:
@@ -570,10 +561,7 @@ class ShuffledRDD(RDD):
             **annotations,
         )
         self.dep = dep
-
-    @property
-    def is_materialized(self) -> bool:
-        return self.dep.rdd.is_materialized
+        self.is_materialized = dep.rdd.is_materialized
 
     def fetched_size(self, split: int) -> SizeInfo:
         """Bytes/records this reduce partition pulls over the shuffle."""
@@ -637,10 +625,7 @@ class CoGroupedRDD(RDD):
             **annotations,
         )
         self.parents = list(parents)
-
-    @property
-    def is_materialized(self) -> bool:
-        return all(parent.is_materialized for parent in self.parents)
+        self.is_materialized = all(p.is_materialized for p in self.parents)
 
     def _compute_size(self, split: int) -> SizeInfo:
         if self.is_materialized:
@@ -695,10 +680,7 @@ class UnionRDD(RDD):
             for parent in self.parents
             for split in range(parent.num_partitions)
         ]
-
-    @property
-    def is_materialized(self) -> bool:
-        return all(parent.is_materialized for parent in self.parents)
+        self.is_materialized = all(p.is_materialized for p in self.parents)
 
     def parent_split(self, split: int) -> Tuple[RDD, int]:
         self._check_split(split)

@@ -97,11 +97,9 @@ class TaskSetManager:
 class _Attempt:
     """One live launch of a task on one executor."""
 
-    task: Task
-    attempt: int
+    launch: TaskAttempt
     executor_id: int
     launch_time: float
-    speculative: bool = False
 
 
 class _StageRun:
@@ -269,20 +267,14 @@ class TaskScheduler:
         partition = task.partition
         attempt = run.attempt_seq.get(partition, 0)
         run.attempt_seq[partition] = attempt + 1
+        launch = TaskAttempt(task, attempt, speculative)
         run.running.setdefault(partition, {})[attempt] = _Attempt(
-            task=task,
-            attempt=attempt,
-            executor_id=executor.executor_id,
-            launch_time=self.ctx.sim.now,
-            speculative=speculative,
-        )
+            launch, executor.executor_id, self.ctx.sim.now)
         self._assigned[executor.executor_id] += 1
         inv = self.ctx.invariants
         if inv is not None:
             inv.on_task_launched(self, executor.executor_id)
-        self.channel.send(
-            executor.launch_task, TaskAttempt(task, attempt, speculative)
-        )
+        self.channel.send(executor.launch_task, launch)
         if self._launched is None:
             self._launched = self.ctx.metrics.counter("scheduler.tasks_launched")
         self._launched.inc()
@@ -307,17 +299,14 @@ class TaskScheduler:
                 key = (task.stage.stage_id, task.partition)
                 attempt = rec.attempt_seq.get(key, 1)
                 rec.attempt_seq[key] = attempt + 1
-                rec.running[key] = _Attempt(
-                    task=task,
-                    attempt=attempt,
-                    executor_id=executor_id,
-                    launch_time=self.ctx.sim.now,
-                )
+                launch = TaskAttempt(task, attempt)
+                rec.running[key] = _Attempt(launch, executor_id,
+                                            self.ctx.sim.now)
                 self._assigned[executor_id] += 1
                 inv = self.ctx.invariants
                 if inv is not None:
                     inv.on_task_launched(self, executor_id)
-                self.channel.send(executor.launch_task, TaskAttempt(task, attempt))
+                self.channel.send(executor.launch_task, launch)
                 self.ctx.metrics.counter("faults.recovery_tasks").inc()
                 progress = True
 
@@ -387,22 +376,33 @@ class TaskScheduler:
         for attempt_id, info in list(twins.items()):
             twins.pop(attempt_id)
             self._assigned[info.executor_id] -= 1
-            executor = self.ctx.executors[info.executor_id]
-            executor.kill_task(run.stage.stage_id, partition, attempt_id,
-                               reason="speculation-lost")
+            self._kill(run, partition, info, "speculation-lost")
         tracer = self.ctx.tracer
-        name = "speculation-win" if winner.speculative else "speculation-loss"
+        won = winner.launch.speculative
+        name = "speculation-win" if won else "speculation-loss"
         if tracer.enabled:
             tracer.instant(
                 "speculation", name,
                 stage_id=run.stage.stage_id,
                 partition=partition,
                 winner_executor=winner.executor_id,
-                winner_attempt=winner.attempt,
+                winner_attempt=winner.launch.attempt,
             )
         self.ctx.metrics.counter(
-            "speculation.wins" if winner.speculative else "speculation.losses"
+            "speculation.wins" if won else "speculation.losses"
         ).inc()
+
+    def _kill(self, run: _StageRun, partition: int, info: _Attempt,
+              reason: str) -> None:
+        """Kill one attempt of the running stage.
+
+        The kill reaches the executor at once, but the launch travels the
+        control channel: a launch still in flight is marked cancelled, and
+        the executor drops it on arrival instead of running it untracked.
+        """
+        info.launch.cancelled = True
+        self.ctx.executors[info.executor_id].kill_task(
+            run.stage.stage_id, partition, info.launch.attempt, reason=reason)
 
     def _on_task_failed(self, message: TaskFailed) -> None:
         run = self._run
@@ -526,7 +526,7 @@ class TaskScheduler:
             for key, info in list(rec.running.items()):
                 if info.executor_id == executor.executor_id:
                     rec.running.pop(key)
-                    rec.manager.add(info.task)
+                    rec.manager.add(info.launch.task)
         # Lineage invalidation: shuffle outputs stored on the node are gone.
         lost = self.ctx.map_output_tracker.discard_node_outputs(node_id)
         if run is not None and lost:
@@ -542,14 +542,12 @@ class TaskScheduler:
                 # read data that no longer exists: kill and relaunch them.
                 for partition, attempts in list(run.running.items()):
                     for attempt_id, info in list(attempts.items()):
-                        fetches = info.task.plan.shuffle_fetches
+                        fetches = info.launch.task.plan.shuffle_fetches
                         if any(src == node_id for src, _size in fetches):
                             attempts.pop(attempt_id)
                             self._assigned[info.executor_id] -= 1
-                            self.ctx.executors[info.executor_id].kill_task(
-                                run.stage.stage_id, partition, attempt_id,
-                                reason="shuffle-data-lost",
-                            )
+                            self._kill(run, partition, info,
+                                       "shuffle-data-lost")
                             orphaned.append(partition)
                 # Queued tasks carry stale fetch plans too; rebuild them once
                 # the recovery wave completes (see _finish_recovery).
@@ -659,7 +657,7 @@ class TaskScheduler:
             return  # stale completion from an attempt killed at loss time
         key = (task.stage.stage_id, task.partition)
         info = rec.running.pop(key, None)
-        if info is None or info.attempt != message.attempt:
+        if info is None or info.launch.attempt != message.attempt:
             if info is not None:
                 rec.running[key] = info
             return
@@ -682,7 +680,7 @@ class TaskScheduler:
             return
         key = (task.stage.stage_id, task.partition)
         info = rec.running.pop(key, None)
-        if info is None or info.attempt != message.attempt:
+        if info is None or info.launch.attempt != message.attempt:
             if info is not None:
                 rec.running[key] = info
             return
@@ -792,7 +790,7 @@ class TaskScheduler:
                 elapsed=self.ctx.sim.now - info.launch_time,
             )
         self.ctx.metrics.counter("speculation.launched").inc()
-        self._launch(run, info.task, chosen, speculative=True)
+        self._launch(run, info.launch.task, chosen, speculative=True)
 
     # -- stage completion / abort -----------------------------------------------------
 

@@ -50,12 +50,16 @@ class TaskAttempt:
     """Driver -> executor: run one attempt of a task.
 
     ``attempt`` distinguishes retries and speculative duplicates of the same
-    partition; fault-free runs only ever see attempt 0.
+    partition; fault-free runs only ever see attempt 0.  ``cancelled`` is
+    set when the driver kills the attempt: a kill reaches the executor at
+    once while this message is still in flight, and the executor drops a
+    cancelled launch on arrival.
     """
 
     task: Task
     attempt: int = 0
     speculative: bool = False
+    cancelled: bool = False
 
 
 @dataclass

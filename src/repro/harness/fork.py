@@ -6,9 +6,9 @@ runs one workload to a chosen simulated time ``t=T`` once, then continues
 each :class:`Alternative` in a child forked by the supervised-child
 executor (:func:`~repro.harness.supervise.supervise`) and races the
 futures.  Forking sidesteps the impossibility of pickling the kernel's
-generator-based :class:`~repro.simulation.core.Process` objects: the child
-inherits the entire live simulator -- heap, event queue, suspended
-generators -- for the cost of a page-table copy.  Children are babysat,
+queue, whose entries are bound methods and closures over the whole live
+engine: the child inherits the entire simulator -- heap, event queue,
+pending continuations -- for the cost of a page-table copy.  Children are babysat,
 retried and quarantined exactly like any other supervised child.
 
 Where ``os.fork`` is unavailable (:func:`fork_available` is False) the

@@ -11,8 +11,9 @@ and keeps three properties the harness relies on:
 * **Picklability.**  A :class:`RunConfig` is plain data (names, numbers,
   dicts) and a :class:`RunSummary` carries the full
   :class:`~repro.engine.metrics.RunRecorder` -- everything the figure
-  pipeline reads -- but not the live simulator, whose generator-based
-  processes cannot cross a process boundary.
+  pipeline reads -- but not the live simulator, whose queued
+  continuations (bound methods and closures) cannot cross a process
+  boundary.
 * **Durability.**  With a :class:`~repro.harness.journal.SweepJournal`
   every finished run is journaled before the next one starts, ``resume``
   skips journaled runs, and ``stop_after`` stops the sweep early.

@@ -17,12 +17,13 @@ GBIT = 1e9 / 8.0  # bytes/second for one gigabit
 
 
 class _Join:
-    """Both halves of a flow done: the callback form of ``AllOf``.
+    """Both halves of a flow done: a join of two completion hooks.
 
     Each half's hook queues one entry that counts it in, and the entry that
     counts the second half queues one more that calls ``then(size)``.  That
-    is one queue entry for each event succeeded by the ``AllOf`` of two
-    event-form sends and its relay, so same-instant ties break as there.
+    is one queue entry for each event the earlier form succeeded (an
+    all-of over two event-form sends, and its relay), so same-instant ties
+    break as there.
     """
 
     __slots__ = ("sim", "pending", "then", "size")

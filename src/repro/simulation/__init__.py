@@ -2,8 +2,8 @@
 
 This package provides the substrate on which the Spark-like engine runs:
 
-* :mod:`repro.simulation.core` -- the event loop, processes (generator-based
-  coroutines), timeouts, and event combinators.
+* :mod:`repro.simulation.core` -- the event loop (a queue of deferred
+  calls) and one-shot events.
 * :mod:`repro.simulation.resources` -- fair-share resources whose aggregate
   service rate depends on the number of concurrent jobs.  These model CPUs,
   disks, and network links.
@@ -17,15 +17,7 @@ kernel").  It is a purpose-built replacement for the real cluster the
 paper ran on (see DESIGN.md section 2).
 """
 
-from repro.simulation.core import (
-    AllOf,
-    Event,
-    Interrupt,
-    Process,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
+from repro.simulation.core import Event, SimulationError, Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.simulation.resources import (
     CpuResource,
@@ -35,16 +27,12 @@ from repro.simulation.resources import (
 )
 
 __all__ = [
-    "AllOf",
     "CpuResource",
     "Event",
     "FairShareResource",
-    "Interrupt",
     "Job",
-    "Process",
     "RandomStreams",
     "ResourceStats",
     "SimulationError",
     "Simulator",
-    "Timeout",
 ]

@@ -1,17 +1,21 @@
 """Reference executor for differential tests: the generator task body.
 
 :class:`ReferenceExecutor` keeps the executor's task path as it was before
-task attempts became continuations: one generator :class:`Process` per
-attempt that yields an :class:`Event` per CPU burst or I/O chunk, with an
-``AllOf`` over the requests of a multi-part chunk, and kills delivered as an
-:class:`Interrupt` thrown at the current ``yield``.  Every resource is used
-in its event form.
+task attempts became continuations: one generator process per attempt
+that yields an :class:`Event` per CPU burst or I/O chunk, with an
+``AllOf`` over the requests of a multi-part chunk, and kills delivered as
+an :class:`Interrupt` thrown at the current ``yield``.  Every resource is
+used in its event form.  The kernel no longer has generator processes, so
+the parts of ``Process``, ``AllOf`` and ``Interrupt`` this body uses live
+here (:class:`_Process`, :func:`_all_of`), queueing through ``call_in``
+exactly the entries the kernel's versions queued.
 
-The bodies are copied from the earlier code, plus the one fix both paths
+The bodies are copied from the earlier code, plus the fixes both paths
 share: a killed attempt ends its open ``task`` and ``io`` spans with
-``killed=<reason>``.  The production executor must reproduce this one
+``killed=<reason>``, and a launch the driver cancelled in flight is
+dropped on arrival.  The production executor must reproduce this one
 exactly: byte-identical event logs, equal run results
-and equal counts, except that the queue sees one entry fewer per launched
+and equal counts, except that the queue sees one entry fewer per started
 attempt (the completion event of its process, which nothing waits on).
 See ``test_executor_differential.py``.  :func:`install` swaps the reference
 in for whole engine runs.
@@ -19,7 +23,7 @@ in for whole engine runs.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Any, Callable, Iterable, List, Optional
 
 from repro.engine.executor import Executor
 from repro.engine.metrics import TaskMetrics
@@ -31,7 +35,117 @@ from repro.engine.task import (
     TaskFailure,
     TaskFinished,
 )
-from repro.simulation.core import Interrupt
+from repro.simulation.core import Event
+
+
+class Interrupt(Exception):
+    """Thrown into a process by :meth:`_Process.interrupt`."""
+
+    def __init__(self, cause: Any = None) -> None:
+        super().__init__(cause)
+        self.cause = cause
+
+
+class _Process(Event):
+    """A generator driven by the events it yields; fires with its result.
+
+    Queue entries, as the kernel's ``Process`` made them: one bootstrap at
+    creation, one per interrupt, and the process's own completion.
+    """
+
+    __slots__ = ("generator", "_waiting_on", "_trace_span", "_started")
+
+    def __init__(self, sim, generator, name: str) -> None:
+        super().__init__(sim)
+        self.generator = generator
+        self._started = False
+        if sim.trace_enabled:
+            self._trace_span = sim.tracer.begin("process", name)
+        else:
+            self._trace_span = -1
+        self._waiting_on = self._kick(None)
+
+    def _kick(self, interrupt: Optional[Interrupt]) -> Event:
+        """An event that resumes the process on the next loop iteration."""
+        kick = Event(self.sim)
+        kick.add_callback(self._resume)
+        if interrupt is None:
+            kick.succeed()
+        else:
+            kick.fail(interrupt)
+        return kick
+
+    @property
+    def is_alive(self) -> bool:
+        return not self._triggered
+
+    def interrupt(self, cause: Any = None) -> None:
+        """Throw :class:`Interrupt` into the process at its current yield;
+        a process whose generator has not started is cancelled silently."""
+        target = self._waiting_on
+        if target is not None and target.callbacks is not None:
+            try:
+                target.callbacks.remove(self._resume)
+            except ValueError:
+                pass
+        if not self._started:
+            self.generator.close()
+            self._waiting_on = None
+            if self._trace_span >= 0:
+                self.sim.tracer.end(self._trace_span, cancelled=True)
+            self.succeed(None)
+            return
+        self._waiting_on = self._kick(Interrupt(cause))
+
+    def _resume(self, event: Event) -> None:
+        if event is not self._waiting_on:
+            return  # detached from this event by an interrupt
+        self._waiting_on = None
+        self._started = True
+        try:
+            if event.ok:
+                target = self.generator.send(event.value)
+            else:
+                target = self.generator.throw(event.value)
+        except StopIteration as stop:
+            if self._trace_span >= 0:
+                self.sim.tracer.end(self._trace_span)
+            self.succeed(stop.value)
+            return
+        except BaseException as exc:  # noqa: BLE001 - propagate to waiters
+            if self._trace_span >= 0:
+                self.sim.tracer.end(self._trace_span, error=repr(exc))
+            self.fail(exc)
+            return
+        self._waiting_on = target
+        target.add_callback(self._resume)
+
+
+def _all_of(sim, events: Iterable[Event]) -> Event:
+    """Fires when every one of ``events`` (a non-empty list) has fired;
+    the value is the list of their values."""
+    done = Event(sim)
+    events = list(events)
+    values: List[Any] = [None] * len(events)
+    pending = [len(events)]
+
+    def collector(index: int) -> Callable[[Event], None]:
+        def collect(event: Event) -> None:
+            if done.triggered:
+                return
+            if not event.ok:
+                done.fail(event.value)
+                return
+            values[index] = event.value
+            pending[0] -= 1
+            if not pending[0]:
+                done.succeed(list(values))
+
+        return collect
+
+    for index, event in enumerate(events):
+        event.add_callback(collector(index))
+    return done
 
 
 class ReferenceExecutor(Executor):
@@ -40,15 +154,18 @@ class ReferenceExecutor(Executor):
     def launch_task(self, message) -> None:
         if isinstance(message, Task):
             message = TaskAttempt(message)
+        if message.cancelled:
+            return
         task = message.task
         attempt = message.attempt
         key = (task.stage.stage_id, task.partition, attempt)
         self.running += 1
         suffix = f".{attempt}" if attempt else ""
-        self._runs[key] = self.ctx.sim.process(
+        self._runs[key] = _Process(
+            self.ctx.sim,
             self._run_task(task, attempt, message.speculative),
-            name=f"task-{task.stage.stage_id}.{task.partition}{suffix}"
-                 f"@ex{self.executor_id}",
+            f"task-{task.stage.stage_id}.{task.partition}{suffix}"
+            f"@ex{self.executor_id}",
         )
 
     def kill_task(self, stage_id: int, partition: int, attempt: int,
@@ -220,7 +337,8 @@ class ReferenceExecutor(Executor):
             if src_node is None:
                 return my_node.disk.request(size, "read")
             remote_disk = self.ctx.cluster.node(src_node).disk
-            return sim.all_of(
+            return _all_of(
+                sim,
                 [
                     remote_disk.request(size, "read"),
                     self.ctx.cluster.fabric.transfer(
@@ -246,7 +364,7 @@ class ReferenceExecutor(Executor):
                 done = sim.event()
                 done.succeed(size)
                 return done
-            return sim.all_of(events)
+            return _all_of(sim, events)
         if kind == "shuffle_write":
             return my_node.disk.request(size, "write")
         if kind == "dfs_write":
@@ -263,7 +381,7 @@ class ReferenceExecutor(Executor):
                 events.append(
                     self.ctx.cluster.node(replica).disk.request(size, "write")
                 )
-            return sim.all_of(events)
+            return _all_of(sim, events)
         raise ValueError(f"unknown I/O op kind: {kind!r}")
 
 

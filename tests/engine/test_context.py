@@ -1,9 +1,17 @@
 """Tests for SparkContext wiring and error paths."""
 
+import io
+import json
+
 import pytest
 
 from repro.engine import SparkConf
+from repro.engine.scheduler import JobAbortedError
+from repro.faults import FaultPlan, TaskCrash
+from repro.observability.sinks import JsonLinesSink
+from repro.observability.tracer import Tracer
 from tests.engine.conftest import make_context
+from tests.faults.conftest import make_fault_context
 
 MB = 1024.0**2
 
@@ -109,3 +117,55 @@ class TestMultipleJobs:
         reduced.count()   # map stage + result stage
         reduced.count()   # result stage only (shuffle output reused)
         assert len(ctx.recorder.stages) == 3
+
+
+class TestJobDriver:
+    """A job is a continuation over its stages' events: its ``process`` span
+    opens before the first stage and ends, with the error on failure,
+    before the job's handle fires."""
+
+    @staticmethod
+    def _spans(stream, cats=("process", "stage")):
+        """(kind, name, args) of the begin and end lines of the spans of
+        ``cats``, in log order; an end line is named after its begin."""
+        names = {}
+        spans = []
+        for line in stream.getvalue().splitlines():
+            doc = json.loads(line)
+            if doc.get("kind") == "B" and doc["cat"] in cats:
+                names[doc["span"]] = doc["name"]
+            if doc.get("kind") in ("B", "E") and doc["span"] in names:
+                spans.append((doc["kind"], names[doc["span"]],
+                              doc.get("args", {})))
+        return spans
+
+    def test_span_wraps_every_stage(self):
+        stream = io.StringIO()
+        ctx = make_fault_context(FaultPlan(),
+                                 tracer=Tracer(sinks=[JsonLinesSink(stream)]))
+        pairs = ctx.parallelize([(k % 3, 1) for k in range(30)], 3)
+        counts = pairs.reduce_by_key(lambda a, b: a + b, 3).collect()
+        assert sorted(counts) == [(0, 10), (1, 10), (2, 10)]
+        job = "job-" + ctx.recorder.stages[-1].name
+        spans = [(kind, name) for kind, name, _args in self._spans(stream)
+                 if not name.startswith("task-")]
+        stages = [record.name for record in ctx.recorder.stages]
+        assert spans == [("B", job),
+                         ("B", stages[0]), ("E", stages[0]),
+                         ("B", stages[1]), ("E", stages[1]),
+                         ("E", job)]
+
+    def test_aborted_job_ends_its_span_with_the_error(self):
+        stream = io.StringIO()
+        plan = FaultPlan(task_crashes=[
+            TaskCrash(stage_ordinal=0, partition=0, attempt=a)
+            for a in range(4)  # spark.task.maxFailures defaults to 4
+        ])
+        ctx = make_fault_context(plan,
+                                 tracer=Tracer(sinks=[JsonLinesSink(stream)]))
+        with pytest.raises(JobAbortedError) as info:
+            ctx.parallelize(range(8), 2).map(lambda x: x).collect()
+        ctx.tracer.close()
+        kind, name, args = self._spans(stream, cats=("process",))[-1]
+        assert (kind, name) == ("E", "job-" + ctx.recorder.stages[-1].name)
+        assert args == {"error": repr(info.value)}

@@ -8,7 +8,9 @@ reference exactly: byte-identical event logs (spans, counters and the
 trailing metrics snapshot included), equal run results and equal metric
 registries.  The one allowed difference is the kernel's queue count: each
 reference task process pushes a completion event that nothing waits on, so
-``events_scheduled`` must be lower by exactly one per launched attempt.
+``events_scheduled`` must be lower by exactly one per started attempt (a
+launch that arrives after the driver killed it starts nothing).  Every
+span a run opens must also be closed by the time its job ends.
 
 The hypothesis storm draws fault plans mixing task crashes, crash rates,
 executor and node loss, disk degradation, stragglers and speculation; its
@@ -19,6 +21,7 @@ budget comes from the active profile::
 """
 
 import io
+import json
 from collections import Counter
 from pathlib import Path
 
@@ -40,6 +43,8 @@ from repro.faults import (
 )
 from repro.harness.parallel import summarize_run, summary_to_doc
 from repro.harness.runner import build_context, finish_trace
+from repro.observability.events import TraceEvent
+from repro.observability.history import reconstruct
 from repro.observability.sinks import JsonLinesSink
 from repro.observability.tracer import Tracer
 from repro.simulation import core
@@ -54,17 +59,27 @@ HORIZON = 40.0
 
 
 class _Launches:
-    """Counts the attempts an executor class launches during one run."""
+    """Counts the attempts an executor class starts during one run: the
+    launches that arrive and register a live attempt, so not the ones the
+    driver cancelled in flight."""
 
     def __init__(self, monkeypatch, executor_class):
         self.count = 0
         launch = executor_class.launch_task
 
         def counting(executor, message):
-            self.count += 1
+            before = executor.running
             launch(executor, message)
+            self.count += executor.running - before
 
         monkeypatch.setattr(executor_class, "launch_task", counting)
+
+
+def _open_spans(log):
+    """Spans the event log begins and never ends, counted per category
+    (what ``repro history`` warns about)."""
+    docs = [json.loads(line) for line in log.splitlines()[1:]]  # no meta
+    return reconstruct(TraceEvent.from_json(doc) for doc in docs).open_spans
 
 
 def _storm_run(plan, policy, reference, replication=None):
@@ -144,18 +159,67 @@ def plans():
 POLICIES = st.sampled_from(["default", ("static", 2), "dynamic"])
 
 
+def assert_executors_agree(plan, policy):
+    fresh = _storm_run(plan, policy, reference=False)
+    old = _storm_run(plan, policy, reference=True)
+    assert fresh["log"] == old["log"]
+    assert fresh["outcome"] == old["outcome"]
+    assert fresh["registry"] == old["registry"]
+    assert fresh["now"] == old["now"]
+    assert fresh["launches"] == old["launches"]
+    assert old["events"] - fresh["events"] == fresh["launches"]
+    assert _open_spans(fresh["log"]) == {}
+    return fresh
+
+
 class TestFaultStorms:
     @settings(deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(plan=plans(), policy=POLICIES)
     def test_continuations_match_generator_body(self, plan, policy):
-        fresh = _storm_run(plan, policy, reference=False)
-        old = _storm_run(plan, policy, reference=True)
-        assert fresh["log"] == old["log"]
-        assert fresh["outcome"] == old["outcome"]
-        assert fresh["registry"] == old["registry"]
-        assert fresh["now"] == old["now"]
-        assert fresh["launches"] == old["launches"]
-        assert old["events"] - fresh["events"] == fresh["launches"]
+        assert_executors_agree(plan, policy)
+
+
+class TestKillBeforeLaunch:
+    """A speculative twin's launch is still in flight on the control
+    channel when the original wins and the driver kills the twin; the
+    launch must be dropped on arrival, not run untracked past the job's
+    end with its spans open.  Plans and policies found by the storm above."""
+
+    CASES = [
+        (("static", 2), FaultPlan(
+            seed=41,
+            task_crashes=[TaskCrash(0, 0, 0, at_fraction=0.0)],
+            crash_rate=TaskCrashRate(0.24697506240719722, 1),
+            disk_degradations=[
+                DiskDegrade(2, 9.715362621393819, 1.1, 0.3333333333333333),
+                DiskDegrade(2, 35.20007425779536, 1.0960398731639738,
+                            1.46875),
+            ],
+            stragglers=[Straggler(1, 18.0, 33.0, 0.5453816507621255,
+                                  0.560546875)],
+            speculation=SpeculationConfig(True, 1.5, 0.5),
+        )),
+        ("default", FaultPlan(
+            seed=0,
+            disk_degradations=[DiskDegrade(0, 12.414134339094806,
+                                           0.9901437463805292,
+                                           0.6889592021216044)],
+            stragglers=[
+                Straggler(0, 2.0, 18.56, 0.14621028969650898,
+                          0.36590810882026137),
+                Straggler(1, 20.056640625, 20.0, 0.1, 0.5),
+            ],
+            speculation=SpeculationConfig(True, 1.5, 0.75),
+        )),
+    ]
+
+    @pytest.mark.parametrize("policy, plan", CASES)
+    def test_cancelled_launch_is_dropped_by_both_executors(self, policy,
+                                                           plan):
+        fresh = assert_executors_agree(plan, policy)
+        sent = fresh["registry"]["scheduler.tasks_launched"]["value"]
+        # Exactly one launch arrived cancelled and started nothing.
+        assert fresh["launches"] == sent - 1
 
 
 class TestLostInput:
@@ -195,7 +259,7 @@ class TestSecondLossDuringRecovery:
 
 
 class TestNoObjectsPerAttempt:
-    """A fault-free run allocates no Process, Event or AllOf per attempt."""
+    """A fault-free run allocates no kernel event per attempt."""
 
     def _created(self, monkeypatch, scale):
         created = Counter()
@@ -216,7 +280,7 @@ class TestNoObjectsPerAttempt:
         small, small_tasks = self._created(monkeypatch, 0.01)
         large, large_tasks = self._created(monkeypatch, 0.04)
         assert large_tasks > small_tasks
-        # Only the job process and the per-stage events remain, and the
+        # Only the job handle and the per-stage events remain, and the
         # stage count does not depend on the input size.
         assert large == small
         assert sum(small.values()) < small_tasks

@@ -4,7 +4,7 @@ These classes keep the kernel as it was before every membership change
 became one pass over a resource's jobs:
 
 * :class:`ReferenceSimulator` dispatches through :meth:`step` (one method
-  call per event) and queues :meth:`call_in` callbacks as
+  call per entry) and queues :meth:`call_in` callbacks as
   ``_DeferredCall`` objects in 3-tuples.
 * :class:`ReferenceFairShareResource` runs ``_advance``, a separate
   completion loop in ``_on_wake`` and a separate minimum scan in
@@ -49,11 +49,7 @@ class _DeferredCall:
 
 
 class ReferenceSimulator(Simulator):
-    """The event loop with per-event :meth:`step` dispatch."""
-
-    def _schedule(self, event: Event, delay: float) -> None:
-        self._sequence += 1
-        heapq.heappush(self._queue, (self._now + delay, self._sequence, event))
+    """The event loop with per-entry :meth:`step` dispatch."""
 
     def call_in(self, delay: float, fn: Callable[..., None], *args: Any) -> None:
         if delay < 0:
@@ -64,24 +60,14 @@ class ReferenceSimulator(Simulator):
         )
 
     def step(self) -> None:
-        when, _seq, event = heapq.heappop(self._queue)
+        when, _seq, call = heapq.heappop(self._queue)
         if self.monotonic_guard and when < self._now:
             raise SimulationError(
                 f"simulated clock ran backwards: popped event at {when} "
                 f"with the clock already at {self._now}"
             )
         self._now = when
-        if type(event) is _DeferredCall:
-            event.fn(*event.args)
-            return
-        callbacks = event.callbacks
-        event.callbacks = None
-        event._processed = True
-        if callbacks:
-            for callback in callbacks:
-                callback(event)
-        elif not event.ok:
-            raise event.value
+        call.fn(*call.args)
 
     def run(self, until: Optional[float] = None) -> None:
         if until is not None and until < self._now:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simulation import AllOf, Event, SimulationError, Simulator
+from repro.simulation import Event, SimulationError, Simulator
 
 
 def test_clock_starts_at_zero():
@@ -10,17 +10,11 @@ def test_clock_starts_at_zero():
     assert sim.now == 0.0
 
 
-def test_timeout_advances_clock():
+def test_call_in_advances_clock():
     sim = Simulator()
-    sim.timeout(5.0)
+    sim.call_in(5.0, lambda: None)
     sim.run()
     assert sim.now == 5.0
-
-
-def test_timeout_rejects_negative_delay():
-    sim = Simulator()
-    with pytest.raises(SimulationError):
-        sim.timeout(-1.0)
 
 
 def test_nan_times_are_rejected():
@@ -31,8 +25,6 @@ def test_nan_times_are_rejected():
     with pytest.raises(SimulationError):
         sim.call_in(nan, lambda: None)
     with pytest.raises(SimulationError):
-        sim.timeout(nan)
-    with pytest.raises(SimulationError):
         sim.call_at(nan, lambda: None)
     with pytest.raises(SimulationError):
         sim.run(until=nan)
@@ -40,120 +32,53 @@ def test_nan_times_are_rejected():
     assert sim.now == 0.0  # nothing was queued
 
 
-def test_process_receives_timeout_value():
+def test_callbacks_receive_the_event_and_its_value():
     sim = Simulator()
+    event = sim.event()
     seen = []
-
-    def proc():
-        value = yield sim.timeout(1.0, value="tick")
-        seen.append(value)
-
-    sim.process(proc())
+    event.add_callback(lambda e: seen.append((e is event, e.ok, e.value)))
+    sim.call_in(1.0, event.succeed, "tick")
     sim.run()
-    assert seen == ["tick"]
+    assert seen == [(True, True, "tick")]
+    assert event.triggered and event.processed
 
 
-def test_process_return_value_becomes_event_value():
+def test_observed_failure_reaches_callbacks_without_raising():
     sim = Simulator()
-
-    def proc():
-        yield sim.timeout(2.0)
-        return 17
-
-    handle = sim.process(proc())
+    event = sim.event()
+    seen = []
+    event.add_callback(lambda e: seen.append((e.ok, str(e.value))))
+    event.fail(ValueError("boom"))
     sim.run()
-    assert handle.value == 17
-    assert handle.triggered
+    assert seen == [(False, "boom")]
 
 
-def test_processes_wait_on_each_other():
+def test_unobserved_failure_raises_from_run():
     sim = Simulator()
-    order = []
-
-    def inner():
-        yield sim.timeout(3.0)
-        order.append("inner")
-        return "payload"
-
-    def outer():
-        result = yield sim.process(inner())
-        order.append("outer")
-        assert result == "payload"
-
-    sim.process(outer())
-    sim.run()
-    assert order == ["inner", "outer"]
-    assert sim.now == 3.0
-
-
-def test_exception_propagates_into_waiting_process():
-    sim = Simulator()
-    caught = []
-
-    def failing():
-        yield sim.timeout(1.0)
-        raise ValueError("boom")
-
-    def waiter():
-        try:
-            yield sim.process(failing())
-        except ValueError as exc:
-            caught.append(str(exc))
-
-    sim.process(waiter())
-    sim.run()
-    assert caught == ["boom"]
-
-
-def test_unobserved_process_failure_raises_from_run():
-    sim = Simulator()
-
-    def failing():
-        yield sim.timeout(1.0)
-        raise ValueError("unseen")
-
-    sim.process(failing())
+    sim.call_in(1.0, Event(sim).fail, ValueError("unseen"))
     with pytest.raises(ValueError, match="unseen"):
         sim.run()
 
 
-def test_yielding_non_event_is_an_error():
+def test_fail_requires_an_exception():
     sim = Simulator()
-
-    def bad():
-        yield 42
-
-    sim.process(bad())
     with pytest.raises(SimulationError):
-        sim.run()
+        sim.event().fail("not an exception")
 
 
-def test_all_of_collects_values_in_order():
+def test_firing_is_one_queue_entry():
     sim = Simulator()
-    results = []
-
-    def proc():
-        values = yield sim.all_of([sim.timeout(3.0, "slow"), sim.timeout(1.0, "fast")])
-        results.append(values)
-
-    sim.process(proc())
-    sim.run()
-    assert results == [["slow", "fast"]]
-    assert sim.now == 3.0
-
-
-def test_all_of_empty_fires_immediately():
-    sim = Simulator()
-    event = AllOf(sim, [])
-    assert event.triggered
-    assert event.value == []
+    event = sim.event()
+    event.add_callback(lambda e: None)
+    event.add_callback(lambda e: None)
+    event.succeed()
+    assert sim.events_scheduled == 1
 
 
 def test_run_until_stops_before_future_events():
     sim = Simulator()
     fired = []
-    marker = sim.timeout(10.0)
-    marker.add_callback(lambda e: fired.append(sim.now))
+    sim.call_in(10.0, lambda: fired.append(sim.now))
     sim.run(until=4.0)
     assert sim.now == 4.0
     assert fired == []
@@ -167,44 +92,73 @@ def test_run_until_sets_clock_even_with_empty_queue():
     assert sim.now == 7.5
 
 
+def test_run_until_in_the_past_is_error():
+    sim = Simulator()
+    sim.run(until=2.0)
+    with pytest.raises(SimulationError):
+        sim.run(until=1.0)
+
+
 def test_event_succeed_twice_is_error():
     sim = Simulator()
     event = Event(sim)
     event.succeed(1)
     with pytest.raises(SimulationError):
         event.succeed(2)
+    with pytest.raises(SimulationError):
+        event.fail(ValueError("late"))
 
 
 def test_callback_on_processed_event_still_runs():
     sim = Simulator()
-    event = sim.timeout(1.0, value="x")
+    event = sim.event()
+    sim.call_in(1.0, event.succeed, "x")
     sim.run()
+    assert event.processed
     seen = []
-    event.add_callback(lambda e: seen.append(e.value))
+    event.add_callback(lambda e: seen.append((sim.now, e.value)))
+    assert seen == []  # queued, not run on the spot
     sim.run()
-    assert seen == ["x"]
+    assert seen == [(1.0, "x")]
+
+
+def test_callback_on_processed_event_runs_after_earlier_entries():
+    sim = Simulator()
+    event = sim.event()
+    event.succeed()
+    sim.run()
+    order = []
+    sim.call_in(0.0, order.append, "queued-first")
+    event.add_callback(lambda _e: order.append("late-callback"))
+    sim.call_in(0.0, order.append, "queued-last")
+    sim.run()
+    assert order == ["queued-first", "late-callback", "queued-last"]
 
 
 def test_call_at_runs_callback_at_absolute_time():
     sim = Simulator()
     stamps = []
-    sim.call_at(4.0, lambda: stamps.append(sim.now))
+    assert sim.call_at(4.0, lambda: stamps.append(sim.now)) is None
     sim.run()
     assert stamps == [4.0]
 
 
 def test_call_at_in_the_past_is_error():
     sim = Simulator()
-    sim.timeout(5.0)
+    sim.call_in(5.0, lambda: None)
     sim.run()
     with pytest.raises(SimulationError):
         sim.call_at(1.0, lambda: None)
+    sim.call_at(5.0, lambda: None)  # the present is fine
 
 
 def test_deterministic_tie_breaking_by_insertion_order():
     sim = Simulator()
     order = []
     for label in ("a", "b", "c"):
-        sim.timeout(1.0).add_callback(lambda e, lab=label: order.append(lab))
+        event = sim.event()
+        event.add_callback(lambda e, lab=label: order.append(lab))
+        event.succeed()
+        sim.call_in(0.0, order.append, label.upper())
     sim.run()
-    assert order == ["a", "b", "c"]
+    assert order == ["a", "A", "b", "B", "c", "C"]

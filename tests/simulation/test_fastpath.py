@@ -1,8 +1,7 @@
-"""Kernel fast-path edge cases: call_in, zero-delay storms, started-flag
-interrupts, and the scalar uniform_rate twin of rates().
+"""Kernel fast-path edge cases: call_in, zero-delay storms, run_until,
+and the scalar uniform_rate twin of rates().
 
-The contracts under test exist because of the perf work (ISSUE 4): the
-optimized paths must be *observably identical* to the general ones --
+The optimized paths must be *observably identical* to the general ones --
 event-by-event ordering, float-by-float accounting.
 """
 
@@ -12,7 +11,6 @@ from repro.network.fabric import NetworkLink
 from repro.simulation import (
     CpuResource,
     FairShareResource,
-    Interrupt,
     SimulationError,
     Simulator,
 )
@@ -33,19 +31,21 @@ class TestCallIn:
         with pytest.raises(SimulationError):
             sim.call_in(-0.1, lambda: None)
 
-    def test_ties_with_timeout_break_by_scheduling_order(self):
-        """A call_in and a timeout for the same instant fire in the order
-        they were scheduled -- the property that makes replacing a
-        one-callback Timeout with call_in log-preserving."""
+    def test_ties_with_event_firings_break_by_scheduling_order(self):
+        """Deferred calls and event firings for the same instant run in the
+        order they were queued: an event's firing is itself one entry."""
         sim = Simulator()
         order = []
-        sim.timeout(1.0).add_callback(lambda _e: order.append("timeout-first"))
-        sim.call_in(1.0, order.append, "call-in-second")
-        sim.call_in(1.0, order.append, "call-in-third")
-        sim.timeout(1.0).add_callback(lambda _e: order.append("timeout-fourth"))
+        first, fourth = sim.event(), sim.event()
+        first.add_callback(lambda _e: order.append("event-first"))
+        fourth.add_callback(lambda _e: order.append("event-fourth"))
+        first.succeed()
+        sim.call_in(0.0, order.append, "call-in-second")
+        sim.call_in(0.0, order.append, "call-in-third")
+        fourth.succeed()
         sim.run()
         assert order == [
-            "timeout-first", "call-in-second", "call-in-third", "timeout-fourth"
+            "event-first", "call-in-second", "call-in-third", "event-fourth"
         ]
 
     def test_zero_delay_call_in_storm(self):
@@ -75,27 +75,28 @@ class TestCallIn:
         sim = Simulator()
         before = sim.events_scheduled
         sim.call_in(0.0, lambda: None)
-        sim.timeout(1.0)
-        assert sim.events_scheduled == before + 2
+        sim.call_at(1.0, lambda: None)
+        sim.event().succeed()
+        assert sim.events_scheduled == before + 3
 
 
 class TestZeroDelayStorms:
-    def test_zero_delay_event_storm_preserves_order(self):
-        """A process spinning on zero-delay timeouts interleaves
+    def test_zero_delay_chain_storm_preserves_order(self):
+        """Continuations re-queueing themselves at zero delay interleave
         deterministically with freshly scheduled work at the same instant."""
         sim = Simulator()
         order = []
 
-        def spinner(name, spins):
-            for index in range(spins):
-                order.append((name, index))
-                yield sim.timeout(0.0)
+        def spinner(name, index, spins):
+            order.append((name, index))
+            if index + 1 < spins:
+                sim.call_in(0.0, spinner, name, index + 1, spins)
 
-        sim.process(spinner("a", 3))
-        sim.process(spinner("b", 3))
+        sim.call_in(0.0, spinner, "a", 0, 3)
+        sim.call_in(0.0, spinner, "b", 0, 3)
         sim.run()
         assert sim.now == 0.0
-        # Round-robin: both processes resume alternately at t=0.
+        # Round-robin: both chains resume alternately at t=0.
         assert order == [
             ("a", 0), ("b", 0), ("a", 1), ("b", 1), ("a", 2), ("b", 2)
         ]
@@ -126,59 +127,29 @@ class TestRunUntil:
         sim.run()
         assert later == ["future"]
 
+    def test_stops_at_event_without_draining(self):
+        sim = Simulator()
+        fired = []
+        sim.call_in(100.0, fired.append, "late")
+        target = sim.event()
+        sim.call_in(2.0, target.succeed)
+        sim.run_until(target)
+        assert target.triggered
+        assert sim.now == pytest.approx(2.0)
+        assert fired == []  # the t=100 entry stays queued
+        sim.run()
+        assert fired == ["late"]
+        assert sim.now == pytest.approx(100.0)
+
     def test_run_until_processed_event_is_noop(self):
         sim = Simulator()
-        target = sim.timeout(1.0)
+        target = sim.event()
+        sim.call_in(1.0, target.succeed)
         sim.run()
         assert target.processed
         sim.call_in(5.0, lambda: None)
         sim.run_until(target)
         assert sim.now == 1.0  # queue not drained past the trigger
-
-
-class TestInterruptBeforeStart:
-    def test_interrupt_before_start_cancels_silently(self):
-        """The started-flag refactor must keep the cancel-before-start
-        semantics: the body never runs, the process event still fires."""
-        sim = Simulator()
-        ran = []
-
-        def body():
-            ran.append("ran")
-            yield sim.timeout(1.0)
-
-        proc = sim.process(body())
-        assert proc.interrupt("early") is True
-        sim.run()
-        assert ran == []
-        assert proc.processed and proc.ok
-        assert proc.value is None
-
-    def test_interrupt_after_first_resume_delivers_exception(self):
-        sim = Simulator()
-        caught = []
-
-        def body():
-            try:
-                yield sim.timeout(10.0)
-            except Interrupt as exc:
-                caught.append(exc.cause)
-
-        proc = sim.process(body())
-        # Let the bootstrap run the body up to its first yield.
-        sim.call_in(1.0, proc.interrupt, "late")
-        sim.run()
-        assert caught == ["late"]
-
-    def test_interrupt_terminated_process_returns_false(self):
-        sim = Simulator()
-
-        def body():
-            yield sim.timeout(1.0)
-
-        proc = sim.process(body())
-        sim.run()
-        assert proc.interrupt() is False
 
 
 class TestUniformRate:

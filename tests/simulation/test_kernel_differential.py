@@ -8,13 +8,15 @@ as its values, and the event order and ``events_scheduled`` exactly.
 
 Storms mix every path the fused loops touch: uniform and per-job rates
 (CPU, equal split, mixed read/write devices, an unstructured ``rates()``
-subclass), zero-work jobs, zero-delay bursts, interrupts mid-service,
-``call_in`` ties against kernel wake-ups, ``sync()`` mid-service,
-``speed_factor`` changes with and without ``notify_rates_changed``,
-bursts of 20-40 jobs (deep sets; identical sizes finish in one wake;
-read/write mixes that flip), and submits queued at the instant of a
-wake-up.  Mutation checks plant the faults the fast paths invite and
-require the storms to catch them.
+subclass), zero-work jobs, zero-delay bursts, waiters detached from a
+job mid-service, ``call_in`` ties against kernel wake-ups, ``sync()``
+mid-service, ``speed_factor`` changes with and without
+``notify_rates_changed``, bursts of 20-40 jobs (deep sets; identical
+sizes finish in one wake; read/write mixes that flip), and submits queued
+at the instant of a wake-up.  The storm drivers are continuations on ``call_in`` and
+completion events, the way the engine drives the kernel.  Mutation checks
+plant the faults the fast paths invite and require the storms to catch
+them.
 
 The hypothesis storms take their budget from the active profile (100
 examples by default); ``tests/conftest.py`` registers ``kernel-ci`` with
@@ -31,7 +33,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
-from repro.simulation.core import Interrupt, Simulator
+from repro.simulation.core import Simulator
 from repro.simulation.resources import CpuResource, FairShareResource
 from repro.storage.device import HDD_PROFILE, SSD_PROFILE, MiB, StorageDevice
 from tests.simulation.reference_kernel import (
@@ -113,15 +115,18 @@ def run_storm(kernel, plan, split_at=None, prepare=None):
             return resources[where].submit(work, tag=tag, w=label)
         return resources[where].submit(work, tag=tag)
 
-    def waiter(idx, job):
-        try:
-            yield job.event
-            trace.append((sim.now, "wait-done", idx))
-        except Interrupt as exc:
-            trace.append((sim.now, "wait-intr", idx, exc.cause))
+    settled = set()
 
-    def driver():
-        for idx, action in enumerate(plan):
+    def settle(idx, outcome):
+        """Trace the first of a detach action's job completion and detach."""
+        if idx not in settled:
+            settled.add(idx)
+            trace.append((sim.now, outcome, idx))
+
+    def drive(start):
+        """Replay ``plan`` from ``start``; a wait re-queues the rest."""
+        for idx in range(start, len(plan)):
+            action = plan[idx]
             kind = action[0]
             if kind == "submit":
                 _, where, work, label = action
@@ -154,11 +159,13 @@ def run_storm(kernel, plan, split_at=None, prepare=None):
                 resources[where].request(size, op).add_callback(
                     note("request", idx))
             elif kind == "wait":
-                yield sim.timeout(action[1])
-            elif kind == "interrupt":
+                sim.call_in(action[1], drive, idx + 1)
+                return
+            elif kind == "detach":
                 job = resources["cpu"].submit(5.0, tag="doomed")
-                proc = sim.process(waiter(idx, job))
-                sim.call_in(action[1], proc.interrupt, "storm")
+                job.event.add_callback(
+                    lambda _e, idx=idx: settle(idx, "wait-done"))
+                sim.call_in(action[1], settle, idx, "wait-intr")
                 # A deferred call landing at the same instant as kernel
                 # wake-ups must order identically on both kernels.
                 sim.call_in(action[1], trace.append, (idx, "tick"))
@@ -194,7 +201,7 @@ def run_storm(kernel, plan, split_at=None, prepare=None):
                 counters = resources[action[1]].sample_counters()
                 trace.append((sim.now, "sample", idx, counters))
 
-    sim.process(driver())
+    sim.call_in(0.0, drive, 0)
     if split_at is not None:
         sim.run(until=split_at)
         trace.append((sim.now, "split"))
@@ -261,7 +268,7 @@ _actions = st.one_of(
     st.tuples(st.just("request"), st.sampled_from(["hdd", "ssd"]),
               _work.map(lambda w: w * MiB), st.sampled_from(["read", "write"])),
     st.tuples(st.just("wait"), _delay),
-    st.tuples(st.just("interrupt"), _delay),
+    st.tuples(st.just("detach"), _delay),
     st.tuples(st.just("sync"), st.sampled_from(RESOURCES)),
     st.tuples(st.just("speed"), st.sampled_from(["cpu", "hdd", "ssd"]),
               st.sampled_from([0.25, 0.5, 2.0, 4.0, 1.0 / 3.0])),
@@ -319,7 +326,7 @@ def _make_plan(seed, actions=240):
         elif roll < 0.82:
             plan.append(("wait", rng.uniform(0.001, 0.5)))
         elif roll < 0.87:
-            plan.append(("interrupt", rng.uniform(0.01, 0.3)))
+            plan.append(("detach", rng.uniform(0.01, 0.3)))
         elif roll < 0.91:
             plan.append(("sync", rng.choice(RESOURCES)))
         elif roll < 0.95:
@@ -480,19 +487,22 @@ class TestDeepChurn:
             cpu = fair_cls(sim, "cpu", capacity=64.0)
             done = []
 
-            def driver():
-                for _wave in range(3):
-                    for i in range(200):
-                        work = 1.0 + 0.01 * ((i * 7919) % 97)
-                        tag = "spill" if i % 2 else "shuffle"
-                        job = cpu.submit(work, tag=tag)
-                        job.event.add_callback(
-                            lambda _e, i=i: done.append((sim.now, i)))
-                        if i % 16 == 0:
-                            yield sim.timeout(0.0005)
-                    yield sim.timeout(50.0)
+            def drive(wave, start):
+                """Submit from job ``start`` of ``wave`` on, pausing after
+                every 16th and between waves."""
+                for i in range(start, 200):
+                    work = 1.0 + 0.01 * ((i * 7919) % 97)
+                    tag = "spill" if i % 2 else "shuffle"
+                    job = cpu.submit(work, tag=tag)
+                    job.event.add_callback(
+                        lambda _e, i=i: done.append((sim.now, i)))
+                    if i % 16 == 0:
+                        sim.call_in(0.0005, drive, wave, i + 1)
+                        return
+                if wave < 2:
+                    sim.call_in(50.0, drive, wave + 1, 0)
 
-            sim.process(driver())
+            sim.call_in(0.0, drive, 0, 0)
             sim.run()
             return _hex([done, sim.now, sim.events_scheduled,
                          cpu.stats.work_done, cpu.stats.work_by_tag,

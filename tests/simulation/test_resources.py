@@ -100,6 +100,25 @@ class TestFairShareResource:
         assert res.active_jobs == 0
 
 
+class TestNotifyRatesChanged:
+    def test_rate_change_replans_in_flight_jobs(self):
+        sim = Simulator()
+        resource = FairShareResource(sim, "dev", capacity=1.0)
+        job = resource.submit(10.0)  # finishes at t=10 at capacity 1.0
+        done = []
+        job.event.add_callback(lambda e: done.append(sim.now))
+
+        def speed_up():
+            resource.sync()  # settle work at the old rate first
+            resource.capacity = 5.0
+            resource.notify_rates_changed()
+
+        sim.call_in(5.0, speed_up)
+        sim.run()
+        # 5 work units done by t=5, remaining 5 at rate 5 -> one more second.
+        assert done == [pytest.approx(6.0)]
+
+
 class TestCpuResource:
     def test_undersubscribed_jobs_run_at_full_speed(self):
         sim = Simulator()
