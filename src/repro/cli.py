@@ -99,7 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="journal each finished point to PATH "
                             "(crash-safe; see --resume)")
     sweep.add_argument("--resume", action="store_true",
-                       help="skip points already journaled under --journal")
+                       help="skip points already journaled under --journal "
+                            "(needs --journal)")
     sweep.add_argument("--run-timeout", type=_positive_float, default=None,
                        metavar="SECS",
                        help="watchdog: kill and retry a point that runs "
@@ -111,7 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--stop-after", type=_positive_int, default=None,
                        metavar="N",
                        help="stop (exit 3) after N newly computed points; "
-                            "for testing crash/resume behaviour")
+                            "for testing crash/resume behaviour (needs "
+                            "--journal)")
 
     faults = sub.add_parser(
         "faults", help="fault-plan utilities (see FAULTS.md)"
@@ -1200,7 +1202,14 @@ COMMANDS = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if (args.command == "sweep" and args.journal is None
+            and (args.resume or args.stop_after is not None)):
+        # Without a journal nothing is written, so there is nothing to stop
+        # for or to resume from.
+        flag = "--resume" if args.resume else "--stop-after"
+        parser.error(f"argument {flag}: needs --journal PATH")
     try:
         return COMMANDS[args.command](args)
     except BrokenPipeError:

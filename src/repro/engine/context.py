@@ -25,7 +25,6 @@ from repro.engine.shuffle import MapOutputTracker
 from repro.engine.sizing import SizeInfo, estimate_size
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.tracer import NULL_TRACER, Tracer
-from repro.simulation.core import Event
 from repro.storage.dfs import DistributedFileSystem
 
 PolicyFactory = Callable[[Executor], ExecutorPolicy]
@@ -203,54 +202,57 @@ class SparkContext:
     def _execute_job(self, rdd: RDD, action: Action) -> Any:
         stages = self.dag.build_stages(rdd, action)
         sim = self.sim
-        handle = sim.event()
         span = (sim.tracer.begin("process", f"job-{rdd.name}")
                 if sim.trace_enabled else -1)
         pending = iter(stages)
+        finished = False
+        value: Any = None
 
-        def advance(done: Optional[Event]) -> None:
-            """Run the next stage once ``done`` (the last one's) fires; the
-            handle fires with the final stage's results or first failure."""
+        def advance(results: Any, error: Optional[BaseException]) -> None:
+            """Run the next stage once the last one ended and keep the final
+            stage's results; a failure ends the job span and propagates out
+            of the run loop."""
+            nonlocal finished, value
             try:
-                if done is not None and not done.ok:
-                    raise done.value
+                if error is not None:
+                    raise error
                 stage = next(pending, None)
                 if stage is not None:
-                    self.scheduler.run_stage(stage).add_callback(advance)
+                    self.scheduler.run_stage(stage, advance)
                     return
             except Exception as exc:  # the job fails with it
                 if span >= 0:
                     sim.tracer.end(span, error=repr(exc))
-                handle.fail(exc)
-                return
+                raise
             if span >= 0:
                 sim.tracer.end(span)
-            handle.succeed(None if done is None else done.value)
+            finished, value = True, results
 
-        sim.call_in(0.0, advance, None)
+        def job_done() -> bool:
+            return finished
+
+        sim.call_in(0.0, advance, None, None)
         if self.fork_hook is not None:
             # Fire the divergence barrier inside the job that spans its
             # time point; a job that finishes first leaves the hook armed
-            # for the next one (fork_barrier stops without advancing the
-            # clock, so pending fault timers are untouched).
-            if (self.fork_hook_at <= self.sim.now
-                    or self.sim.fork_barrier(self.fork_hook_at, stop=handle)):
+            # for the next one (a run stopped at the job's end leaves the
+            # clock there, so pending fault timers are untouched).
+            if (self.fork_hook_at <= sim.now
+                    or sim.run(self.fork_hook_at, stop=job_done)):
                 hook, self.fork_hook = self.fork_hook, None
                 hook(self)
         if self.faults is None:
-            self.sim.run()
+            sim.run()
         else:
             # Stop at job completion instead of draining the queue: pending
             # fault timers must fire *during* later jobs, not idle-fire now.
-            self.sim.run_until(handle)
-        if not handle.triggered:
+            sim.run(stop=job_done)
+        if not finished:
             raise RuntimeError(
                 f"job on {rdd.name} deadlocked: the event queue drained with "
                 f"{len(stages)} stages planned but the job incomplete"
             )
-        if not handle.ok:
-            raise handle.value
-        return action.finalize(handle.value, rdd)
+        return action.finalize(value, rdd)
 
     # -- reporting ------------------------------------------------------------------------
 

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.engine.metrics import StageRecord
 from repro.engine.rdd import ShuffleDependency
@@ -46,7 +46,6 @@ from repro.engine.task import (
     TaskFinished,
 )
 from repro.faults.plan import exponential_backoff
-from repro.simulation.core import Event
 from repro.simulation.resources import LatencyChannel
 
 
@@ -106,11 +105,13 @@ class _StageRun:
     """Book-keeping for the stage currently executing."""
 
     def __init__(self, stage: Stage, tasks: Optional[List[Task]],
-                 record: StageRecord, done: Event) -> None:
+                 record: StageRecord,
+                 then: Callable[[Any, Optional[BaseException]], None]) -> None:
         self.stage = stage
         self.manager = TaskSetManager(tasks if tasks is not None else [])
         self.record = record
-        self.done = done
+        #: ``then(results, error)``, queued once when the stage ends.
+        self.then = then
         self.results: Dict[int, Any] = {}
         self.trace_span = -1
         #: True when task plans could not be built yet because a consumed
@@ -175,8 +176,12 @@ class TaskScheduler:
 
     # -- stage execution ---------------------------------------------------------
 
-    def run_stage(self, stage: Stage) -> Event:
-        """Execute a stage; the returned event fires with ordered results."""
+    def run_stage(self, stage: Stage,
+                  then: Callable[[Any, Optional[BaseException]], None]) -> None:
+        """Execute a stage; ``then(results, error)`` runs one queue entry
+        after it ends: the ordered results of a result stage (``None`` for a
+        shuffle stage) and ``None``, or ``None`` and the
+        :class:`JobAbortedError` that failed it."""
         if self._run is not None:
             raise RuntimeError("a stage is already running (stages are serial)")
         sim = self.ctx.sim
@@ -201,7 +206,7 @@ class TaskScheduler:
             tasks = None
         else:
             tasks = self._plan_tasks(stage, range(stage.num_tasks))
-        run = _StageRun(stage, tasks, record, sim.event())
+        run = _StageRun(stage, tasks, record, then)
         self._run = run
         conf = self.ctx.conf
         run.spec_enabled = bool(conf.get("spark.speculation"))
@@ -230,7 +235,6 @@ class TaskScheduler:
             self._begin_recovery(missing)
         # First wave of launches goes out after one control-plane hop.
         sim.call_in(self.channel.latency, self._assign)
-        return run.done
 
     def _plan_tasks(self, stage: Stage, splits) -> List[Task]:
         """Fresh tasks for ``splits`` of ``stage``, planned against the
@@ -830,11 +834,10 @@ class TaskScheduler:
                         rdd.id, split, rdd.partition_size(split)
                     )
         self._run = None
+        ordered = None
         if run.stage.is_result_stage:
             ordered = [run.results[i] for i in range(run.stage.num_tasks)]
-            run.done.succeed(ordered)
-        else:
-            run.done.succeed(None)
+        self.ctx.sim.call_in(0.0, run.then, ordered, None)
 
     def _abort(self, run: _StageRun, reason: str) -> None:
         """Fail the job permanently: kill live work and propagate the error."""
@@ -856,4 +859,4 @@ class TaskScheduler:
             tracer.end(run.trace_span, error=reason)
         self.ctx.monitoring.end_stage(run.stage, run.record)
         self._run = None
-        run.done.fail(JobAbortedError(reason))
+        self.ctx.sim.call_in(0.0, run.then, None, JobAbortedError(reason))

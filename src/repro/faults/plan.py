@@ -642,6 +642,8 @@ class FaultPlan:
                 text = handle.read()
         except FileNotFoundError:
             raise FaultPlanError(f"no such file: {path}") from None
+        except UnicodeDecodeError as exc:
+            raise FaultPlanError(f"{path} is not UTF-8 text: {exc}") from None
         return cls.from_json(text)
 
     def save(self, path: str) -> None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional
 
-from repro.simulation.core import Event, Simulator
+from repro.simulation.core import Simulator
 from repro.simulation.resources import FairShareResource, Job
 
 GBIT = 1e9 / 8.0  # bytes/second for one gigabit
@@ -65,19 +65,13 @@ class NetworkLink(FairShareResource):
         self.latency = latency
         self.bytes_transferred = 0.0
 
-    def send(self, size: float, tag: str = "flow",
-             then: Optional[Callable[[float], None]] = None,
-             ) -> Optional[Event]:
+    def send(self, size: float, tag: str,
+             then: Callable[[float], None]) -> None:
         """Move ``size`` bytes through this link; ``then(size)`` runs when
-        done (without ``then``, returns an event that fires then)."""
+        done."""
         if size < 0:
             raise ValueError(f"negative transfer size: {size}")
-        event = None
-        if then is None:
-            event = self.sim.event()
-            then = event.succeed
         self.sim.call_in(self.latency, self._start, size, tag, then)
-        return event
 
     def _start(self, size: float, tag: str,
                then: Callable[[float], None]) -> None:
@@ -138,11 +132,10 @@ class NetworkFabric:
     def node_ids(self) -> List[int]:
         return sorted(self._egress)
 
-    def transfer(self, src: int, dst: int, size: float, tag: str = "flow",
-                 then: Optional[Callable[[float], None]] = None,
-                 ) -> Optional[Event]:
+    def transfer(self, src: int, dst: int, size: float, tag: str,
+                 then: Callable[[float], None]) -> None:
         """Move ``size`` bytes from ``src`` to ``dst``; ``then(size)`` runs
-        when done (without ``then``, returns an event that fires then).
+        when done.
 
         The flow occupies the source egress and destination ingress links
         concurrently and completes when both have passed the bytes (i.e. the
@@ -157,17 +150,12 @@ class NetworkFabric:
                 active_flows=self._egress[src].active_jobs + 1
                 if src in self._egress else 1,
             )
-        event = None
-        if then is None:
-            event = self.sim.event()
-            then = event.succeed
         if src == dst:
             then(size)
-            return event
+            return
         join = _Join(self.sim, then, size)
         self._egress[src].send(size, tag, join.arrive)
         self._ingress[dst].send(size, tag, join.arrive)
-        return event
 
     def total_bytes(self) -> float:
         """Bytes that crossed any egress link (each flow counted once)."""

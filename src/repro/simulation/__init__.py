@@ -3,7 +3,7 @@
 This package provides the substrate on which the Spark-like engine runs:
 
 * :mod:`repro.simulation.core` -- the event loop (a queue of deferred
-  calls) and one-shot events.
+  calls).
 * :mod:`repro.simulation.resources` -- fair-share resources whose aggregate
   service rate depends on the number of concurrent jobs.  These model CPUs,
   disks, and network links.
@@ -17,7 +17,7 @@ kernel").  It is a purpose-built replacement for the real cluster the
 paper ran on (see DESIGN.md section 2).
 """
 
-from repro.simulation.core import Event, SimulationError, Simulator
+from repro.simulation.core import SimulationError, Simulator
 from repro.simulation.randomness import RandomStreams
 from repro.simulation.resources import (
     CpuResource,
@@ -28,7 +28,6 @@ from repro.simulation.resources import (
 
 __all__ = [
     "CpuResource",
-    "Event",
     "FairShareResource",
     "Job",
     "RandomStreams",

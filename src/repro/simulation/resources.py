@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.simulation.core import Event, SimulationError, Simulator
+from repro.simulation.core import SimulationError, Simulator
 
 _RELATIVE_EPS = 1e-9
 _ABSOLUTE_EPS = 1e-6
@@ -64,14 +64,11 @@ class Job:
     """One unit of service demand submitted to a fair-share resource.
 
     ``then(job)`` is the job's completion hook.  The resource calls it
-    directly at the instant service completes, where an event would be
-    succeeded; ``event`` is that event when the job was submitted in the
-    :class:`Event` form (``then`` is then ``event.succeed``), else ``None``.
+    directly at the instant service completes.
     """
 
     __slots__ = (
-        "resource", "work", "remaining", "tag", "attrs", "then", "event",
-        "done_below",
+        "resource", "work", "remaining", "tag", "attrs", "then", "done_below",
     )
 
     def __init__(
@@ -81,7 +78,6 @@ class Job:
         tag: str,
         attrs: Dict[str, Any],
         then: Callable[["Job"], None],
-        event: Optional[Event] = None,
     ) -> None:
         self.resource = resource
         self.work = work
@@ -89,7 +85,6 @@ class Job:
         self.tag = tag
         self.attrs = attrs
         self.then = then
-        self.event = event
         #: The rate-independent part of the completion threshold: residual
         #: work this small counts as done whatever the job's rate.  Fixed by
         #: the job's size, so it is computed once here rather than per wake.
@@ -175,26 +170,15 @@ class FairShareResource:
     def active_jobs(self) -> int:
         return len(self._jobs)
 
-    def submit(self, work: float, tag: str = "",
-               then: Optional[Callable[[Job], None]] = None,
+    def submit(self, work: float, tag: str, then: Callable[[Job], None],
                **attrs: Any) -> Job:
-        """Submit ``work`` units; ``then(job)`` runs when service completes.
-
-        Without ``then`` the job gets an :class:`Event` (``job.event``) that
-        fires with the job itself, through ``then=event.succeed``.  A hook
-        that stands in for such an event should queue exactly one entry
-        (``sim.call_in(0.0, ...)``) in its place, so same-instant ties still
-        break in the order the event form gives.
-        """
+        """Submit ``work`` units; ``then(job)`` runs when service completes
+        (at once, inside this call, for zero work)."""
         if work < 0:
             raise SimulationError(f"negative work: {work}")
         if not work < math.inf:
             raise SimulationError(f"work must be finite, got {work}")
-        event = None
-        if then is None:
-            event = Event(self.sim)
-            then = event.succeed
-        job = Job(self, float(work), tag, attrs, then, event)
+        job = Job(self, float(work), tag, attrs, then)
         if work == 0:
             then(job)
             return job

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.simulation.core import Event, Simulator
+from repro.simulation.core import Simulator
 from repro.simulation.resources import FairShareResource, Job
 
 MiB = 1024.0 * 1024.0
@@ -159,8 +159,7 @@ class StorageDevice(FairShareResource):
         self._rate = self._rates = None
         self._latency = {op: self.profile.latency(op) / value for op in OPS}
 
-    def submit(self, work: float, tag: str = "",
-               then: Optional[Callable[[Job], None]] = None,
+    def submit(self, work: float, tag: str, then: Callable[[Job], None],
                **attrs: Any) -> Job:
         op = attrs.get("op", "read")
         if op not in OPS:
@@ -215,28 +214,20 @@ class StorageDevice(FairShareResource):
         return rate if rate is not None else self.group_rate(op, n)
 
     def request(self, size: float, op: str,
-                then: Optional[Callable[[float], None]] = None,
-                ) -> Optional[Event]:
+                then: Callable[[float], None]) -> None:
         """Issue one I/O request: access latency, then bandwidth service.
 
-        ``then(size)`` runs when the data has been transferred.  Without
-        ``then`` the request returns an event that fires with ``size``
-        instead (``then=event.succeed``).  The latency phase does not occupy
-        the device (it models head movement / controller setup concurrent
-        with other streams' transfers), which is the standard fluid
-        approximation.
+        ``then(size)`` runs when the data has been transferred.  The latency
+        phase does not occupy the device (it models head movement /
+        controller setup concurrent with other streams' transfers), which is
+        the standard fluid approximation.
         """
         if op not in OPS:
             raise ValueError(f"unknown op {op!r}")
         if size < 0:
             raise ValueError(f"negative request size: {size}")
-        event = None
-        if then is None:
-            event = self.sim.event()
-            then = event.succeed
         self.sim.call_in(self._latency[op], self._start_transfer, size, op,
                          then)
-        return event
 
     def _start_transfer(self, size: float, op: str,
                         then: Callable[[float], None]) -> None:

@@ -1,4 +1,4 @@
-"""Event-stream invariant checkers.
+"""Invariant checkers over the trace-event stream.
 
 Each checker consumes the trace-event stream (live from the tracer or
 replayed from a JSONL log) and verifies one class of engine invariant using

@@ -94,10 +94,9 @@ class InvariantMonitor(TraceSink):
     def bind(self, ctx) -> "InvariantMonitor":
         """Attach to a :class:`SparkContext` before its first job.
 
-        Installs the simulator's monotonic-clock guard, registers the
-        monitor as a trace sink (when tracing is on), and announces itself
-        as ``ctx.invariants`` so the scheduler/executor/MAPE-K hook sites
-        start reporting.
+        Registers the monitor as a trace sink (when tracing is on) and
+        announces itself as ``ctx.invariants`` so the scheduler/executor/
+        MAPE-K hook sites start reporting.
         """
         self.ctx = ctx
         ctx.invariants = self
@@ -108,7 +107,6 @@ class InvariantMonitor(TraceSink):
         if ctx.cluster.nodes:
             self._check_ctx.cores_per_node = ctx.cluster.nodes[0].cores
             self._check_ctx.num_nodes = ctx.cluster.num_nodes
-        ctx.sim.monotonic_guard = True
         if ctx.tracer.enabled:
             ctx.tracer.add_sink(self)
         return self

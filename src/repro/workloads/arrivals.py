@@ -450,6 +450,8 @@ class ArrivalPlan:
                 text = handle.read()
         except FileNotFoundError:
             raise ArrivalPlanError(f"no such file: {path}") from None
+        except UnicodeDecodeError as exc:
+            raise ArrivalPlanError(f"{path} is not UTF-8 text: {exc}") from None
         return cls.from_json(text)
 
 

@@ -2,13 +2,16 @@
 
 :class:`ReferenceExecutor` keeps the executor's task path as it was before
 task attempts became continuations: one generator process per attempt
-that yields an :class:`Event` per CPU burst or I/O chunk, with an
-``AllOf`` over the requests of a multi-part chunk, and kills delivered as
-an :class:`Interrupt` thrown at the current ``yield``.  Every resource is
-used in its event form.  The kernel no longer has generator processes, so
-the parts of ``Process``, ``AllOf`` and ``Interrupt`` this body uses live
-here (:class:`_Process`, :func:`_all_of`), queueing through ``call_in``
-exactly the entries the kernel's versions queued.
+that yields an event per CPU burst or I/O chunk, with an ``AllOf`` over
+the requests of a multi-part chunk, and kills delivered as an
+:class:`Interrupt` thrown at the current ``yield``.  Every resource is used
+in its event form.  The kernel no longer has events or generator
+processes, so the parts of ``Event``, ``Process``, ``AllOf`` and
+``Interrupt`` this body uses live here (:class:`_Event`,
+:class:`_Process`, :func:`_all_of`), queueing through ``call_in`` exactly
+the entries the kernel's versions queued.  The event form of a resource
+call is :func:`_event_form`: the call gets ``then=event.succeed``, as the
+resources' own event form did.
 
 The bodies are copied from the earlier code, plus the fixes both paths
 share: a killed attempt ends its open ``task`` and ``io`` spans with
@@ -35,7 +38,80 @@ from repro.engine.task import (
     TaskFailure,
     TaskFinished,
 )
-from repro.simulation.core import Event
+from repro.simulation.core import SimulationError
+
+
+class _Event:
+    """A one-shot occurrence that callbacks can wait on.
+
+    An event moves through three states: *pending* (created, not
+    triggered), *triggered* (:meth:`succeed` or :meth:`fail` queued its
+    firing, it has a value), and *processed* (its callbacks have run).
+    A callback added to an already-processed event runs on the next loop
+    iteration.
+    """
+
+    __slots__ = ("sim", "callbacks", "_value", "_ok", "_triggered")
+
+    def __init__(self, sim) -> None:
+        self.sim = sim
+        self.callbacks: Optional[List[Callable[["_Event"], None]]] = []
+        self._value: Any = None
+        self._ok = True
+        self._triggered = False
+
+    @property
+    def triggered(self) -> bool:
+        return self._triggered
+
+    @property
+    def ok(self) -> bool:
+        return self._ok
+
+    @property
+    def value(self) -> Any:
+        return self._value
+
+    def succeed(self, value: Any = None) -> "_Event":
+        if self._triggered:
+            raise SimulationError("event already triggered")
+        self._value = value
+        self._ok = True
+        self._triggered = True
+        self.sim.call_in(0.0, self._fire)
+        return self
+
+    def fail(self, exception: BaseException) -> "_Event":
+        if self._triggered:
+            raise SimulationError("event already triggered")
+        self._value = exception
+        self._ok = False
+        self._triggered = True
+        self.sim.call_in(0.0, self._fire)
+        return self
+
+    def add_callback(self, callback: Callable[["_Event"], None]) -> None:
+        if self.callbacks is None:
+            self.sim.call_in(0.0, callback, self)
+        else:
+            self.callbacks.append(callback)
+
+    def _fire(self) -> None:
+        callbacks = self.callbacks
+        self.callbacks = None
+        if callbacks:
+            for callback in callbacks:
+                callback(self)
+        elif not self._ok:
+            raise self._value
+
+
+def _event_form(sim, call: Callable[..., None], *args: Any) -> _Event:
+    """``call(*args, then)`` as the event it used to return: an event that
+    its completion hook succeeds with the job or the size moved."""
+    ev = _Event(sim)
+    call(*args, ev.succeed)
+    return ev
 
 
 class Interrupt(Exception):
@@ -46,7 +122,7 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class _Process(Event):
+class _Process(_Event):
     """A generator driven by the events it yields; fires with its result.
 
     Queue entries, as the kernel's ``Process`` made them: one bootstrap at
@@ -65,9 +141,9 @@ class _Process(Event):
             self._trace_span = -1
         self._waiting_on = self._kick(None)
 
-    def _kick(self, interrupt: Optional[Interrupt]) -> Event:
+    def _kick(self, interrupt: Optional[Interrupt]) -> _Event:
         """An event that resumes the process on the next loop iteration."""
-        kick = Event(self.sim)
+        kick = _Event(self.sim)
         kick.add_callback(self._resume)
         if interrupt is None:
             kick.succeed()
@@ -97,7 +173,7 @@ class _Process(Event):
             return
         self._waiting_on = self._kick(Interrupt(cause))
 
-    def _resume(self, event: Event) -> None:
+    def _resume(self, event: _Event) -> None:
         if event is not self._waiting_on:
             return  # detached from this event by an interrupt
         self._waiting_on = None
@@ -121,16 +197,16 @@ class _Process(Event):
         target.add_callback(self._resume)
 
 
-def _all_of(sim, events: Iterable[Event]) -> Event:
+def _all_of(sim, events: Iterable[_Event]) -> _Event:
     """Fires when every one of ``events`` (a non-empty list) has fired;
     the value is the list of their values."""
-    done = Event(sim)
+    done = _Event(sim)
     events = list(events)
     values: List[Any] = [None] * len(events)
     pending = [len(events)]
 
-    def collector(index: int) -> Callable[[Event], None]:
-        def collect(event: Event) -> None:
+    def collector(index: int) -> Callable[[_Event], None]:
+        def collect(event: _Event) -> None:
             if done.triggered:
                 return
             if not event.ok:
@@ -254,7 +330,7 @@ class ReferenceExecutor(Executor):
                     raise TaskFailure("injected-crash")
                 completed_chunks += 1
                 if kind == "cpu":
-                    yield self.node.cpu.submit(amount, tag="task").event
+                    yield _event_form(sim, self.node.cpu.submit, amount, "task")
                 else:
                     if tracer.enabled:
                         chunk_span = tracer.begin(
@@ -333,17 +409,17 @@ class ReferenceExecutor(Executor):
     def _io_event(self, kind: str, size: float, src_node: Optional[int]):
         sim = self.ctx.sim
         my_node = self.node
+        fabric = self.ctx.cluster.fabric
         if kind == "dfs_read":
             if src_node is None:
-                return my_node.disk.request(size, "read")
+                return _event_form(sim, my_node.disk.request, size, "read")
             remote_disk = self.ctx.cluster.node(src_node).disk
             return _all_of(
                 sim,
                 [
-                    remote_disk.request(size, "read"),
-                    self.ctx.cluster.fabric.transfer(
-                        src_node, my_node.node_id, size, tag="dfs"
-                    ),
+                    _event_form(sim, remote_disk.request, size, "read"),
+                    _event_form(sim, fabric.transfer,
+                                src_node, my_node.node_id, size, "dfs"),
                 ]
             )
         if kind == "shuffle_fetch":
@@ -353,33 +429,33 @@ class ReferenceExecutor(Executor):
             src_disk = self.ctx.cluster.node(src_node).disk
             events = []
             if disk_fraction > 0:
-                events.append(src_disk.request(size * disk_fraction, "read"))
+                events.append(_event_form(sim, src_disk.request,
+                                          size * disk_fraction, "read"))
             if src_node != my_node.node_id:
                 events.append(
-                    self.ctx.cluster.fabric.transfer(
-                        src_node, my_node.node_id, size, tag="shuffle"
-                    )
+                    _event_form(sim, fabric.transfer,
+                                src_node, my_node.node_id, size, "shuffle")
                 )
             if not events:
-                done = sim.event()
+                done = _Event(sim)
                 done.succeed(size)
                 return done
             return _all_of(sim, events)
         if kind == "shuffle_write":
-            return my_node.disk.request(size, "write")
+            return _event_form(sim, my_node.disk.request, size, "write")
         if kind == "dfs_write":
             replication = int(self.ctx.conf.get("repro.output.replication"))
-            events = [my_node.disk.request(size, "write")]
+            events = [_event_form(sim, my_node.disk.request, size, "write")]
             num_nodes = self.ctx.cluster.num_nodes
             for offset in range(1, min(replication, num_nodes)):
                 replica = (my_node.node_id + offset) % num_nodes
                 events.append(
-                    self.ctx.cluster.fabric.transfer(
-                        my_node.node_id, replica, size, tag="replica"
-                    )
+                    _event_form(sim, fabric.transfer,
+                                my_node.node_id, replica, size, "replica")
                 )
+                replica_disk = self.ctx.cluster.node(replica).disk
                 events.append(
-                    self.ctx.cluster.node(replica).disk.request(size, "write")
+                    _event_form(sim, replica_disk.request, size, "write")
                 )
             return _all_of(sim, events)
         raise ValueError(f"unknown I/O op kind: {kind!r}")

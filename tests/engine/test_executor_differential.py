@@ -22,7 +22,6 @@ budget comes from the active profile::
 
 import io
 import json
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,7 +46,6 @@ from repro.observability.events import TraceEvent
 from repro.observability.history import reconstruct
 from repro.observability.sinks import JsonLinesSink
 from repro.observability.tracer import Tracer
-from repro.simulation import core
 from repro.workloads import get_workload
 from tests.engine.reference_executor import ReferenceExecutor, install
 
@@ -256,34 +254,6 @@ class TestSecondLossDuringRecovery:
         assert recomputed["value"] == 3 + 6  # maps 1 and 7 twice
         assert fresh["log"] == old["log"]
         assert fresh["registry"] == old["registry"]
-
-
-class TestNoObjectsPerAttempt:
-    """A fault-free run allocates no kernel event per attempt."""
-
-    def _created(self, monkeypatch, scale):
-        created = Counter()
-        init = core.Event.__init__
-
-        def counting(event, sim):
-            created[type(event).__name__] += 1
-            init(event, sim)
-
-        monkeypatch.setattr(core.Event, "__init__", counting)
-        ctx = build_context(num_nodes=NODES, cores=8)
-        get_workload("terasort", scale=scale).run(ctx)
-        monkeypatch.undo()
-        launched = ctx.metrics.counter("scheduler.tasks_launched").value
-        return created, launched
-
-    def test_kernel_objects_do_not_grow_with_tasks(self, monkeypatch):
-        small, small_tasks = self._created(monkeypatch, 0.01)
-        large, large_tasks = self._created(monkeypatch, 0.04)
-        assert large_tasks > small_tasks
-        # Only the job handle and the per-stage events remain, and the
-        # stage count does not depend on the input size.
-        assert large == small
-        assert sum(small.values()) < small_tasks
 
 
 class TestEndToEnd:

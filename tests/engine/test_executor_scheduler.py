@@ -94,9 +94,10 @@ class TestSchedulerMechanics:
         ctx = make_synthetic_ctx()
         rdd = ctx.text_file("/in", 4)
         stages = ctx.dag.build_stages(rdd, CountAction())
-        ctx.scheduler.run_stage(stages[0])
+        ctx.scheduler.run_stage(stages[0], lambda _results, _error: None)
         with pytest.raises(RuntimeError, match="already running"):
-            ctx.scheduler.run_stage(stages[0])
+            ctx.scheduler.run_stage(stages[0],
+                                    lambda _results, _error: None)
 
     def test_tasks_balanced_across_executors(self):
         ctx = make_synthetic_ctx()

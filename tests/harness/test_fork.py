@@ -246,6 +246,8 @@ class TestPostForkReseeding:
 
 
 class TestForkBarrier:
+    """The barrier is a bounded :meth:`Simulator.run`."""
+
     def test_advances_clock_to_barrier(self):
         from repro.simulation.core import Simulator
 
@@ -253,7 +255,7 @@ class TestForkBarrier:
         fired = []
         sim.call_at(5.0, lambda: fired.append(5))
         sim.call_at(20.0, lambda: fired.append(20))
-        assert sim.fork_barrier(10.0)
+        assert sim.run(10.0)
         assert sim.now == 10.0
         assert fired == [5]
         sim.run()
@@ -266,7 +268,7 @@ class TestForkBarrier:
         sim.call_at(5.0, lambda: None)
         sim.run()
         with pytest.raises(SimulationError, match="past"):
-            sim.fork_barrier(1.0)
+            sim.run(1.0)
 
 
 class TestWhatIfCli:

@@ -3,8 +3,8 @@
 These classes keep the kernel as it was before every membership change
 became one pass over a resource's jobs:
 
-* :class:`ReferenceSimulator` dispatches through :meth:`step` (one method
-  call per entry) and queues :meth:`call_in` callbacks as
+* :class:`ReferenceSimulator` dispatches through its own ``step`` (one
+  method call per entry) and queues :meth:`call_in` callbacks as
   ``_DeferredCall`` objects in 3-tuples.
 * :class:`ReferenceFairShareResource` runs ``_advance``, a separate
   completion loop in ``_on_wake`` and a separate minimum scan in
@@ -29,7 +29,7 @@ import math
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.network.fabric import NetworkLink
-from repro.simulation.core import Event, SimulationError, Simulator
+from repro.simulation.core import SimulationError, Simulator
 from repro.simulation.resources import (
     _ABSOLUTE_EPS,
     _RELATIVE_EPS,
@@ -61,7 +61,7 @@ class ReferenceSimulator(Simulator):
 
     def step(self) -> None:
         when, _seq, call = heapq.heappop(self._queue)
-        if self.monotonic_guard and when < self._now:
+        if when < self._now:
             raise SimulationError(
                 f"simulated clock ran backwards: popped event at {when} "
                 f"with the clock already at {self._now}"
@@ -69,34 +69,33 @@ class ReferenceSimulator(Simulator):
         self._now = when
         call.fn(*call.args)
 
-    def run(self, until: Optional[float] = None) -> None:
+    def run(self, until: Optional[float] = None,
+            stop: Optional[Callable[[], bool]] = None) -> bool:
         if until is not None and until < self._now:
             raise SimulationError("`until` lies in the past")
         while self._queue:
-            when = self._queue[0][0]
-            if until is not None and when > until:
-                self._now = until
-                return
+            if stop is not None and stop():
+                return False
+            if until is not None and self._queue[0][0] > until:
+                break
             self.step()
+        if stop is not None and stop():
+            return False
         if until is not None:
             self._now = until
+        return True
 
 
 class ReferenceFairShareResource(FairShareResource):
     """Fair-share mechanics as three separate loops."""
 
-    def submit(self, work: float, tag: str = "",
-               then: Optional[Callable[[Job], None]] = None,
+    def submit(self, work: float, tag: str, then: Callable[[Job], None],
                **attrs: Any) -> Job:
         if work < 0:
             raise SimulationError(f"negative work: {work}")
         if not math.isfinite(work):
             raise SimulationError(f"work must be finite, got {work}")
-        event = None
-        if then is None:
-            event = Event(self.sim)
-            then = event.succeed
-        job = Job(self, float(work), tag, attrs, then, event)
+        job = Job(self, float(work), tag, attrs, then)
         if work == 0:
             then(job)
             return job
@@ -219,24 +218,17 @@ class ReferenceCpuResource(ReferenceFairShareResource, CpuResource):
 class ReferenceStorageDevice(ReferenceFairShareResource, StorageDevice):
     """:class:`StorageDevice` with unmemoised rates and lagging op counts."""
 
-    def submit(self, work: float, tag: str = "",
-               then: Optional[Callable[[Job], None]] = None,
+    def submit(self, work: float, tag: str, then: Callable[[Job], None],
                **attrs: Any) -> Job:
         op = attrs.get("op", "read")
         counts = self._op_counts
         counts[op] = counts.get(op, 0) + 1
-        event = None
-        if then is None:
-            event = Event(self.sim)
-            then = event.succeed
 
         def release(job: Job) -> None:
             counts[op] -= 1
             then(job)
 
-        job = super().submit(work, tag, release, **attrs)
-        job.event = event
-        return job
+        return super().submit(work, tag, release, **attrs)
 
     def _start_transfer(self, size: float, op: str,
                         then: Callable[[float], None]) -> None:

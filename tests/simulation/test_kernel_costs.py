@@ -21,7 +21,7 @@ from repro.harness.runner import run_workload
 #: once per re-planning (``_reschedule``) of a non-idle set: the passes in
 #: between reuse the rate it kept.  ``device.py:submit`` is absent because
 #: a device request hands its job straight to the base class.
-#: ``call_in`` is the only queue push, event firings included.
+#: ``call_in`` is the only queue push, stage ends included.
 PINNED = {
     "resources.py:_on_wake": 2806,
     "resources.py:_advance": 1166,
@@ -30,7 +30,7 @@ PINNED = {
     "device.py:uniform_rate": 1033,
     "device.py:rates": 12,
     "device.py:submit": 0,
-    "core.py:call_in": 7629,
+    "core.py:call_in": 7627,
 }
 
 

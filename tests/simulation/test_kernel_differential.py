@@ -1,7 +1,7 @@
 """Differential tests: the single-pass fair-share kernel vs the reference.
 
 ``reference_kernel.py`` keeps the three-loop kernel (advance, completion
-test, horizon scan), per-event ``step`` dispatch and the unmemoised storage
+test, horizon scan), per-entry ``step`` dispatch and the unmemoised storage
 device.  The production kernel must reproduce it *bit for bit*: every float
 is compared through ``float.hex``, ``work_by_tag`` by its key order as well
 as its values, and the event order and ``events_scheduled`` exactly.
@@ -13,10 +13,10 @@ job mid-service, ``call_in`` ties against kernel wake-ups, ``sync()``
 mid-service, ``speed_factor`` changes with and without
 ``notify_rates_changed``, bursts of 20-40 jobs (deep sets; identical
 sizes finish in one wake; read/write mixes that flip), and submits queued
-at the instant of a wake-up.  The storm drivers are continuations on ``call_in`` and
-completion events, the way the engine drives the kernel.  Mutation checks
-plant the faults the fast paths invite and require the storms to catch
-them.
+at the instant of a wake-up.  The storm drivers are continuations on
+``call_in`` and completion hooks, the way the engine drives the kernel.
+Mutation checks plant the faults the fast paths invite and require the
+storms to catch them.
 
 The hypothesis storms take their budget from the active profile (100
 examples by default); ``tests/conftest.py`` registers ``kernel-ci`` with
@@ -105,15 +105,15 @@ def run_storm(kernel, plan, split_at=None, prepare=None):
     trace = []
 
     def note(label, idx):
-        return lambda _e: trace.append((sim.now, label, idx))
+        return lambda _done: trace.append((sim.now, label, idx))
 
-    def submit(where, work, tag, label):
+    def submit(where, work, tag, label, then):
         """``label`` is the op on a device, the weight on ``skew``."""
         if where in ("hdd", "ssd"):
-            return resources[where].submit(work, tag=tag, op=label)
+            return resources[where].submit(work, tag, then, op=label)
         if where == "skew":
-            return resources[where].submit(work, tag=tag, w=label)
-        return resources[where].submit(work, tag=tag)
+            return resources[where].submit(work, tag, then, w=label)
+        return resources[where].submit(work, tag, then)
 
     settled = set()
 
@@ -131,40 +131,35 @@ def run_storm(kernel, plan, split_at=None, prepare=None):
             if kind == "submit":
                 _, where, work, label = action
                 tag = "skew" if where == "skew" else label
-                submit(where, work, tag, label).event.add_callback(
-                    note(where, idx))
+                submit(where, work, tag, label, note(where, idx))
             elif kind == "pair":
                 # Two jobs whose sizes differ by ``delta``: when the first
                 # finishes, the second's residual lands near the completion
                 # threshold (size-relative, absolute, or rate-relative).
                 _, where, work, delta, label = action
                 for size in (work, work + delta):
-                    submit(where, size, "pair", label).event.add_callback(
-                        note("pair", idx))
+                    submit(where, size, "pair", label, note("pair", idx))
             elif kind == "burst":
                 # ``count`` jobs at one instant, of ``work * (1 + spread *
                 # i)`` (spread 0.0: identical jobs, which finish in one
                 # wake); on a device, label "mix" makes every third a write.
                 _, where, count, work, spread, label = action
                 for i in range(count):
+                    op = label
                     if label == "mix":
                         op = "write" if i % 3 == 0 else "read"
-                        job = submit(where, work * (1.0 + spread * i), op, op)
-                    else:
-                        job = submit(where, work * (1.0 + spread * i), label,
-                                     label)
-                    job.event.add_callback(note("burst", idx))
+                    submit(where, work * (1.0 + spread * i), op, op,
+                           note("burst", idx))
             elif kind == "request":
                 _, where, size, op = action
-                resources[where].request(size, op).add_callback(
-                    note("request", idx))
+                resources[where].request(size, op, note("request", idx))
             elif kind == "wait":
                 sim.call_in(action[1], drive, idx + 1)
                 return
             elif kind == "detach":
-                job = resources["cpu"].submit(5.0, tag="doomed")
-                job.event.add_callback(
-                    lambda _e, idx=idx: settle(idx, "wait-done"))
+                resources["cpu"].submit(
+                    5.0, "doomed",
+                    lambda _job, idx=idx: settle(idx, "wait-done"))
                 sim.call_in(action[1], settle, idx, "wait-intr")
                 # A deferred call landing at the same instant as kernel
                 # wake-ups must order identically on both kernels.
@@ -187,9 +182,8 @@ def run_storm(kernel, plan, split_at=None, prepare=None):
                 fair = resources["fair"]
                 if not fair.active_jobs:
                     sim.call_in(work / fair.capacity, submit, "fair", second,
-                                "race", "")
-                submit("fair", work, "race", "").event.add_callback(
-                    note("race", idx))
+                                "race", "", note("race-second", idx))
+                submit("fair", work, "race", "", note("race", idx))
             elif kind == "quiet-speed":
                 # Synced first, as documented, but with no re-plan: the
                 # pending wake-up keeps its horizon and the next pass
@@ -493,9 +487,8 @@ class TestDeepChurn:
                 for i in range(start, 200):
                     work = 1.0 + 0.01 * ((i * 7919) % 97)
                     tag = "spill" if i % 2 else "shuffle"
-                    job = cpu.submit(work, tag=tag)
-                    job.event.add_callback(
-                        lambda _e, i=i: done.append((sim.now, i)))
+                    cpu.submit(work, tag,
+                               lambda _job, i=i: done.append((sim.now, i)))
                     if i % 16 == 0:
                         sim.call_in(0.0005, drive, wave, i + 1)
                         return
@@ -513,7 +506,7 @@ class TestDeepChurn:
     def test_remaining_reads_work_then_zero(self):
         sim = Simulator()
         cpu = FairShareResource(sim, "cpu", capacity=2.0)
-        jobs = [cpu.submit(4.0) for _ in range(40)]
+        jobs = [cpu.submit(4.0, "", lambda _job: None) for _ in range(40)]
         assert all(job.remaining == 4.0 for job in jobs)
         sim.run()
         assert all(job.remaining == 0.0 for job in jobs)
@@ -527,15 +520,14 @@ class TestStorageDeviceState:
         disk = StorageDevice(sim, "disk", HDD_PROFILE)
         seen = []
 
-        def check(_event):
+        def check(_job):
             live = [job.attrs["op"] for job in disk._jobs]
             counts = {op: live.count(op) for op in ("read", "write")}
             seen.append(counts == disk._op_counts)
 
         for index in range(24):
             op = "read" if index % 3 else "write"
-            disk.submit((index + 1) * MiB, tag=op, op=op).event.add_callback(
-                check)
+            disk.submit((index + 1) * MiB, op, check, op=op)
         sim.run()
         assert len(seen) == 24 and all(seen)
         assert disk._op_counts == {"read": 0, "write": 0}

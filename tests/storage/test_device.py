@@ -7,10 +7,13 @@ from repro.storage import HDD_PROFILE, SSD_PROFILE, DeviceProfile, StorageDevice
 from repro.storage.device import MiB
 
 
+def _ignore(_done):
+    """Completion hook of a request whose end the test does not watch."""
+
+
 def run_request(sim, device, size, op):
     done = {}
-    event = device.request(size, op)
-    event.add_callback(lambda e: done.setdefault("t", sim.now))
+    device.request(size, op, lambda _size: done.setdefault("t", sim.now))
     sim.run()
     return done["t"]
 
@@ -65,7 +68,7 @@ class TestStorageDevice:
             disk = StorageDevice(sim, "d", HDD_PROFILE)
             total = 1200.0 * MiB
             for _ in range(streams):
-                disk.request(total / streams, "read")
+                disk.request(total / streams, "read", _ignore)
             sim.run()
             return sim.now
 
@@ -79,7 +82,7 @@ class TestStorageDevice:
             disk = StorageDevice(sim, "d", SSD_PROFILE)
             total = 2000.0 * MiB
             for _ in range(streams):
-                disk.request(total / streams, "read")
+                disk.request(total / streams, "read", _ignore)
             sim.run()
             return sim.now
 
@@ -88,8 +91,8 @@ class TestStorageDevice:
     def test_read_write_byte_accounting(self):
         sim = Simulator()
         disk = StorageDevice(sim, "d", HDD_PROFILE)
-        disk.request(10.0 * MiB, "read")
-        disk.request(5.0 * MiB, "write")
+        disk.request(10.0 * MiB, "read", _ignore)
+        disk.request(5.0 * MiB, "write", _ignore)
         sim.run()
         assert disk.bytes_read == pytest.approx(10.0 * MiB)
         assert disk.bytes_written == pytest.approx(5.0 * MiB)
@@ -98,24 +101,25 @@ class TestStorageDevice:
     def test_zero_byte_request_completes(self):
         sim = Simulator()
         disk = StorageDevice(sim, "d", SSD_PROFILE)
-        event = disk.request(0.0, "write")
+        done = []
+        disk.request(0.0, "write", done.append)
         sim.run()
-        assert event.triggered
+        assert done == [0.0]
 
     def test_invalid_op_rejected(self):
         sim = Simulator()
         disk = StorageDevice(sim, "d", HDD_PROFILE)
         with pytest.raises(ValueError):
-            disk.request(1.0, "scan")
+            disk.request(1.0, "scan", _ignore)
 
     def test_submit_rejects_unknown_op_alone(self):
         # Regression: a lone "trim" job used to be served at the write rate.
         sim = Simulator()
         disk = StorageDevice(sim, "d", HDD_PROFILE)
         with pytest.raises(ValueError, match="unknown op 'trim'"):
-            disk.submit(4 * MiB, tag="trim", op="trim")
+            disk.submit(4 * MiB, "trim", _ignore, op="trim")
         with pytest.raises(ValueError, match="unknown op 'trim'"):
-            disk.submit(0.0, op="trim")
+            disk.submit(0.0, "", _ignore, op="trim")
         assert disk.active_jobs == 0
         assert disk._op_counts == {"read": 0, "write": 0}
 
@@ -125,12 +129,13 @@ class TestStorageDevice:
         def finish_time(extra_op):
             sim = Simulator()
             disk = StorageDevice(sim, "d", HDD_PROFILE)
-            job = disk.submit(8 * MiB, tag="read", op="read")
+            finished = []
+            job = disk.submit(8 * MiB, "read", finished.append, op="read")
             if extra_op is not None:
                 with pytest.raises(ValueError, match="unknown op"):
-                    disk.submit(8 * MiB, tag=extra_op, op=extra_op)
+                    disk.submit(8 * MiB, extra_op, _ignore, op=extra_op)
             sim.run()
-            assert job.event.triggered
+            assert finished == [job]
             assert disk.bytes_read == 8 * MiB
             return sim.now
 
@@ -140,7 +145,7 @@ class TestStorageDevice:
         sim = Simulator()
         disk = StorageDevice(sim, "d", HDD_PROFILE)
         with pytest.raises(ValueError):
-            disk.request(-1.0, "read")
+            disk.request(-1.0, "read", _ignore)
 
     def test_nonpositive_speed_factor_rejected(self):
         sim = Simulator()

@@ -344,6 +344,21 @@ class TestBadInputs:
         assert info.value.code == 2
         assert f"argument {flag[0]}: must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--stop-after", "1"], ["--resume"]],
+                             ids=["stop-after", "resume"])
+    def test_sweep_journal_flags_need_a_journal(self, flag, tmp_path, capsys,
+                                                monkeypatch):
+        # Without --journal nothing is written: --stop-after 1 used to exit 3
+        # saying "rerun with --resume", and --resume recomputed every point.
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as info:
+            main(["sweep", "wordcount", "--scale", "0.02", "--nodes", "2",
+                  *flag])
+        assert info.value.code == 2
+        assert f"argument {flag[0]}: needs --journal" in (
+            capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("flag", [
         ["--max-queue", "-1"], ["--max-wait", "0"], ["--max-wait", "-5"],
     ])

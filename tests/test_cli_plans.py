@@ -79,6 +79,16 @@ def write(tmp_path, doc):
     return str(path)
 
 
+#: A UTF-16 byte-order mark and text: bytes no UTF-8 decoder accepts.
+NOT_UTF8 = b"\xff\xfe{\x00}\x00"
+
+
+def write_bytes(tmp_path, data):
+    path = tmp_path / "plan.json"
+    path.write_bytes(data)
+    return str(path)
+
+
 def test_base_plans_are_valid(tmp_path):
     assert main(["faults", "show", write(tmp_path, FAULTS_V2)]) == 0
     assert main(["arrivals", "show", write(tmp_path, ARRIVALS)]) == 0
@@ -115,6 +125,18 @@ class TestMalformedFaultPlans:
         self.assert_rejected([*command, path], capsys)
 
 
+    @pytest.mark.parametrize("command", [
+        ["faults", "show"],
+        ["run", "terasort", "--scale", "0.02", "--nodes", "2", "--faults"],
+    ], ids=["faults-show", "run"])
+    def test_not_utf8(self, command, tmp_path, capsys):
+        # Once a bare UnicodeDecodeError at exit 1.
+        assert main([*command, write_bytes(tmp_path, NOT_UTF8)]) == 2
+        err = capsys.readouterr().err
+        assert "error: invalid fault plan:" in err
+        assert "not UTF-8" in err
+
+
 class TestMalformedArrivalPlans:
     def assert_rejected(self, doc, tmp_path, capsys):
         assert main(["arrivals", "show", write(tmp_path, doc)]) == 2
@@ -144,6 +166,17 @@ class TestMalformedArrivalPlans:
             mutated(ARRIVALS, ("tenants", 0, "mix", 0, "scale"),
                     float("nan")),
             tmp_path, capsys)
+
+    @pytest.mark.parametrize("command", [["arrivals", "show"],
+                                         ["serve", "--plan"]],
+                             ids=["arrivals-show", "serve"])
+    def test_not_utf8(self, command, tmp_path, capsys):
+        # Once a bare UnicodeDecodeError at exit 1.
+        path = write_bytes(tmp_path, NOT_UTF8)
+        assert main([*command, path]) == 2
+        err = capsys.readouterr().err
+        assert "error: invalid arrival plan:" in err
+        assert "not UTF-8" in err
 
     def test_runaway_rate(self, tmp_path, capsys):
         """A rate too high for simulated time to advance is rejected, not
