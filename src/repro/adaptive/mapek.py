@@ -218,8 +218,7 @@ class Planner:
 class Effector:
     """[E]xecute: apply the plan to the managed element (5.4)."""
 
-    def __init__(self, executor, knowledge: KnowledgeBase) -> None:
-        self.executor = executor
+    def __init__(self, knowledge: KnowledgeBase) -> None:
         self.knowledge = knowledge
 
     def execute(self, plan: Plan) -> Optional[int]:
@@ -248,7 +247,7 @@ class AdaptiveControlLoop:
         self.monitor = Monitor(executor, self.knowledge)
         self.analyzer = Analyzer(self.knowledge, tolerance=tolerance)
         self.planner = Planner(self.knowledge)
-        self.effector = Effector(executor, self.knowledge)
+        self.effector = Effector(self.knowledge)
         self.monitor.begin_interval()
 
     @property

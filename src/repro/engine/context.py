@@ -30,6 +30,47 @@ from repro.storage.dfs import DistributedFileSystem
 PolicyFactory = Callable[[Executor], ExecutorPolicy]
 
 
+class _JobDriver:
+    """Runs one job's stages in order, each once the last one ended.
+
+    A slotted object rather than a closure: a closure that hands itself to
+    the scheduler is a reference cycle, and would keep the finished job
+    (and, through it, the whole context) alive until a full collection.
+    """
+
+    __slots__ = ("scheduler", "sim", "pending", "span", "finished", "value")
+
+    def __init__(self, scheduler: TaskScheduler, sim, stages, span: int) -> None:
+        self.scheduler = scheduler
+        self.sim = sim
+        self.pending = iter(stages)
+        self.span = span
+        self.finished = False
+        self.value: Any = None
+
+    def advance(self, results: Any, error: Optional[BaseException]) -> None:
+        """Run the next stage once the last one ended and keep the final
+        stage's results; a failure ends the job span and propagates out of
+        the run loop."""
+        try:
+            if error is not None:
+                raise error
+            stage = next(self.pending, None)
+            if stage is not None:
+                self.scheduler.run_stage(stage, self.advance)
+                return
+        except Exception as exc:  # the job fails with it
+            if self.span >= 0:
+                self.sim.tracer.end(self.span, error=repr(exc))
+            raise
+        if self.span >= 0:
+            self.sim.tracer.end(self.span)
+        self.finished, self.value = True, results
+
+    def done(self) -> bool:
+        return self.finished
+
+
 class SparkContext:
     """One application on one cluster.
 
@@ -97,6 +138,8 @@ class SparkContext:
         #: engine turns one warm prefix into many copy-on-write children.
         self.fork_hook: Optional[Callable[["SparkContext"], None]] = None
         self.fork_hook_at: float = 0.0
+        #: Set by :meth:`stop`; a stopped context refuses new jobs.
+        self.stopped = False
         if policy_factory is not None:
             self.set_policy_factory(policy_factory)
         if fault_plan is not None:
@@ -194,6 +237,10 @@ class SparkContext:
 
     def run_job(self, rdd: RDD, action: Action) -> Any:
         """Run all jobs needed for ``action`` (sampling pre-jobs included)."""
+        if self.stopped:
+            raise RuntimeError(
+                f"cannot run a job on {rdd.name}: its SparkContext was "
+                f"stopped at t={self.sim.now:g}s")
         for dep in self.dag.unbounded_range_partitioners(rdd):
             sample = self._execute_job(dep.rdd, SketchAction())
             dep.partitioner.set_bounds(sample if sample is not None else [])
@@ -204,41 +251,15 @@ class SparkContext:
         sim = self.sim
         span = (sim.tracer.begin("process", f"job-{rdd.name}")
                 if sim.trace_enabled else -1)
-        pending = iter(stages)
-        finished = False
-        value: Any = None
-
-        def advance(results: Any, error: Optional[BaseException]) -> None:
-            """Run the next stage once the last one ended and keep the final
-            stage's results; a failure ends the job span and propagates out
-            of the run loop."""
-            nonlocal finished, value
-            try:
-                if error is not None:
-                    raise error
-                stage = next(pending, None)
-                if stage is not None:
-                    self.scheduler.run_stage(stage, advance)
-                    return
-            except Exception as exc:  # the job fails with it
-                if span >= 0:
-                    sim.tracer.end(span, error=repr(exc))
-                raise
-            if span >= 0:
-                sim.tracer.end(span)
-            finished, value = True, results
-
-        def job_done() -> bool:
-            return finished
-
-        sim.call_in(0.0, advance, None, None)
+        job = _JobDriver(self.scheduler, sim, stages, span)
+        sim.call_in(0.0, job.advance, None, None)
         if self.fork_hook is not None:
             # Fire the divergence barrier inside the job that spans its
             # time point; a job that finishes first leaves the hook armed
             # for the next one (a run stopped at the job's end leaves the
             # clock there, so pending fault timers are untouched).
             if (self.fork_hook_at <= sim.now
-                    or sim.run(self.fork_hook_at, stop=job_done)):
+                    or sim.run(self.fork_hook_at, stop=job.done)):
                 hook, self.fork_hook = self.fork_hook, None
                 hook(self)
         if self.faults is None:
@@ -246,13 +267,49 @@ class SparkContext:
         else:
             # Stop at job completion instead of draining the queue: pending
             # fault timers must fire *during* later jobs, not idle-fire now.
-            sim.run(stop=job_done)
-        if not finished:
+            sim.run(stop=job.done)
+        if not job.finished:
             raise RuntimeError(
                 f"job on {rdd.name} deadlocked: the event queue drained with "
                 f"{len(stages)} stages planned but the job incomplete"
             )
-        return action.finalize(value, rdd)
+        return action.finalize(job.value, rdd)
+
+    def stop(self) -> None:
+        """End the application: refuse new jobs and release the engine.
+
+        The function that builds a context stops it once its workload
+        returns (:func:`repro.harness.runner.run_workload`, each context of
+        :func:`repro.harness.fork.run_whatif`).  After this no engine
+        component holds a cycle through the context: pending queue entries
+        are discarded, every component's back-reference to the context is
+        dropped, and so are the executors' policies (a MAPE-K loop points
+        back at its executor) and the memoised stages (their RDDs point
+        back at the context).  A dropped run is then freed by reference
+        counting, without waiting for a full collection.  A context stopped
+        mid-job (the forked what-if parent) is the exception: the work in
+        flight on its cluster's resources still reaches it through the
+        tasks' stages and RDDs, so it waits for the collector.
+
+        Post-run readers keep working: ``recorder``, ``metrics``,
+        ``tracer``, ``cluster`` and its resource statistics,
+        ``scheduler.channel`` and ``sim.now``/``sim.events_scheduled``.
+        An action on any of this context's RDDs raises ``RuntimeError``.
+        Idempotent.
+        """
+        if self.stopped:
+            return
+        self.stopped = True
+        self.sim.discard_pending()
+        self.dag.stop()
+        for executor in self.executors:
+            executor.stop()
+        self.scheduler.ctx = None
+        self.monitoring.ctx = None
+        if self.faults is not None:
+            self.faults.ctx = None
+        if self.invariants is not None:
+            self.invariants.ctx = None
 
     # -- reporting ------------------------------------------------------------------------
 

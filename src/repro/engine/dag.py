@@ -30,7 +30,17 @@ class DAGScheduler:
         self._next_stage_id += 1
         return stage_id
 
+    def stop(self) -> None:
+        """Drop the context and the memoised stages (their RDDs point back
+        at the context); see :meth:`SparkContext.stop`."""
+        self.ctx = None
+        self._shuffle_stages.clear()
+
     # -- stage graph construction ------------------------------------------------
+    #
+    # Each walk is a recursive method taking its state as arguments: a
+    # nested ``visit`` that calls itself is a reference cycle, which would
+    # outlive the walk until a full collection.
 
     def build_stages(self, rdd: RDD, action: Action) -> List[Stage]:
         """All stages required to run ``action`` on ``rdd``, in execution order.
@@ -43,17 +53,7 @@ class DAGScheduler:
             self._new_stage_id(), rdd, parents=parents, action=action
         )
         ordered: List[Stage] = []
-        seen: set = set()
-
-        def visit(stage: Stage) -> None:
-            if stage.stage_id in seen:
-                return
-            seen.add(stage.stage_id)
-            for parent in stage.parents:
-                visit(parent)
-            ordered.append(stage)
-
-        visit(result_stage)
+        _order_stages(result_stage, set(), ordered)
         tracker = self.ctx.map_output_tracker
         return [
             stage
@@ -65,24 +65,23 @@ class DAGScheduler:
     def _parent_stages(self, rdd: RDD) -> List[Stage]:
         """Map stages for every shuffle dependency reachable narrowly."""
         stages: List[Stage] = []
-        visited: set = set()
-
-        def visit(current: RDD) -> None:
-            if current.id in visited:
-                return
-            visited.add(current.id)
-            if current.cached and self.ctx.cache_manager.has_any(current.id):
-                return  # served from cache; upstream lineage is not needed
-            for dep in current.deps:
-                if isinstance(dep, ShuffleDependency):
-                    stage = self._stage_for_shuffle(dep)
-                    if all(s is not stage for s in stages):
-                        stages.append(stage)
-                elif isinstance(dep, NarrowDependency):
-                    visit(dep.rdd)
-
-        visit(rdd)
+        self._visit_parents(rdd, set(), stages)
         return stages
+
+    def _visit_parents(self, current: RDD, visited: set,
+                       stages: List[Stage]) -> None:
+        if current.id in visited:
+            return
+        visited.add(current.id)
+        if current.cached and self.ctx.cache_manager.has_any(current.id):
+            return  # served from cache; upstream lineage is not needed
+        for dep in current.deps:
+            if isinstance(dep, ShuffleDependency):
+                stage = self._stage_for_shuffle(dep)
+                if all(s is not stage for s in stages):
+                    stages.append(stage)
+            elif isinstance(dep, NarrowDependency):
+                self._visit_parents(dep.rdd, visited, stages)
 
     def _stage_for_shuffle(self, dep: ShuffleDependency) -> Stage:
         if dep.shuffle_id not in self._shuffle_stages:
@@ -101,23 +100,32 @@ class DAGScheduler:
         before the shuffle runs -- Terasort's stage 0 in the paper.
         """
         found: List[ShuffleDependency] = []
-        visited: set = set()
-
-        def visit(current: RDD) -> None:
-            if current.id in visited:
-                return
-            visited.add(current.id)
-            if current.cached and self.ctx.cache_manager.has_any(current.id):
-                return
-            for dep in current.deps:
-                if isinstance(dep, ShuffleDependency):
-                    partitioner = dep.partitioner
-                    if isinstance(partitioner, RangePartitioner):
-                        if not partitioner.has_bounds and not (
-                            self.ctx.map_output_tracker.is_complete(dep.shuffle_id)
-                        ):
-                            found.append(dep)
-                visit(dep.rdd)
-
-        visit(rdd)
+        self._visit_unbounded(rdd, set(), found)
         return found
+
+    def _visit_unbounded(self, current: RDD, visited: set,
+                         found: List[ShuffleDependency]) -> None:
+        if current.id in visited:
+            return
+        visited.add(current.id)
+        if current.cached and self.ctx.cache_manager.has_any(current.id):
+            return
+        for dep in current.deps:
+            if isinstance(dep, ShuffleDependency):
+                partitioner = dep.partitioner
+                if isinstance(partitioner, RangePartitioner):
+                    if not partitioner.has_bounds and not (
+                        self.ctx.map_output_tracker.is_complete(dep.shuffle_id)
+                    ):
+                        found.append(dep)
+            self._visit_unbounded(dep.rdd, visited, found)
+
+
+def _order_stages(stage: Stage, seen: set, ordered: List[Stage]) -> None:
+    """Parents before children, each stage once (depth-first post-order)."""
+    if stage.stage_id in seen:
+        return
+    seen.add(stage.stage_id)
+    for parent in stage.parents:
+        _order_stages(parent, seen, ordered)
+    ordered.append(stage)

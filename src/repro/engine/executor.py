@@ -184,6 +184,14 @@ class Executor:
             return
         self.policy.on_fault(self, reason)
 
+    def stop(self) -> None:
+        """Drop what would point back here or at the stopped context: the
+        context, the policy (a MAPE-K loop holds its executor) and the last
+        stage (its RDDs hold the context)."""
+        self.ctx = None
+        self.policy = None
+        self.current_stage = None
+
     def _cleanup(self, key) -> bool:
         """Retire one attempt's bookkeeping exactly once."""
         if self._runs.pop(key, None) is None:

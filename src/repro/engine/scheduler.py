@@ -594,28 +594,7 @@ class TaskScheduler:
         if run is None:
             return
         rec = self._recovery if self._recovery is not None else _Recovery()
-        added = 0
-        seen: Set[int] = set()
-
-        def need(stage: Stage) -> None:
-            nonlocal added
-            for shuffle_id in self._consumed_shuffles(stage):
-                if shuffle_id not in lost or shuffle_id in seen:
-                    continue
-                seen.add(shuffle_id)
-                producer = self._producing_stage(run.stage, shuffle_id)
-                fresh = {
-                    map_id for map_id in lost[shuffle_id]
-                    if (producer.stage_id, map_id) not in rec.scheduled
-                }
-                if fresh:
-                    for map_id in fresh:
-                        rec.scheduled.add((producer.stage_id, map_id))
-                    rec.waves.append((producer, fresh))
-                    added += len(fresh)
-                need(producer)
-
-        need(run.stage)
+        added = self._queue_lost(run.stage, run.stage, lost, rec, set())
         if added == 0:
             return
         rec.outstanding += added
@@ -635,6 +614,29 @@ class TaskScheduler:
                     executor.notify_fault("recovery")
         self.ctx.metrics.counter("faults.recomputed_partitions").inc(added)
         self._promote_ready_waves()
+
+    def _queue_lost(self, stage: Stage, root: Stage,
+                    lost: Dict[int, List[int]], rec: _Recovery,
+                    seen: Set[int]) -> int:
+        """Queue waves for the lost outputs ``stage`` consumes, then for
+        those their producers consume; returns the partitions added."""
+        added = 0
+        for shuffle_id in self._consumed_shuffles(stage):
+            if shuffle_id not in lost or shuffle_id in seen:
+                continue
+            seen.add(shuffle_id)
+            producer = self._producing_stage(root, shuffle_id)
+            fresh = {
+                map_id for map_id in lost[shuffle_id]
+                if (producer.stage_id, map_id) not in rec.scheduled
+            }
+            if fresh:
+                for map_id in fresh:
+                    rec.scheduled.add((producer.stage_id, map_id))
+                rec.waves.append((producer, fresh))
+                added += len(fresh)
+            added += self._queue_lost(producer, root, lost, rec, seen)
+        return added
 
     def _promote_ready_waves(self) -> None:
         rec = self._recovery

@@ -92,18 +92,7 @@ class Stage:
     def pipeline_rdds(self) -> List[RDD]:
         """Every RDD computed inside this stage (narrow closure of the root)."""
         seen: List[RDD] = []
-
-        def visit(rdd: RDD) -> None:
-            if any(existing is rdd for existing in seen):
-                return
-            seen.append(rdd)
-            if rdd.cached and rdd.ctx.cache_manager.has_any(rdd.id):
-                return  # served from cache; its lineage is not recomputed
-            for dep in rdd.deps:
-                if isinstance(dep, NarrowDependency):
-                    visit(dep.rdd)
-
-        visit(self.rdd)
+        _narrow_closure(self.rdd, seen)
         return seen
 
     @property
@@ -123,6 +112,18 @@ class Stage:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "result" if self.is_result_stage else "map"
         return f"Stage({self.stage_id}, {kind}, rdd={self.rdd.name}, tasks={self.num_tasks})"
+
+
+def _narrow_closure(rdd: RDD, seen: List[RDD]) -> None:
+    """Append ``rdd`` and its narrow ancestors to ``seen``, depth first."""
+    if any(existing is rdd for existing in seen):
+        return
+    seen.append(rdd)
+    if rdd.cached and rdd.ctx.cache_manager.has_any(rdd.id):
+        return  # served from cache; its lineage is not recomputed
+    for dep in rdd.deps:
+        if isinstance(dep, NarrowDependency):
+            _narrow_closure(dep.rdd, seen)
 
 
 def build_task_plans(ctx, stage: Stage, splits: Iterable[int]) -> List[TaskPlan]:

@@ -275,7 +275,10 @@ def run_whatif(
             ctx = _context()
             ctx.fork_hook_at = at
             ctx.fork_hook = alternative.apply
-            run = workload.run(ctx)
+            try:
+                run = workload.run(ctx)
+            finally:
+                ctx.stop()
             if ctx.fork_hook is not None:
                 raise ForkBarrierNotReached(
                     f"fork time t={at} lies beyond the end of the run "
@@ -319,6 +322,8 @@ def run_whatif(
         if in_forked_child():
             child_abort(exc)
         raise
+    finally:
+        ctx.stop()
     if in_forked_child():
         # A child's continued simulation ran to completion: report the
         # summary over the pipe and exit; the parent assembles the report.

@@ -116,6 +116,12 @@ def run_workload(
 ) -> WorkloadRun:
     """One fresh context, one workload run.
 
+    The context is stopped (:meth:`SparkContext.stop`) once the workload
+    returns: the function that builds a context stops it, and no engine
+    component holds a cycle through the context, so the run is freed as
+    soon as the caller drops it.  The returned run still answers every
+    post-run question (runtime, stages, metrics, tracer, cluster I/O).
+
     A ``tracer`` (if given) is wired through the whole stack; the caller
     keeps ownership and decides when to :meth:`~Tracer.close` it.  A
     ``fault_plan`` (:class:`repro.faults.FaultPlan`) turns the run into a
@@ -130,7 +136,10 @@ def run_workload(
     ctx = build_context(policy=policy, conf_overrides=conf_overrides,
                         tracer=tracer, fault_plan=fault_plan,
                         invariants=invariants, **cluster_kwargs)
-    return workload.run(ctx)
+    try:
+        return workload.run(ctx)
+    finally:
+        ctx.stop()
 
 
 def finish_trace(run: WorkloadRun) -> None:

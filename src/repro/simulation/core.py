@@ -94,6 +94,15 @@ class Simulator:
         seq = self._sequence = self._sequence + 1
         heappush(self._queue, (self._now + delay, seq, fn, args))
 
+    def discard_pending(self) -> None:
+        """Drop every queued entry without running it.
+
+        For an owner that is done with the simulator: queued entries are
+        bound methods and closures over the model, and would keep all of
+        it alive.  The clock and :attr:`events_scheduled` are unchanged.
+        """
+        self._queue.clear()
+
     # -- execution --------------------------------------------------------
 
     def run(self, until: Optional[float] = None,
