@@ -286,10 +286,12 @@ class SparkContext:
         dropped, and so are the executors' policies (a MAPE-K loop points
         back at its executor) and the memoised stages (their RDDs point
         back at the context).  A dropped run is then freed by reference
-        counting, without waiting for a full collection.  A context stopped
-        mid-job (the forked what-if parent) is the exception: the work in
-        flight on its cluster's resources still reaches it through the
-        tasks' stages and RDDs, so it waits for the collector.
+        counting, without waiting for a full collection; a traced run's
+        simulator lets go of the tracer, whose clock stays at the run's end.
+        A context stopped mid-job (the forked what-if parent) is the
+        exception: the work in flight on its cluster's resources still
+        reaches it through the tasks' stages and RDDs, so it waits for the
+        collector.
 
         Post-run readers keep working: ``recorder``, ``metrics``,
         ``tracer``, ``cluster`` and its resource statistics,
@@ -300,7 +302,14 @@ class SparkContext:
         if self.stopped:
             return
         self.stopped = True
-        self.sim.discard_pending()
+        sim = self.sim
+        sim.discard_pending()
+        if sim.tracer is not None:
+            # The tracer read the live clock through the simulator; events
+            # logged after the run (finish_trace's metrics) keep its end.
+            end = sim.now
+            sim.tracer.bind_clock(lambda: end)
+            sim.tracer = None
         self.dag.stop()
         for executor in self.executors:
             executor.stop()

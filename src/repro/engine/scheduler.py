@@ -19,6 +19,9 @@ Spark does:
   the lost outputs are recomputed through lineage (a *recovery wave* of the
   producing stages, deepest ancestors first) before the current stage
   resumes;
+* the running stage and the recomputation are two task sets, keyed
+  ``(stage_id, partition)``, served by one launch, one completion and one
+  failure path; they differ only in data (see ``_TaskSet``);
 * with ``spark.speculation`` on, a task running beyond
   ``multiplier x median`` once the completion quantile is reached gets a
   duplicate attempt; the first finisher wins and the twin is killed.
@@ -53,11 +56,20 @@ class JobAbortedError(RuntimeError):
     """A job failed permanently (task out of retries, no executors left)."""
 
 
+#: A task's identity across attempts: ``(stage_id, partition)``.
+Key = Tuple[int, int]
+
+
 class TaskSetManager:
-    """Pending tasks of one stage, indexed for locality-aware dispatch."""
+    """Pending tasks of a task set, indexed for locality-aware dispatch.
+
+    Tasks are keyed ``(stage_id, partition)``: a recovery set holds tasks
+    of several producer stages, whose partition numbers overlap.
+    """
 
     def __init__(self, tasks: List[Task]) -> None:
-        self._unassigned: Set[int] = {task.partition for task in tasks}
+        self._unassigned: Set[Key] = {
+            (task.stage.stage_id, task.partition) for task in tasks}
         self._by_node: Dict[int, deque] = {}
         self._anywhere: deque = deque(tasks)
         for task in tasks:
@@ -68,12 +80,16 @@ class TaskSetManager:
     def pending(self) -> int:
         return len(self._unassigned)
 
-    def pending_partitions(self) -> Set[int]:
-        return set(self._unassigned)
+    def is_pending(self, key: Key) -> bool:
+        return key in self._unassigned
+
+    def pending_partitions(self) -> List[int]:
+        """Partitions still waiting, ascending (a single stage's set)."""
+        return sorted(partition for _stage, partition in self._unassigned)
 
     def add(self, task: Task) -> None:
         """Enqueue one more task (a retry or recovery recomputation)."""
-        self._unassigned.add(task.partition)
+        self._unassigned.add((task.stage.stage_id, task.partition))
         self._anywhere.append(task)
         for node_id in task.preferred_nodes:
             self._by_node.setdefault(node_id, deque()).append(task)
@@ -81,13 +97,15 @@ class TaskSetManager:
     def next_task(self, node_id: int) -> Optional[Task]:
         """Pop a pending task, preferring one with data local to ``node_id``."""
         local = self._by_node.get(node_id)
+        unassigned = self._unassigned
         for queue in (local, self._anywhere):
             if queue is None:
                 continue
             while queue:
                 task = queue.popleft()
-                if task.partition in self._unassigned:
-                    self._unassigned.discard(task.partition)
+                key = (task.stage.stage_id, task.partition)
+                if key in unassigned:
+                    unassigned.discard(key)
                     return task
         return None
 
@@ -101,30 +119,58 @@ class _Attempt:
     launch_time: float
 
 
-class _StageRun:
-    """Book-keeping for the stage currently executing."""
+class _TaskSet:
+    """Pending tasks, attempt ids, live attempts and crash counts of one
+    set of tasks, keyed ``(stage_id, partition)``.  The running stage and
+    the recomputation it waits on differ only in the class attributes."""
+
+    #: Attempt ids of each key count up from here.
+    first_attempt = 0
+    #: Counter bumped once per launch.
+    launch_counter = "scheduler.tasks_launched"
+    #: A crash counts in ``scheduler.task_failures`` and is relaunched after
+    #: an exponential backoff (else: re-planned and relaunched at once).
+    backoff = True
+    #: The abort reason once a key crashed ``spark.task.maxFailures`` times,
+    #: formatted with stage id, partition, failures, the limit, last reason.
+    abort_text = ("task {0}.{1} failed {2} times "
+                  "(spark.task.maxFailures={3}); last reason: {4}")
+    #: A key leaves ``running`` when its last live attempt ends (else it
+    #: keeps its place): an executor loss relaunches in ``running`` order.
+    forget_idle = False
+
+    def __init__(self, tasks: List[Task]) -> None:
+        self.manager = TaskSetManager(tasks)
+        self.attempt_seq: Dict[Key, int] = {}
+        self.running: Dict[Key, Dict[int, _Attempt]] = {}
+        self.failures: Dict[Key, int] = {}
+        #: The ``launch_counter`` metric, resolved at the first launch.
+        self.launched = None
+        self.trace_span = -1
+
+
+class _StageRun(_TaskSet):
+    """The stage currently executing."""
 
     def __init__(self, stage: Stage, tasks: Optional[List[Task]],
                  record: StageRecord,
                  then: Callable[[Any, Optional[BaseException]], None]) -> None:
+        super().__init__(tasks if tasks is not None else [])
         self.stage = stage
-        self.manager = TaskSetManager(tasks if tasks is not None else [])
         self.record = record
         #: ``then(results, error)``, queued once when the stage ends.
         self.then = then
         self.results: Dict[int, Any] = {}
-        self.trace_span = -1
-        #: True when task plans could not be built yet because a consumed
-        #: shuffle lost outputs before the stage started (see run_stage).
-        self.tasks_pending_build = tasks is None
         # -- fault-recovery state (all inert on a fault-free run) ----------
         self.completed_partitions: Set[int] = set()
-        self.attempt_seq: Dict[int, int] = {}
-        self.running: Dict[int, Dict[int, _Attempt]] = {}
-        self.failures: Dict[int, int] = {}
-        self.retries_pending = 0
-        #: Partitions whose relaunch waits for a recovery wave to finish.
-        self.blocked: List[int] = []
+        #: Partitions whose (re)launch waits for a recovery wave to finish:
+        #: all of them when ``tasks`` is None, because a consumed shuffle
+        #: lost outputs before the stage started (see run_stage).
+        self.blocked: List[int] = (
+            list(range(stage.num_tasks)) if tasks is None else [])
+        #: Partitions waiting out a retry backoff or blocked; the stage
+        #: cannot end before this is zero.
+        self.retries_pending = len(self.blocked)
         self.aborted = False
         # -- speculation ---------------------------------------------------
         self.spec_enabled = False
@@ -135,20 +181,23 @@ class _StageRun:
         self.durations: List[float] = []
 
 
-class _Recovery:
+class _Recovery(_TaskSet):
     """Lineage recomputation of shuffle outputs lost with an executor."""
 
+    first_attempt = 1
+    launch_counter = "faults.recovery_tasks"
+    backoff = False
+    abort_text = "recovery task {0}.{1} failed {2} times; last reason: {4}"
+    forget_idle = True
+
     def __init__(self) -> None:
+        super().__init__([])
         #: Stages whose lost partitions cannot run yet (their own consumed
         #: shuffles are still incomplete), deepest ancestors first.
         self.waves: List[Tuple[Stage, Set[int]]] = []
-        self.manager = TaskSetManager([])
-        self.running: Dict[Tuple[int, int], _Attempt] = {}
-        self.attempt_seq: Dict[Tuple[int, int], int] = {}
-        self.failures: Dict[Tuple[int, int], int] = {}
-        self.scheduled: Set[Tuple[int, int]] = set()
-        self.outstanding = 0
-        self.trace_span = -1
+        #: Keys queued for recomputation and not yet recomputed; the
+        #: recovery ends when this empties.
+        self.outstanding: Set[Key] = set()
 
 
 class TaskScheduler:
@@ -163,8 +212,6 @@ class TaskScheduler:
         self._assigned: Dict[int, int] = {}
         self._run: Optional[_StageRun] = None
         self._recovery: Optional[_Recovery] = None
-        #: ``scheduler.tasks_launched``, resolved at the first launch.
-        self._launched = None
 
     @property
     def busy(self) -> bool:
@@ -244,14 +291,15 @@ class TaskScheduler:
         return [Task(stage, split, plan) for split, plan in zip(splits, plans)]
 
     def _assign(self) -> None:
+        """Fill free cores from the recovery set while one exists (the
+        stage resumes once it is done), else from the stage's own set."""
         run = self._run
         if run is None or run.aborted:
             return
-        if self._recovery is not None:
-            self._assign_recovery()
-            return
+        task_set = self._recovery if self._recovery is not None else run
+        manager = task_set.manager
         progress = True
-        while progress and run.manager.pending:
+        while progress and manager.pending:
             progress = False
             for executor in self.ctx.executors:
                 if not executor.alive:
@@ -260,59 +308,29 @@ class TaskScheduler:
                 free = self._pool_view[executor_id] - self._assigned[executor_id]
                 if free <= 0:
                     continue
-                task = run.manager.next_task(executor.node.node_id)
+                task = manager.next_task(executor.node.node_id)
                 if task is None:
                     break
-                self._launch(run, task, executor)
+                self._launch(task_set, task, executor)
                 progress = True
 
-    def _launch(self, run: _StageRun, task: Task, executor,
+    def _launch(self, task_set: _TaskSet, task: Task, executor,
                 speculative: bool = False) -> None:
-        partition = task.partition
-        attempt = run.attempt_seq.get(partition, 0)
-        run.attempt_seq[partition] = attempt + 1
+        key = (task.stage.stage_id, task.partition)
+        attempt = task_set.attempt_seq.get(key, task_set.first_attempt)
+        task_set.attempt_seq[key] = attempt + 1
         launch = TaskAttempt(task, attempt, speculative)
-        run.running.setdefault(partition, {})[attempt] = _Attempt(
+        task_set.running.setdefault(key, {})[attempt] = _Attempt(
             launch, executor.executor_id, self.ctx.sim.now)
         self._assigned[executor.executor_id] += 1
         inv = self.ctx.invariants
         if inv is not None:
             inv.on_task_launched(self, executor.executor_id)
         self.channel.send(executor.launch_task, launch)
-        if self._launched is None:
-            self._launched = self.ctx.metrics.counter("scheduler.tasks_launched")
-        self._launched.inc()
-
-    def _assign_recovery(self) -> None:
-        rec = self._recovery
-        if rec is None:
-            return
-        progress = True
-        while progress and rec.manager.pending:
-            progress = False
-            for executor in self.ctx.executors:
-                if not executor.alive:
-                    continue
-                executor_id = executor.executor_id
-                free = self._pool_view[executor_id] - self._assigned[executor_id]
-                if free <= 0:
-                    continue
-                task = rec.manager.next_task(executor.node.node_id)
-                if task is None:
-                    break
-                key = (task.stage.stage_id, task.partition)
-                attempt = rec.attempt_seq.get(key, 1)
-                rec.attempt_seq[key] = attempt + 1
-                launch = TaskAttempt(task, attempt)
-                rec.running[key] = _Attempt(launch, executor_id,
-                                            self.ctx.sim.now)
-                self._assigned[executor_id] += 1
-                inv = self.ctx.invariants
-                if inv is not None:
-                    inv.on_task_launched(self, executor_id)
-                self.channel.send(executor.launch_task, launch)
-                self.ctx.metrics.counter("faults.recovery_tasks").inc()
-                progress = True
+        if task_set.launched is None:
+            task_set.launched = self.ctx.metrics.counter(
+                task_set.launch_counter)
+        task_set.launched.inc()
 
     # -- executor messages ------------------------------------------------------------
 
@@ -341,24 +359,47 @@ class TaskScheduler:
         else:
             raise TypeError(f"unknown scheduler message: {message!r}")
 
-    def _on_task_finished(self, message: TaskFinished) -> None:
-        run = self._run
+    def _retire(self, message) -> Tuple[Optional[_TaskSet], Key,
+                                        Optional[_Attempt]]:
+        """Find the set owning a reported attempt and retire the attempt:
+        ``(set or None, key, attempt)``.  The attempt is ``None`` when it
+        was already killed (executor loss, twin, abort): a stale report."""
         task = message.task
-        if run is None or task.stage is not run.stage:
-            if self._recovery is not None and task.stage is not None:
-                # A recovery recomputation of an ancestor map stage.
-                self._on_recovery_finished(message)
-                return
-            if self.ctx.faults is not None:
-                return  # stale completion of a killed attempt; drop it
+        key = (task.stage.stage_id, task.partition)
+        run = self._run
+        task_set = (run if run is not None and task.stage is run.stage
+                    else self._recovery)
+        if task_set is None:
+            return None, key, None
+        attempts = task_set.running.get(key)
+        info = attempts.pop(message.attempt, None) if attempts else None
+        if info is not None:
+            self._assigned[message.executor_id] -= 1
+            if task_set.forget_idle and not attempts:
+                del task_set.running[key]
+        return task_set, key, info
+
+    def _on_task_finished(self, message: TaskFinished) -> None:
+        task_set, key, info = self._retire(message)
+        if task_set is None and self.ctx.faults is None:
             raise RuntimeError("completion for a task of a stage that is not running")
-        partition = task.partition
-        attempts = run.running.get(partition, {})
-        info = attempts.pop(message.attempt, None)
         if info is None:
-            return  # attempt was killed (executor loss / speculation twin)
-        self._assigned[message.executor_id] -= 1
-        self._kill_twins(run, partition, attempts, winner=info)
+            return
+        if task_set is self._recovery:
+            rec = task_set
+            self.ctx.map_output_tracker.register_map_output(
+                message.task.stage.shuffle_dep.shuffle_id, message.map_status
+            )
+            # Recomputed: if this output is lost again, it is needed again.
+            rec.outstanding.discard(key)
+            self._promote_ready_waves()
+            if not rec.outstanding:
+                self._finish_recovery(rec)
+            self._assign()
+            return
+        run = task_set
+        partition = key[1]
+        self._kill_twins(run, partition, run.running[key], winner=info)
         run.completed_partitions.add(partition)
         run.durations.append(self.ctx.sim.now - info.launch_time)
         if message.map_status is not None:
@@ -380,7 +421,7 @@ class TaskScheduler:
         for attempt_id, info in list(twins.items()):
             twins.pop(attempt_id)
             self._assigned[info.executor_id] -= 1
-            self._kill(run, partition, info, "speculation-lost")
+            self._kill(info, "speculation-lost")
         tracer = self.ctx.tracer
         won = winner.launch.speculative
         name = "speculation-win" if won else "speculation-loss"
@@ -396,45 +437,41 @@ class TaskScheduler:
             "speculation.wins" if won else "speculation.losses"
         ).inc()
 
-    def _kill(self, run: _StageRun, partition: int, info: _Attempt,
-              reason: str) -> None:
-        """Kill one attempt of the running stage.
+    def _kill(self, info: _Attempt, reason: str) -> None:
+        """Kill one attempt.
 
         The kill reaches the executor at once, but the launch travels the
         control channel: a launch still in flight is marked cancelled, and
         the executor drops it on arrival instead of running it untracked.
         """
-        info.launch.cancelled = True
+        launch = info.launch
+        launch.cancelled = True
         self.ctx.executors[info.executor_id].kill_task(
-            run.stage.stage_id, partition, info.launch.attempt, reason=reason)
+            launch.task.stage.stage_id, launch.task.partition, launch.attempt,
+            reason=reason)
 
     def _on_task_failed(self, message: TaskFailed) -> None:
-        run = self._run
-        task = message.task
-        if run is None or task.stage is not run.stage:
-            if self._recovery is not None:
-                self._on_recovery_failed(message)
-            return  # else: crash of an attempt whose stage already resolved
-        partition = task.partition
-        attempts = run.running.get(partition, {})
-        info = attempts.pop(message.attempt, None)
+        task_set, key, info = self._retire(message)
         if info is None:
-            return  # already killed; nothing to retry
-        self._assigned[message.executor_id] -= 1
-        failures = run.failures.get(partition, 0) + 1
-        run.failures[partition] = failures
-        self.ctx.metrics.counter("scheduler.task_failures").inc()
+            return  # already killed, or its stage resolved; nothing to retry
+        failures = task_set.failures.get(key, 0) + 1
+        task_set.failures[key] = failures
+        if task_set.backoff:
+            self.ctx.metrics.counter("scheduler.task_failures").inc()
         max_attempts = int(self.ctx.conf.get("spark.task.maxFailures"))
         if failures >= max_attempts:
-            self._abort(
-                run,
-                f"task {run.stage.stage_id}.{partition} failed {failures} "
-                f"times (spark.task.maxFailures={max_attempts}); "
-                f"last reason: {message.reason}",
-            )
+            self._abort(self._run, task_set.abort_text.format(
+                key[0], key[1], failures, max_attempts, message.reason))
             return
-        if attempts:
+        if not task_set.backoff:
+            task_set.manager.add(
+                self._plan_tasks(message.task.stage, [key[1]])[0])
+            self._assign()
+            return
+        if task_set.running[key]:
             return  # a speculative twin is still running this partition
+        run = task_set
+        partition = key[1]
         delay = self._retry_delay(failures)
         run.retries_pending += 1
         tracer = self.ctx.tracer
@@ -460,32 +497,32 @@ class TaskScheduler:
         return exponential_backoff(base, failures, cap)
 
     def _retry_due(self, run: _StageRun, partition: int) -> None:
-        if self._run is not run or run.aborted:
-            return
+        if self._run is run and not run.aborted and self._relaunch(
+                run, partition):
+            self._assign()
+
+    def _relaunch(self, run: _StageRun, partition: int) -> bool:
+        """Queue a partition's next attempt, planned afresh (tracker/DFS
+        state may have moved); while a recovery runs, block it instead.
+        Returns whether it was queued."""
         if self._recovery is not None:
             run.blocked.append(partition)
-            return
-        self._enqueue_retry(run, partition)
-        self._assign()
-
-    def _enqueue_retry(self, run: _StageRun, partition: int) -> None:
-        """Rebuild the plan (tracker/DFS state may have moved) and requeue."""
+            return False
         run.retries_pending -= 1
         run.manager.add(self._plan_tasks(run.stage, [partition])[0])
+        return True
 
     def _requeue(self, run: _StageRun, partition: int) -> None:
         """Relaunch a partition whose attempt was killed (not its fault)."""
         if partition in run.completed_partitions:
             return
-        if partition in run.running and run.running[partition]:
+        key = (run.stage.stage_id, partition)
+        if run.running.get(key):
             return  # another attempt (speculative twin) is still going
-        if partition in run.manager.pending_partitions():
+        if run.manager.is_pending(key):
             return
         run.retries_pending += 1
-        if self._recovery is not None:
-            run.blocked.append(partition)
-        else:
-            self._enqueue_retry(run, partition)
+        self._relaunch(run, partition)
 
     # -- executor / node loss -----------------------------------------------------
 
@@ -512,25 +549,27 @@ class TaskScheduler:
         executor.kill_all(reason)
         self._pool_view[executor.executor_id] = 0
         self._assigned[executor.executor_id] = 0
+        run = self._run
         if not any(ex.alive for ex in self.ctx.executors):
-            run = self._run
             if run is not None:
                 self._abort(run, "no executors left alive")
             return
-        run = self._run
+        # Attempts on the dead executor: a recomputation is queued again as
+        # it was; a stage partition is relaunched once lineage is settled.
         orphaned: List[int] = []
-        if run is not None:
-            for partition, attempts in list(run.running.items()):
+        for task_set in (run, self._recovery):
+            if task_set is None:
+                continue
+            for key, attempts in list(task_set.running.items()):
                 for attempt_id, info in list(attempts.items()):
                     if info.executor_id == executor.executor_id:
                         attempts.pop(attempt_id)
-                        orphaned.append(partition)
-        rec = self._recovery
-        if rec is not None:
-            for key, info in list(rec.running.items()):
-                if info.executor_id == executor.executor_id:
-                    rec.running.pop(key)
-                    rec.manager.add(info.launch.task)
+                        if task_set is run:
+                            orphaned.append(key[1])
+                        else:
+                            task_set.manager.add(info.launch.task)
+                if task_set.forget_idle and not attempts:
+                    del task_set.running[key]
         # Lineage invalidation: shuffle outputs stored on the node are gone.
         lost = self.ctx.map_output_tracker.discard_node_outputs(node_id)
         if run is not None and lost:
@@ -544,15 +583,14 @@ class TaskScheduler:
                 self._begin_recovery(lost)
                 # In-flight attempts fetching shuffle data from the dead node
                 # read data that no longer exists: kill and relaunch them.
-                for partition, attempts in list(run.running.items()):
+                for key, attempts in list(run.running.items()):
                     for attempt_id, info in list(attempts.items()):
                         fetches = info.launch.task.plan.shuffle_fetches
                         if any(src == node_id for src, _size in fetches):
                             attempts.pop(attempt_id)
                             self._assigned[info.executor_id] -= 1
-                            self._kill(run, partition, info,
-                                       "shuffle-data-lost")
-                            orphaned.append(partition)
+                            self._kill(info, "shuffle-data-lost")
+                            orphaned.append(key[1])
                 # Queued tasks carry stale fetch plans too; rebuild them once
                 # the recovery wave completes (see _finish_recovery).
         if run is not None:
@@ -597,7 +635,6 @@ class TaskScheduler:
         added = self._queue_lost(run.stage, run.stage, lost, rec, set())
         if added == 0:
             return
-        rec.outstanding += added
         first = self._recovery is None
         self._recovery = rec
         tracer = self.ctx.tracer
@@ -628,11 +665,11 @@ class TaskScheduler:
             producer = self._producing_stage(root, shuffle_id)
             fresh = {
                 map_id for map_id in lost[shuffle_id]
-                if (producer.stage_id, map_id) not in rec.scheduled
+                if (producer.stage_id, map_id) not in rec.outstanding
             }
             if fresh:
                 for map_id in fresh:
-                    rec.scheduled.add((producer.stage_id, map_id))
+                    rec.outstanding.add((producer.stage_id, map_id))
                 rec.waves.append((producer, fresh))
                 added += len(fresh)
             added += self._queue_lost(producer, root, lost, rec, seen)
@@ -656,54 +693,6 @@ class TaskScheduler:
                 rec.manager.add(task)
         rec.waves = still_waiting
 
-    def _on_recovery_finished(self, message: TaskFinished) -> None:
-        rec = self._recovery
-        task = message.task
-        if rec is None:
-            return  # stale completion from an attempt killed at loss time
-        key = (task.stage.stage_id, task.partition)
-        info = rec.running.pop(key, None)
-        if info is None or info.launch.attempt != message.attempt:
-            if info is not None:
-                rec.running[key] = info
-            return
-        self._assigned[message.executor_id] -= 1
-        self.ctx.map_output_tracker.register_map_output(
-            task.stage.shuffle_dep.shuffle_id, message.map_status
-        )
-        # Recomputed: if this output is lost again, it is needed again.
-        rec.scheduled.discard(key)
-        rec.outstanding -= 1
-        self._promote_ready_waves()
-        if rec.outstanding == 0 and not rec.waves:
-            self._finish_recovery(rec)
-        self._assign()
-
-    def _on_recovery_failed(self, message: TaskFailed) -> None:
-        rec = self._recovery
-        task = message.task
-        if rec is None:
-            return
-        key = (task.stage.stage_id, task.partition)
-        info = rec.running.pop(key, None)
-        if info is None or info.launch.attempt != message.attempt:
-            if info is not None:
-                rec.running[key] = info
-            return
-        self._assigned[message.executor_id] -= 1
-        failures = rec.failures.get(key, 0) + 1
-        rec.failures[key] = failures
-        max_attempts = int(self.ctx.conf.get("spark.task.maxFailures"))
-        if failures >= max_attempts and self._run is not None:
-            self._abort(
-                self._run,
-                f"recovery task {key[0]}.{key[1]} failed {failures} times; "
-                f"last reason: {message.reason}",
-            )
-            return
-        rec.manager.add(self._plan_tasks(task.stage, [task.partition])[0])
-        self._assign()
-
     def _finish_recovery(self, rec: _Recovery) -> None:
         self._recovery = None
         run = self._run
@@ -712,20 +701,15 @@ class TaskScheduler:
             tracer.end(rec.trace_span)
         if run is None:
             return
-        if run.tasks_pending_build:
-            run.tasks_pending_build = False
-            for task in self._plan_tasks(run.stage, range(run.stage.num_tasks)):
-                run.manager.add(task)
-        else:
-            # Queued tasks planned their shuffle fetches before the loss;
-            # rebuild them against the recovered map-output locations.
-            pending = sorted(run.manager.pending_partitions())
-            if pending:
-                run.manager = TaskSetManager(
-                    self._plan_tasks(run.stage, pending))
-        for partition in run.blocked:
-            self._enqueue_retry(run, partition)
-        run.blocked = []
+        # Queued tasks planned their shuffle fetches before the loss;
+        # rebuild them against the recovered map-output locations.
+        pending = run.manager.pending_partitions()
+        if pending:
+            run.manager = TaskSetManager(self._plan_tasks(run.stage, pending))
+        blocked, run.blocked = run.blocked, []
+        run.retries_pending -= len(blocked)
+        for task in self._plan_tasks(run.stage, blocked):
+            run.manager.add(task)
         self._maybe_finish_stage(run)
 
     # -- speculative execution ------------------------------------------------------
@@ -745,7 +729,7 @@ class TaskScheduler:
         threshold = run.spec_multiplier * median
         now = self.ctx.sim.now
         earliest: Optional[float] = None
-        for partition, attempts in run.running.items():
+        for (_stage_id, partition), attempts in run.running.items():
             if partition in run.speculated or len(attempts) != 1:
                 continue
             info = next(iter(attempts.values()))
@@ -805,7 +789,6 @@ class TaskScheduler:
             return False
         if (len(run.completed_partitions) == run.stage.num_tasks
                 and run.retries_pending == 0
-                and not run.blocked
                 and self._recovery is None):
             self._finish_stage(run)
             return True

@@ -75,9 +75,11 @@ class MonitoringService:
         self.ctx.sim.call_in(self.interval, self._tick)
 
     def _tick(self) -> None:
-        if self._active_stage_id is None:
+        if self._active_stage_id is None or not self.ctx.sim.queued:
             # Stage ended (or gap between stages): let the loop die; it is
-            # restarted by the next start_stage call.
+            # restarted by the next start_stage call.  A stage with nothing
+            # else queued has stalled: re-arming would tick the clock on
+            # forever instead of letting the job report its deadlock.
             self._loop_running = False
             return
         self._sample_all()

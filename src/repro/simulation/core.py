@@ -75,6 +75,11 @@ class Simulator:
         """
         return self._sequence
 
+    @property
+    def queued(self) -> int:
+        """Entries waiting in the queue; zero once it has drained."""
+        return len(self._queue)
+
     # -- scheduling -------------------------------------------------------
 
     def call_at(self, when: float, callback: Callable[[], None]) -> None:

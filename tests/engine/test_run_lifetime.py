@@ -117,10 +117,9 @@ def test_dropped_run_is_freed_without_gc(workload, policy, faults, traced,
     del run
     assert live(refs) == []
     assert [ref for ref in mapek_loops if ref() is not None] == []
-    if not traced:
-        # A tracer and the simulator point at each other (the tracer reads
-        # the simulated clock), so only an untraced simulator dies here.
-        assert sim() is None
+    # stop() detaches the tracer from the simulator and rebinds its clock
+    # to the run's end, so a traced simulator dies here too.
+    assert sim() is None
 
 
 def test_caller_held_invariant_monitor_does_not_pin_the_run(no_cyclic_gc):

@@ -1,6 +1,10 @@
 """Edge cases of the monitoring layer: degenerate intervals and idle gaps."""
 
 import math
+import signal
+import time
+
+import pytest
 
 from repro.engine.metrics import IntervalRecord
 from repro.monitoring import MonitoringService
@@ -98,3 +102,28 @@ class TestSamplerEdges:
         ctx.text_file("/b", 4).count()
         stage_ids = {s.stage_id for s in ctx.recorder.samples}
         assert len(stage_ids) >= 2
+
+    def test_stalled_job_raises_instead_of_ticking_forever(self,
+                                                           monkeypatch):
+        """A launch that never reaches its executor leaves the stage with
+        nothing queued but the sampler's tick: the tick must not re-arm,
+        so the job reports its deadlock instead of spinning the clock."""
+        ctx = make_context(num_nodes=1, cores=2)
+        ctx.register_synthetic_file("/in", 32 * MB, num_records=1e4)
+        monkeypatch.setattr(ctx.executors[0], "launch_task",
+                            lambda message: None)
+
+        def spinning(_signum, _frame):
+            raise TimeoutError("the stalled job is still ticking")
+
+        previous = signal.signal(signal.SIGALRM, spinning)
+        signal.alarm(30)
+        started = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match="deadlocked"):
+                ctx.text_file("/in", 4).count()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - started < 5.0
+        assert ctx.sim.now < 2.0

@@ -32,6 +32,17 @@ def test_nan_times_are_rejected():
     assert sim.now == 0.0  # nothing was queued
 
 
+def test_queued_counts_waiting_entries_excluding_the_running_one():
+    sim = Simulator()
+    seen = []
+    sim.call_in(1.0, lambda: seen.append(sim.queued))
+    sim.call_in(2.0, lambda: seen.append(sim.queued))
+    assert sim.queued == 2
+    sim.run()
+    assert seen == [1, 0]
+    assert sim.queued == 0
+
+
 def test_run_until_stops_before_future_events():
     sim = Simulator()
     fired = []
